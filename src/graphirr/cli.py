@@ -116,14 +116,15 @@ def _parse_n_spec(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo_text, hi_text = part.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise ValueError(f"empty range {part!r}")
-            values.update(range(lo, hi + 1))
-        else:
-            values.add(int(part))
+        lo_text, dash, hi_text = part.partition("-")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dash else lo
+        except ValueError:
+            raise ValueError(f"bad vertex counts {part!r}; expected N or A-B") from None
+        if lo > hi:
+            raise ValueError(f"empty range {part!r}")
+        values.update(range(lo, hi + 1))
     if not values:
         raise ValueError(f"no vertex counts in {text!r}")
     return sorted(values)

@@ -4,7 +4,8 @@ Every labeled n-vertex graph corresponds to one bitmask over pair_order(n),
 so the search space of size 2^C(n,2) is walked in ascending bitmask order.
 The walk is split into contiguous bitmask ranges; each range is reduced to
 per-graph invariant arrays with numpy, and range results are folded in range
-order, so single runs are deterministic down to witness order.
+order, so single runs are deterministic down to witness order.  One walk per
+n feeds every claim.
 
 All claims are isomorphism-invariant, so checking every labeled graph is
 sound; isomorphism tests are only used against specific targets (the
@@ -13,6 +14,8 @@ antiregular graph) and to deduplicate small witness sets.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -20,7 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .generators import antiregular
-from .graphs import DegreeSequence, Graph, degree_sequence, is_connected, pair_order
+from .graphs import Graph, degree_sequence, is_connected, pair_order
 from .io import emit_graph6
 from .measures import MeasureReport, compute_all, n0 as _n0
 
@@ -113,80 +116,97 @@ class _Chunk:
     n0: np.ndarray          # int32, equal-degree pairs
     irrt: np.ndarray        # int32, pairwise |d_i - d_j| sum
     nk: np.ndarray          # (size, n) int32, pair counts per degree difference
-    albertson: np.ndarray   # int32
-    sigma: np.ndarray       # int32
     nmax_cnt: np.ndarray    # int16, vertices of maximum degree
     universal_cnt: np.ndarray  # int16, vertices of degree n-1
 
+    @functools.cached_property
+    def albertson(self) -> np.ndarray:
+        """int32, sum of |d_i - d_j| over edges."""
+        return self._edge_diff_sum(1)
 
-def _scan_chunks(n: int, chunk_bits: int = _CHUNK_BITS) -> Iterator[_Chunk]:
-    """Reduce every adjacency bitmask to invariant arrays, one contiguous range at a time."""
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        """int32, sum of (d_i - d_j)^2 over edges."""
+        return self._edge_diff_sum(2)
+
+    def _edge_diff_sum(self, power: int) -> np.ndarray:
+        masks = np.arange(self.start, self.start + self.size, dtype=np.int64)
+        deg = self.deg.astype(np.int32)
+        total = np.zeros(self.size, np.int32)
+        for k, (i, j) in enumerate(pair_order(deg.shape[1])):
+            total += ((masks >> k) & 1).astype(np.int32) * np.abs(deg[:, i] - deg[:, j]) ** power
+        return total
+
+
+@functools.cache
+def _pair_tables(n: int, high: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and neighbour-mask tables, shape (n, 2^k), indexed by a bitmask over
+    k pairs: the first min(C(n,2), _CHUNK_BITS) pairs of pair_order(n), or the
+    pairs after them when high is set."""
     pairs = pair_order(n)
-    p = len(pairs)
-    total = 1 << p
-    size = min(total, 1 << chunk_bits)
-    vertex_cols = [[k for k, (i, j) in enumerate(pairs) if v in (i, j)] for v in range(n)]
-    shifts = np.arange(p, dtype=np.int64)
+    low = min(len(pairs), _CHUNK_BITS)
+    pairs = pairs[low:] if high else pairs[:low]
+    deg = np.zeros((n, 1 << len(pairs)), np.uint8)
+    nbr = np.zeros_like(deg)
+    for k, (i, j) in enumerate(pairs):
+        # masks with bit k set are the masks below 2^k plus edge (i, j)
+        lo, hi = 1 << k, 2 << k
+        deg[:, lo:hi] = deg[:, :lo]
+        nbr[:, lo:hi] = nbr[:, :lo]
+        deg[[i, j], lo:hi] += 1
+        nbr[i, lo:hi] |= 1 << j
+        nbr[j, lo:hi] |= 1 << i
+    deg.flags.writeable = nbr.flags.writeable = False
+    return deg, nbr
+
+
+def _scan_chunks(n: int) -> Iterator[_Chunk]:
+    """Reduce every adjacency bitmask to invariant arrays, one contiguous range at a time.
+
+    Within a range only the low pair bits vary, so its degrees and neighbour
+    masks are the low-pair tables plus the range's column of the high-pair
+    tables.  Every degree field comes from the per-graph degree histogram c:
+    n0 = sum C(c_d, 2) and nk[k] = sum c_d * c_{d+k}.
+    """
+    deg_lo, nbr_lo = _pair_tables(n, high=False)
+    deg_hi, nbr_hi = _pair_tables(n, high=True)
+    size = deg_lo.shape[1]
     full_reach = np.uint8((1 << n) - 1)
+    diff_weights = np.arange(n, dtype=np.int32)
 
-    for start in range(0, total, size):
-        masks = np.arange(start, start + size, dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.uint8)
+    for high in range(deg_hi.shape[1]):
+        deg = deg_lo + deg_hi[:, high:high + 1]
+        nbr = nbr_lo | nbr_hi[:, high:high + 1]
 
-        deg = np.zeros((size, n), np.uint8)
-        for v in range(n):
-            deg[:, v] = bits[:, vertex_cols[v]].sum(axis=1, dtype=np.uint8)
-
-        # neighbor bitmask per vertex, then a fixed n-1 rounds of frontier growth
-        nbr = np.zeros((size, n), np.uint8)
-        for k, (i, j) in enumerate(pairs):
-            nbr[:, i] |= bits[:, k] * np.uint8(1 << j)
-            nbr[:, j] |= bits[:, k] * np.uint8(1 << i)
+        # reach from vertex 0 in a fixed n-1 rounds of frontier growth
         reach = np.ones(size, np.uint8)
         for _ in range(n - 1):
             for v in range(n):
-                has = (reach >> np.uint8(v)) & np.uint8(1)
-                reach |= nbr[:, v] * has
-        connected = reach == full_reach
+                reach |= nbr[v] * ((reach >> v) & 1)
 
-        diffs = np.empty((size, p), np.int16)
-        deg16 = deg.astype(np.int16)
-        for k, (i, j) in enumerate(pairs):
-            diffs[:, k] = np.abs(deg16[:, i] - deg16[:, j])
-        irrt = diffs.sum(axis=1, dtype=np.int32)
-        nk = np.empty((size, n), np.int32)
-        for k in range(n):
-            nk[:, k] = (diffs == k).sum(axis=1, dtype=np.int32)
-        alb = (bits * diffs).sum(axis=1, dtype=np.int32)
-        sig = (bits * diffs * diffs).sum(axis=1, dtype=np.int32)
-
-        cnt = np.empty((size, n), np.int16)
-        for value in range(n):
-            cnt[:, value] = (deg == value).sum(axis=1, dtype=np.int16)
-        n0_arr = ((cnt.astype(np.int32) * (cnt - 1)) // 2).sum(axis=1, dtype=np.int32)
-        degset = (cnt > 0).sum(axis=1, dtype=np.int16)
-        dmax = deg.max(axis=1)
-        dmin = deg.min(axis=1)
-        rows = np.arange(size)
-        nmax_cnt = cnt[rows, dmax.astype(np.int64)]
-        universal_cnt = cnt[:, n - 1]
+        # c[d] = number of vertices of degree d
+        c = np.stack([(deg == d).sum(axis=0, dtype=np.int8) for d in range(n)])
+        dmax = deg.max(axis=0)
+        # every sum fits in int8: at most C(8, 2) = 28 pairs
+        nk = np.empty((n, size), np.int32)
+        nk[0] = (c * (c - 1)).sum(axis=0, dtype=np.int8) // 2
+        for k in range(1, n):
+            nk[k] = (c[:-k] * c[k:]).sum(axis=0, dtype=np.int8)
 
         yield _Chunk(
-            start=start,
+            start=high * size,
             size=size,
-            connected=connected,
-            m=bits.sum(axis=1, dtype=np.int32),
-            deg=deg,
+            connected=reach == full_reach,
+            m=deg.sum(axis=0, dtype=np.int32) // 2,
+            deg=deg.T,
             dmax=dmax,
-            dmin=dmin,
-            degset=degset,
-            n0=n0_arr,
-            irrt=irrt,
-            nk=nk,
-            albertson=alb,
-            sigma=sig,
-            nmax_cnt=nmax_cnt,
-            universal_cnt=universal_cnt,
+            dmin=deg.min(axis=0),
+            degset=(c > 0).sum(axis=0, dtype=np.int16),
+            n0=nk[0],
+            irrt=diff_weights @ nk,
+            nk=nk.T,
+            nmax_cnt=(deg == dmax).sum(axis=0, dtype=np.int16),
+            universal_cnt=c[n - 1].astype(np.int16),
         )
 
 
@@ -277,108 +297,135 @@ def _iso_classes(n: int, masks: list[int]) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # Claim verifiers.  Each checks one extremal statement exhaustively over all
-# connected labeled n-vertex graphs and returns a VerificationReport.
+# connected labeled n-vertex graphs: update() folds in one chunk, in mask
+# order, and finish() returns the VerificationReport.
 # ---------------------------------------------------------------------------
 
 
-def _claim_lemma_n0(n: int) -> VerificationReport:
+class _Extremes:
+    """The connected graphs at both ends of ira and irb: the regular ones (value 0)
+    and those with n0 = 1 (maximal).  The maximizers are checked against
+    antiregular(n) once, for every claim that characterizes them."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.regular_masks: list[int] = []
+        self.max_masks: list[int] = []
+
+    def update(self, chunk: _Chunk) -> None:
+        self.regular_masks.extend(_masks_where(chunk, chunk.connected & (chunk.dmax == chunk.dmin)))
+        self.max_masks.extend(_masks_where(chunk, chunk.connected & (chunk.n0 == 1)))
+
+    def check(self) -> None:
+        target = antiregular(self.n)
+        self.target_bad = int(_n0(degree_sequence(target)) != 1)
+        self.not_antiregular = sum(
+            1 for mask in self.max_masks
+            if not is_isomorphic_to(Graph.from_pair_mask(self.n, mask), target)
+        )
+
+
+class _Claim:
+    claim_id = ""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.checked = 0
+        self.violations = 0
+
+    def tally(self, population: np.ndarray, *bad: np.ndarray) -> None:
+        """Count the population as checked, and each bad condition inside it as violations."""
+        self.checked += int(population.sum())
+        for cond in bad:
+            self.violations += int((population & cond).sum())
+
+    def update(self, chunk: _Chunk) -> None:
+        pass
+
+    def finish(self, extremes: _Extremes) -> VerificationReport:
+        return self._report()
+
+    def _report(self, witness_masks=(), details=None) -> VerificationReport:
+        return VerificationReport(
+            claim_id=self.claim_id,
+            n=self.n,
+            graphs_checked=self.checked,
+            violations=self.violations,
+            witnesses=tuple(_g6(self.n, m) for m in witness_masks),
+            details={} if details is None else details,
+        )
+
+
+class _LemmaN0(_Claim):
     """n0 >= 1 always; n0 = 1 exactly on antiregular graphs (= degree set of size n-1)."""
-    checked = 0
-    violations = 0
-    extremal_masks: list[int] = []
-    for chunk in _scan_chunks(n):
-        conn = chunk.connected
-        checked += int(conn.sum())
-        violations += int((conn & (chunk.n0 < 1)).sum())
-        one = chunk.n0 == 1
-        violations += int((conn & (one != (chunk.degset == n - 1))).sum())
-        extremal_masks.extend(_masks_where(chunk, conn & one))
-    target = antiregular(n)
-    if _n0(degree_sequence(target)) != 1:
-        violations += 1
-    non_antiregular = 0
-    for mask in extremal_masks:
-        if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target):
-            non_antiregular += 1
-    violations += non_antiregular
-    return VerificationReport(
-        claim_id="lemma_n0",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        witnesses=tuple(_g6(n, m) for m in extremal_masks),
-        details={
-            "extremal_labeled_count": len(extremal_masks),
-            "extremal_not_antiregular": non_antiregular,
-        },
-    )
+
+    claim_id = "lemma_n0"
+
+    def update(self, chunk):
+        self.tally(chunk.connected, chunk.n0 < 1, (chunk.n0 == 1) != (chunk.degset == self.n - 1))
+
+    def finish(self, extremes):
+        self.violations += extremes.target_bad + extremes.not_antiregular
+        return self._report(extremes.max_masks, {
+            "extremal_labeled_count": len(extremes.max_masks),
+            "extremal_not_antiregular": extremes.not_antiregular,
+        })
 
 
-def _claim_prop_bounds(n: int) -> VerificationReport:
+class _PropBounds(_Claim):
     """0 <= ira <= n(n-1)/2 - 1 and 0 <= irb <= 1 - 2/(n(n-1)); left equality iff
     regular, right equality iff antiregular."""
-    pairs_total = math.comb(n, 2)
-    checked = 0
-    violations = 0
-    regular_count = 0
-    max_masks: list[int] = []
-    for chunk in _scan_chunks(n):
-        conn = chunk.connected
-        checked += int(conn.sum())
-        # bound checks in exact integers: 1 <= n0 <= C(n,2)
-        violations += int((conn & ((chunk.n0 < 1) | (chunk.n0 > pairs_total))).sum())
-        # float values must sit inside the stated interval
+
+    claim_id = "prop_bounds"
+
+    def update(self, chunk):
+        n = self.n
+        pairs_total = math.comb(n, 2)
         ira_f = n * (n - 1) / (2.0 * np.maximum(chunk.n0, 1)) - 1.0
         irb_f = 1.0 - 2.0 * chunk.n0 / (n * (n - 1))
-        out = (ira_f < 0) | (ira_f > pairs_total - 1) | (irb_f < 0) | (irb_f > 1 - 2 / (n * (n - 1)))
-        violations += int((conn & out).sum())
-        # lower equality (value 0) exactly on regular graphs
-        regular = chunk.dmax == chunk.dmin
-        regular_count += int((conn & regular).sum())
-        violations += int((conn & (regular != (chunk.n0 == pairs_total))).sum())
-        max_masks.extend(_masks_where(chunk, conn & (chunk.n0 == 1)))
-    target = antiregular(n)
-    if _n0(degree_sequence(target)) != 1:
-        violations += 1
-    for mask in max_masks:
-        if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target):
-            violations += 1
-    return VerificationReport(
-        claim_id="prop_bounds",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        details={"lower_equality_count": regular_count, "upper_equality_count": len(max_masks)},
-    )
+        self.tally(
+            chunk.connected,
+            # bound checks in exact integers: 1 <= n0 <= C(n,2)
+            (chunk.n0 < 1) | (chunk.n0 > pairs_total),
+            # float values must sit inside the stated interval
+            (ira_f < 0) | (ira_f > pairs_total - 1) | (irb_f < 0) | (irb_f > 1 - 2 / (n * (n - 1))),
+            # lower equality (value 0) exactly on regular graphs
+            (chunk.dmax == chunk.dmin) != (chunk.n0 == pairs_total),
+        )
+
+    def finish(self, extremes):
+        self.violations += extremes.target_bad + extremes.not_antiregular
+        return self._report(details={"lower_equality_count": len(extremes.regular_masks),
+                                     "upper_equality_count": len(extremes.max_masks)})
 
 
-def _claim_lemma_delta(n: int) -> VerificationReport:
+def _single_universal_bidegreed(chunk: _Chunk) -> np.ndarray:
+    return (chunk.degset == 2) & (chunk.universal_cnt == 1)
+
+
+class _LemmaDelta(_Claim):
     """For nonregular graphs n0 <= n(n-1)/2 - max_degree, equality exactly on
     bidegreed graphs with a single vertex of degree n-1."""
-    pairs_total = math.comb(n, 2)
-    checked = 0
-    violations = 0
-    equality_masks: list[int] = []
-    for chunk in _scan_chunks(n):
+
+    claim_id = "lemma_delta"
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.equality_masks: list[int] = []
+
+    def update(self, chunk):
         nonreg = chunk.connected & (chunk.dmax != chunk.dmin)
-        checked += int(nonreg.sum())
-        bound = pairs_total - chunk.dmax.astype(np.int32)
-        violations += int((nonreg & (chunk.n0 > bound)).sum())
+        bound = math.comb(self.n, 2) - chunk.dmax.astype(np.int32)
         eq = chunk.n0 == bound
-        character = (chunk.degset == 2) & (chunk.universal_cnt == 1)
-        violations += int((nonreg & (eq != character)).sum())
-        equality_masks.extend(_masks_where(chunk, nonreg & eq))
-    return VerificationReport(
-        claim_id="lemma_delta",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        witnesses=tuple(_g6(n, m) for m in equality_masks),
-        details={"equality_labeled_count": len(equality_masks)},
-    )
+        self.tally(nonreg, chunk.n0 > bound, eq != _single_universal_bidegreed(chunk))
+        self.equality_masks.extend(_masks_where(chunk, nonreg & eq))
+
+    def finish(self, extremes):
+        return self._report(self.equality_masks,
+                            {"equality_labeled_count": len(self.equality_masks)})
 
 
-def _claim_prop_lower(n: int) -> VerificationReport:
+class _PropLower(_Claim):
     """For nonregular graphs ira >= 2*max_degree/(n(n-1) - 2*max_degree) and
     irb >= 2*max_degree/(n(n-1)), equality exactly on bidegreed graphs with a
     single vertex of degree n-1.
@@ -386,212 +433,184 @@ def _claim_prop_lower(n: int) -> VerificationReport:
     Both inequalities are decided in exact integer arithmetic after clearing
     the (positive) denominators 2*n0 and n(n-1) - 2*max_degree.
     """
-    p_total = n * (n - 1)
-    checked = 0
-    violations = 0
-    equality_count = 0
-    for chunk in _scan_chunks(n):
+
+    claim_id = "prop_lower"
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.equality_count = 0
+
+    def update(self, chunk):
+        p_total = self.n * (self.n - 1)
         nonreg = chunk.connected & (chunk.dmax != chunk.dmin)
-        checked += int(nonreg.sum())
         n0v = chunk.n0.astype(np.int64)
         delta = chunk.dmax.astype(np.int64)
         lhs_ira = (p_total - 2 * n0v) * (p_total - 2 * delta)
         rhs_ira = 4 * delta * n0v
         lhs_irb = p_total - 2 * n0v
         rhs_irb = 2 * delta
-        violations += int((nonreg & ((lhs_ira < rhs_ira) | (lhs_irb < rhs_irb))).sum())
         eq = (lhs_ira == rhs_ira) & (lhs_irb == rhs_irb)
         mixed = (lhs_ira == rhs_ira) != (lhs_irb == rhs_irb)
-        character = (chunk.degset == 2) & (chunk.universal_cnt == 1)
-        violations += int((nonreg & (mixed | (eq != character))).sum())
-        equality_count += int((nonreg & eq).sum())
-    return VerificationReport(
-        claim_id="prop_lower",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        details={"equality_labeled_count": equality_count},
-    )
+        self.tally(nonreg, (lhs_ira < rhs_ira) | (lhs_irb < rhs_irb),
+                   mixed | (eq != _single_universal_bidegreed(chunk)))
+        self.equality_count += int((nonreg & eq).sum())
+
+    def finish(self, extremes):
+        return self._report(details={"equality_labeled_count": self.equality_count})
 
 
-def _claim_prop_bidegreed(n: int) -> VerificationReport:
+class _PropBidegreed(_Claim):
     """Bidegreed graphs that share the count of maximum-degree vertices (or whose
     minimum-degree count equals the other's maximum-degree count) share n0 and
     hence ira and irb."""
-    checked = 0
-    violations = 0
-    first_n0: dict[int, int] = {}
-    for chunk in _scan_chunks(n):
-        sel = chunk.connected & (chunk.degset == 2)
-        idx = np.nonzero(sel)[0]
-        checked += len(idx)
+
+    claim_id = "prop_bidegreed"
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.first_n0: dict[int, int] = {}
+
+    def update(self, chunk):
+        idx = np.nonzero(chunk.connected & (chunk.degset == 2))[0]
+        self.checked += len(idx)
         group = chunk.nmax_cnt[idx]
         n0v = chunk.n0[idx]
         for a in np.unique(group):
             vals = n0v[group == a]
-            key = int(a)
-            if key not in first_n0:
-                first_n0[key] = int(vals[0])
-            violations += int((vals != first_n0[key]).sum())
-    # cross condition: a maximum-degree count of a matches a minimum-degree
-    # count of a, i.e. the group with maximum-degree count n - a
-    for a in sorted(first_n0):
-        b = n - a
-        if b in first_n0 and first_n0[a] != first_n0[b]:
-            violations += 1
-    return VerificationReport(
-        claim_id="prop_bidegreed",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        details={"n0_by_max_degree_count": {str(a): first_n0[a] for a in sorted(first_n0)}},
-    )
+            first = self.first_n0.setdefault(int(a), int(vals[0]))
+            self.violations += int((vals != first).sum())
+
+    def finish(self, extremes):
+        first_n0 = self.first_n0
+        # cross condition: a maximum-degree count of a matches a minimum-degree
+        # count of a, i.e. the group with maximum-degree count n - a
+        for a in sorted(first_n0):
+            b = self.n - a
+            if b in first_n0 and first_n0[a] != first_n0[b]:
+                self.violations += 1
+        return self._report(details={
+            "n0_by_max_degree_count": {str(a): first_n0[a] for a in sorted(first_n0)},
+        })
 
 
-def _claim_cor_edge_deleted(n: int) -> VerificationReport:
+class _CorEdgeDeleted(_Claim):
     """Deleting any edge from any connected regular graph (keeping the result
     connected) always lands on the same n0, hence the same ira and irb."""
-    regular_masks: list[int] = []
-    for chunk in _scan_chunks(n):
-        regular_masks.extend(_masks_where(chunk, chunk.connected & (chunk.dmax == chunk.dmin)))
-    checked = 0
-    violations = 0
-    expected: int | None = None
-    witness_masks: list[int] = []
-    for mask in regular_masks:
-        g = Graph.from_pair_mask(n, mask)
-        for u, v in g.edges():
-            h = g.without_edge(u, v)
-            if not is_connected(h):
-                continue
-            checked += 1
-            value = _n0(degree_sequence(h))
-            if expected is None:
-                expected = value
-            elif value != expected:
-                violations += 1
-                witness_masks.append(h.pair_mask())
-    details: dict = {"regular_graphs": len(regular_masks), "deletions_checked": checked}
-    if expected is not None:
-        p_total = n * (n - 1)
-        details["n0_after_deletion"] = expected
-        details["ira_after_deletion"] = p_total / (2 * expected) - 1.0
-        details["irb_after_deletion"] = 1.0 - 2 * expected / p_total
-    return VerificationReport(
-        claim_id="cor_edge_deleted",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        witnesses=tuple(_g6(n, m) for m in witness_masks),
-        details=details,
-    )
+
+    claim_id = "cor_edge_deleted"
+
+    def finish(self, extremes):
+        n = self.n
+        expected: int | None = None
+        witness_masks: list[int] = []
+        for mask in extremes.regular_masks:
+            g = Graph.from_pair_mask(n, mask)
+            for u, v in g.edges():
+                h = g.without_edge(u, v)
+                if not is_connected(h):
+                    continue
+                self.checked += 1
+                value = _n0(degree_sequence(h))
+                if expected is None:
+                    expected = value
+                elif value != expected:
+                    self.violations += 1
+                    witness_masks.append(h.pair_mask())
+        details: dict = {"regular_graphs": len(extremes.regular_masks),
+                         "deletions_checked": self.checked}
+        if expected is not None:
+            p_total = n * (n - 1)
+            details["n0_after_deletion"] = expected
+            details["ira_after_deletion"] = p_total / (2 * expected) - 1.0
+            details["irb_after_deletion"] = 1.0 - 2 * expected / p_total
+        return self._report(witness_masks, details)
 
 
-def _claim_problem1(n: int) -> VerificationReport:
+class _Problem1(_Claim):
     """ira and irb attain minimum 0 exactly on regular graphs and their maxima
     exactly on graphs isomorphic to the antiregular graph."""
-    pairs_total = math.comb(n, 2)
-    checked = 0
-    violations = 0
-    regular_count = 0
-    max_masks: list[int] = []
-    for chunk in _scan_chunks(n):
-        conn = chunk.connected
-        checked += int(conn.sum())
-        regular = chunk.dmax == chunk.dmin
-        regular_count += int((conn & regular).sum())
+
+    claim_id = "problem1_ira_irb"
+
+    def update(self, chunk):
         # minimum (ira = irb = 0) is equivalent to n0 = C(n,2)
-        violations += int((conn & (regular != (chunk.n0 == pairs_total))).sum())
-        max_masks.extend(_masks_where(chunk, conn & (chunk.n0 == 1)))
-    if regular_count == 0:  # minimum must actually be attained
-        violations += 1
-    if not max_masks:  # maximum must actually be attained
-        violations += 1
-    target = antiregular(n)
-    if _n0(degree_sequence(target)) != 1:
-        violations += 1
-    for mask in max_masks:
-        if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target):
-            violations += 1
-    return VerificationReport(
-        claim_id="problem1_ira_irb",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        witnesses=tuple(_g6(n, m) for m in max_masks),
-        details={"minimizer_labeled_count": regular_count, "maximizer_labeled_count": len(max_masks)},
-    )
+        regular = chunk.dmax == chunk.dmin
+        self.tally(chunk.connected, regular != (chunk.n0 == math.comb(self.n, 2)))
+
+    def finish(self, extremes):
+        if not extremes.regular_masks:  # minimum must actually be attained
+            self.violations += 1
+        if not extremes.max_masks:  # maximum must actually be attained
+            self.violations += 1
+        self.violations += extremes.target_bad + extremes.not_antiregular
+        return self._report(extremes.max_masks, {
+            "minimizer_labeled_count": len(extremes.regular_masks),
+            "maximizer_labeled_count": len(extremes.max_masks),
+        })
 
 
-def _claim_irrt_not_unique(n: int) -> VerificationReport:
+class _IrrtNotUnique(_Claim):
     """Probe, not an assertion: compute all connected graphs attaining the maximum
     total irregularity and report the maximizers that are not antiregular."""
-    best = -1
-    max_masks: list[int] = []
-    checked = 0
-    for chunk in _scan_chunks(n):
+
+    claim_id = "irrt_not_unique"
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.best = -1
+        self.max_masks: list[int] = []
+
+    def update(self, chunk):
         conn = chunk.connected
-        checked += int(conn.sum())
-        if not conn.any():
-            continue
-        irrt = np.where(conn, chunk.irrt, -1)
-        chunk_best = int(irrt.max())
-        if chunk_best > best:
-            best = chunk_best
-            max_masks = []
-        if chunk_best == best:
-            max_masks.extend(_masks_where(chunk, conn & (chunk.irrt == best)))
-    classes = _iso_classes(n, max_masks)
-    target = antiregular(n)
-    non_anti_reps = [
-        mask for mask, _ in classes
-        if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target)
-    ]
-    return VerificationReport(
-        claim_id="irrt_not_unique",
-        n=n,
-        graphs_checked=checked,
-        violations=0,
-        witnesses=tuple(_g6(n, m) for m in non_anti_reps),
-        details={
-            "max_irr_t": best,
-            "maximizer_labeled_count": len(max_masks),
+        self.tally(conn)
+        chunk_best = int(np.where(conn, chunk.irrt, -1).max())
+        if chunk_best > self.best:
+            self.best = chunk_best
+            self.max_masks = []
+        if chunk_best == self.best:
+            self.max_masks.extend(_masks_where(chunk, conn & (chunk.irrt == self.best)))
+
+    def finish(self, extremes):
+        n = self.n
+        classes = _iso_classes(n, self.max_masks)
+        target = antiregular(n)
+        non_anti_reps = [
+            mask for mask, _ in classes
+            if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target)
+        ]
+        return self._report(non_anti_reps, {
+            "max_irr_t": self.best,
+            "maximizer_labeled_count": len(self.max_masks),
             "maximizer_class_count": len(classes),
             "includes_antiregular": len(non_anti_reps) < len(classes),
             "non_antiregular_class_count": len(non_anti_reps),
-        },
-    )
+        })
 
 
-def _claim_eq2_identity(n: int) -> VerificationReport:
+class _Eq2Identity(_Claim):
     """The degree-difference pair counts sum to C(n,2) and weight-sum to irr_t."""
-    pairs_total = math.comb(n, 2)
-    checked = 0
-    violations = 0
-    weights = np.arange(n, dtype=np.int32)
-    for chunk in _scan_chunks(n):
-        conn = chunk.connected
-        checked += int(conn.sum())
+
+    claim_id = "eq2_identity"
+
+    def update(self, chunk):
         totals = chunk.nk.sum(axis=1)
-        weighted = chunk.nk @ weights
-        violations += int((conn & ((totals != pairs_total) | (weighted != chunk.irrt))).sum())
-    return VerificationReport(
-        claim_id="eq2_identity", n=n, graphs_checked=checked, violations=violations,
-    )
+        weighted = chunk.nk @ np.arange(self.n, dtype=np.int32)
+        self.tally(chunk.connected,
+                   (totals != math.comb(self.n, 2)) | (weighted != chunk.irrt))
 
 
-def _claim_sec3_identities(n: int) -> VerificationReport:
+class _Sec3Identities(_Claim):
     """The three total-irregularity forms agree exactly and the two Gini forms
     agree to 1e-12 relative."""
-    checked = 0
-    violations = 0
-    weights = np.arange(n, dtype=np.int32)
-    # coefficient (n + 1 - 2i) for 1-based rank i on degrees sorted non-increasing
-    rank_coef = (n + 1 - 2 * np.arange(1, n + 1)).astype(np.int64)
-    gini_coef = (2 * np.arange(1, n + 1) - 1).astype(np.int64)
-    for chunk in _scan_chunks(n):
-        conn = chunk.connected
-        checked += int(conn.sum())
+
+    claim_id = "sec3_identities"
+
+    def update(self, chunk):
+        n = self.n
+        weights = np.arange(n, dtype=np.int32)
+        # coefficient (n + 1 - 2i) for 1-based rank i on degrees sorted non-increasing
+        rank_coef = (n + 1 - 2 * np.arange(1, n + 1)).astype(np.int64)
+        gini_coef = (2 * np.arange(1, n + 1) - 1).astype(np.int64)
         sorted_desc = -np.sort(-chunk.deg.astype(np.int64), axis=1)
         form_pairwise = chunk.irrt.astype(np.int64)
         form_weighted = (chunk.nk @ weights).astype(np.int64)
@@ -603,23 +622,34 @@ def _claim_sec3_identities(n: int) -> VerificationReport:
         z_ranked = 1.0 - (sorted_desc @ gini_coef) / denom
         scale = np.maximum(1.0, np.maximum(np.abs(z_ratio), np.abs(z_ranked)))
         float_bad = np.abs(z_ratio - z_ranked) > 1e-12 * scale
-        violations += int((conn & (int_bad | float_bad)).sum())
-    return VerificationReport(
-        claim_id="sec3_identities", n=n, graphs_checked=checked, violations=violations,
-    )
+        self.tally(chunk.connected, int_bad | float_bad)
+
+
+_CLAIM_TYPES: tuple[type[_Claim], ...] = (
+    _LemmaN0, _PropBounds, _LemmaDelta, _PropLower, _PropBidegreed,
+    _CorEdgeDeleted, _Problem1, _IrrtNotUnique, _Eq2Identity, _Sec3Identities,
+)
+
+
+@functools.cache
+def _verify_all(n: int) -> dict[str, VerificationReport]:
+    """Every claim at n from one scan; memoised, so callers get copies."""
+    extremes = _Extremes(n)
+    claims = [claim_type(n) for claim_type in _CLAIM_TYPES]
+    for chunk in _scan_chunks(n):
+        for reducer in (extremes, *claims):
+            reducer.update(chunk)
+    extremes.check()
+    return {claim.claim_id: claim.finish(extremes) for claim in claims}
+
+
+def _claim_report(claim_id: str, n: int) -> VerificationReport:
+    return copy.deepcopy(_verify_all(n)[claim_id])
 
 
 CLAIMS: dict[str, Callable[[int], VerificationReport]] = {
-    "lemma_n0": _claim_lemma_n0,
-    "prop_bounds": _claim_prop_bounds,
-    "lemma_delta": _claim_lemma_delta,
-    "prop_lower": _claim_prop_lower,
-    "prop_bidegreed": _claim_prop_bidegreed,
-    "cor_edge_deleted": _claim_cor_edge_deleted,
-    "problem1_ira_irb": _claim_problem1,
-    "irrt_not_unique": _claim_irrt_not_unique,
-    "eq2_identity": _claim_eq2_identity,
-    "sec3_identities": _claim_sec3_identities,
+    claim_type.claim_id: functools.partial(_claim_report, claim_type.claim_id)
+    for claim_type in _CLAIM_TYPES
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -639,7 +669,11 @@ CLAIM_SUMMARIES = {
 
 
 def verify_claim(claim_id: str, n: int) -> VerificationReport:
-    """Exhaustively check one claim over all connected labeled n-vertex graphs."""
+    """Exhaustively check one claim over all connected labeled n-vertex graphs.
+
+    The first call at a given n scans once for every claim and keeps the
+    reports; each call returns its own copy.
+    """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; expected one of {sorted(CLAIMS)}")
     _check_enum_n(n)

@@ -248,6 +248,14 @@ def test_verify_bad_inputs(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])
+def test_verify_bad_n_spec_names_the_part(capsys, spec):
+    code, out, err = run(capsys, ["verify", "--claims", "lemma_n0", "--n", spec])
+    bad_part = spec.split(",")[-1]
+    assert code == 1 and not out
+    assert err == f"error: bad vertex counts {bad_part!r}; expected N or A-B\n"
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["compute"])[0] == 1  # missing path

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, isomorphism, claim verification, table matching."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,16 @@ from graphirr import (
     Graph,
     VerificationReport,
     compute_all,
+    degree_sequence,
     enumerate_graphs,
+    is_connected,
     is_isomorphic_to,
     parse_graph6,
     table_match,
     verify_claim,
 )
+from graphirr import enumeration
+from graphirr.enumeration import _scan_chunks
 from graphirr.generators import antiregular, complete, complete_split, cycle, path, star
 
 
@@ -130,13 +135,30 @@ def test_all_claims_pass_n3_to_n6():
             assert report.n == n
 
 
-def test_verify_claim_validation():
+def test_verify_claim_validation(monkeypatch):
+    def no_scan(n):
+        raise AssertionError(f"scan started at n={n}")
+
+    monkeypatch.setattr(enumeration, "_verify_all", no_scan)
     with pytest.raises(ValueError):
         verify_claim("mystery", 4)
     with pytest.raises(ValueError):
         verify_claim("lemma_n0", 2)
     with pytest.raises(ValueError):
         verify_claim("lemma_n0", 9)
+
+
+def test_verify_claim_results_share_no_state():
+    snapshots = {claim_id: json.dumps(verify_claim(claim_id, 5).to_dict())
+                 for claim_id in ("lemma_n0", "prop_bidegreed")}
+    mutated = verify_claim("prop_bidegreed", 5)
+    mutated.details["n0_by_max_degree_count"].clear()
+    mutated.details["extra"] = 1
+    replaced = verify_claim("lemma_n0", 5)
+    replaced.details.clear()
+    object.__setattr__(replaced, "witnesses", ())
+    for claim_id, snapshot in snapshots.items():
+        assert json.dumps(verify_claim(claim_id, 5).to_dict()) == snapshot
 
 
 def test_lemma_n0_witness_counts():
@@ -275,3 +297,78 @@ def test_max_albertson_graphs_are_complete_split():
             g = Graph.from_pair_mask(n, rep_mask)
             assert any(is_isomorphic_to(g, t) for t in targets), \
                 f"n={n}: maximizer {rep_mask} is not a complete split graph"
+
+
+SCAN_FIELDS = ("connected", "m", "deg", "dmax", "dmin", "degset", "n0", "irrt", "nk",
+               "albertson", "sigma", "nmax_cnt", "universal_cnt")
+
+
+def oracle_scan_fields(n, mask):
+    """Every scan field of one graph, from the graph itself one vertex pair at a time."""
+    g = Graph.from_pair_mask(n, mask)
+    degrees = g.degrees()
+    ds = degree_sequence(g).degrees
+    pair_diffs = [abs(degrees[i] - degrees[j]) for i, j in itertools.combinations(range(n), 2)]
+    edge_diffs = [abs(degrees[u] - degrees[v]) for u, v in g.edges()]
+    return {
+        "connected": is_connected(g),
+        "m": g.m,
+        "deg": list(degrees),
+        "dmax": ds[0],
+        "dmin": ds[-1],
+        "degset": len(set(ds)),
+        "n0": pair_diffs.count(0),
+        "irrt": sum(pair_diffs),
+        "nk": [pair_diffs.count(k) for k in range(n)],
+        "albertson": sum(edge_diffs),
+        "sigma": sum(d * d for d in edge_diffs),
+        "nmax_cnt": ds.count(ds[0]),
+        "universal_cnt": ds.count(n - 1),
+    }
+
+
+def assert_chunk_matches_oracle(n, chunk, indices):
+    for i in indices:
+        expected = oracle_scan_fields(n, chunk.start + int(i))
+        got = {name: getattr(chunk, name)[i].tolist() for name in SCAN_FIELDS}
+        assert got == expected, f"n={n} mask={chunk.start + int(i)}"
+
+
+def test_scan_fields_match_per_graph_oracle_up_to_n5():
+    for n in (3, 4, 5):
+        chunks = list(_scan_chunks(n))
+        assert [(c.start, c.size) for c in chunks] == [(0, 2 ** math.comb(n, 2))]
+        assert_chunk_matches_oracle(n, chunks[0], range(chunks[0].size))
+
+
+def test_scan_fields_match_per_graph_oracle_on_n7_sample():
+    rng = np.random.default_rng(2019)
+    picked = set(rng.choice(8, size=2, replace=False).tolist())
+    starts = []
+    for index, chunk in enumerate(_scan_chunks(7)):
+        starts.append(chunk.start)
+        if index in picked:
+            assert_chunk_matches_oracle(7, chunk, rng.choice(chunk.size, size=400, replace=False))
+    assert starts == [k << 18 for k in range(8)]
+
+
+def test_connected_counts_match_graph_atlas():
+    # labeled connected graphs = sum over unlabeled connected classes of n!/|Aut|
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    labeled = dict.fromkeys(range(3, 8), 0)
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if n in labeled and nx.is_connected(g):
+            automorphisms = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+            labeled[n] += math.factorial(n) // automorphisms
+    assert labeled == {3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+    for n, count in labeled.items():
+        assert sum(int(chunk.connected.sum()) for chunk in _scan_chunks(n)) == count
+
+
+@pytest.mark.slow
+def test_connected_count_n8_matches_oeis():
+    # OEIS A001187: connected labeled graphs on 8 vertices
+    assert sum(int(chunk.connected.sum()) for chunk in _scan_chunks(8)) == 251_548_592
