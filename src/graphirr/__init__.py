@@ -1,140 +1,21 @@
 """Degree-based graph irregularity measures with exhaustive small-graph verification."""
 
-from .graphs import (
-    DDM_KINDS,
-    DegreeDifferenceMatrix,
-    DegreeSequence,
-    Graph,
-    degree_difference_matrix,
-    degree_sequence,
-    is_connected,
-    pair_order,
-)
-from .io import (
-    FormatError,
-    emit_edgelist,
-    emit_graph6,
-    parse_edgelist,
-    parse_graph6,
-)
-from .measures import (
-    CSV_COLUMNS,
-    MeasureReport,
-    NkSpectrum,
-    albertson,
-    compute_all,
-    degree_deviation,
-    degree_set_size,
-    discrepancy,
-    format_value,
-    gini,
-    gini_sequence,
-    ira,
-    irb,
-    irr_t,
-    n0,
-    nk_spectrum,
-    round_half_away,
-    sigma,
-    variance,
-)
-from .spectral import (
-    ConvergenceError,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    SpectralResult,
-    cs_index,
-    lambda1,
-    randic,
-    rho,
-)
-from .generators import (
-    FAMILIES,
-    FamilySpec,
-    antiregular,
-    complete,
-    complete_minus_edge,
-    complete_split,
-    cycle,
-    family,
-    gnp,
-    path,
-    star,
-)
-from .enumeration import (
-    CLAIM_IDS,
-    CLAIM_SUMMARIES,
-    DEFAULT_TABLE_ROWS,
-    EnumerationTask,
-    VerificationReport,
-    enumerate_graphs,
-    is_isomorphic_to,
-    table_match,
-    verify_claim,
-)
+from . import enumeration, generators, graphs, io, measures, spectral
+from .enumeration import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .io import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DDM_KINDS",
-    "DegreeDifferenceMatrix",
-    "DegreeSequence",
-    "Graph",
-    "degree_difference_matrix",
-    "degree_sequence",
-    "is_connected",
-    "pair_order",
-    "FormatError",
-    "emit_edgelist",
-    "emit_graph6",
-    "parse_edgelist",
-    "parse_graph6",
-    "CSV_COLUMNS",
-    "MeasureReport",
-    "NkSpectrum",
-    "albertson",
-    "compute_all",
-    "degree_deviation",
-    "degree_set_size",
-    "discrepancy",
-    "format_value",
-    "gini",
-    "gini_sequence",
-    "ira",
-    "irb",
-    "irr_t",
-    "n0",
-    "nk_spectrum",
-    "round_half_away",
-    "sigma",
-    "variance",
-    "ConvergenceError",
-    "DEFAULT_MAX_ITERATIONS",
-    "DEFAULT_TOLERANCE",
-    "SpectralResult",
-    "cs_index",
-    "lambda1",
-    "randic",
-    "rho",
-    "FAMILIES",
-    "FamilySpec",
-    "antiregular",
-    "complete",
-    "complete_minus_edge",
-    "complete_split",
-    "cycle",
-    "family",
-    "gnp",
-    "path",
-    "star",
-    "CLAIM_IDS",
-    "CLAIM_SUMMARIES",
-    "DEFAULT_TABLE_ROWS",
-    "EnumerationTask",
-    "VerificationReport",
-    "enumerate_graphs",
-    "is_isomorphic_to",
-    "table_match",
-    "verify_claim",
+    *graphs.__all__,
+    *io.__all__,
+    *measures.__all__,
+    *spectral.__all__,
+    *generators.__all__,
+    *enumeration.__all__,
     "__version__",
 ]

@@ -8,14 +8,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from .enumeration import CLAIM_IDS, CLAIM_SUMMARIES, table_match, verify_claim
+from .enumeration import CLAIM_IDS, table_match, verify_claim
 from .generators import FAMILIES, FamilySpec, family
 from .graphs import Graph, degree_sequence
 from .io import FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .measures import (
     CSV_COLUMNS,
+    MeasureReport,
+    _quantum,
     compute_all,
     format_value,
     nk_spectrum,
@@ -65,7 +68,7 @@ def build_parser() -> _Parser:
                               f"(choices: {', '.join(MEASURE_NAMES)})")
     compute.add_argument("--output", choices=("text", "csv", "json"), default="text")
     compute.add_argument("--decimals", type=int, default=3,
-                         help="decimal places for floating output")
+                         help="decimal places for floating output, 0..15")
     _add_spectral_flags(compute)
 
     rank = sub.add_parser("rank", help="rank graphs by one measure, descending")
@@ -73,7 +76,8 @@ def build_parser() -> _Parser:
     rank.add_argument("--by", default="ira", metavar="MEASURE",
                       help=f"measure to rank by (choices: {', '.join(MEASURE_NAMES)})")
     rank.add_argument("--output", choices=("text", "csv", "json"), default="text")
-    rank.add_argument("--decimals", type=int, default=3)
+    rank.add_argument("--decimals", type=int, default=3,
+                      help="decimal places for floating output, 0..15")
     _add_spectral_flags(rank)
 
     generate = sub.add_parser("generate", help="emit one graph from a named family")
@@ -98,15 +102,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_measures(text: str) -> list[str]:
+def _parse_names(text: str, kind: str, choices, everything) -> list[str]:
+    """A comma-separated selection from choices, or everything for 'all'."""
     if text.strip() == "all":
-        return list(CSV_COLUMNS)
+        return list(everything)
     names = [token.strip() for token in text.split(",") if token.strip()]
     if not names:
-        raise ValueError("empty measure selection")
+        raise ValueError(f"empty {kind} selection")
     for name in names:
-        if name not in MEASURE_NAMES:
-            raise ValueError(f"unknown measure {name!r}; choices: {', '.join(MEASURE_NAMES)}")
+        if name not in choices:
+            raise ValueError(f"unknown {kind} {name!r}; choices: {', '.join(choices)}")
     return names
 
 
@@ -128,20 +133,6 @@ def _parse_n_spec(text: str) -> list[int]:
     if not values:
         raise ValueError(f"no vertex counts in {text!r}")
     return sorted(values)
-
-
-def _parse_claims(text: str) -> list[str]:
-    if text.strip() == "all":
-        return list(CLAIM_IDS)
-    names = [token.strip() for token in text.split(",") if token.strip()]
-    if not names:
-        raise ValueError("empty claim selection")
-    for name in names:
-        if name != "table_rows" and name not in CLAIM_IDS:
-            raise ValueError(
-                f"unknown claim {name!r}; choices: {', '.join(CLAIM_IDS + ('table_rows',))}"
-            )
-    return names
 
 
 def _read_graphs(paths, fmt: str) -> list[tuple[str, Graph]]:
@@ -173,8 +164,13 @@ def _cell(value, decimals: int) -> str:
     return text if text else "-"
 
 
+def _json_value(value, decimals: int):
+    return round_half_away(value, decimals) if isinstance(value, float) else value
+
+
 def _cmd_compute(args) -> int:
-    measures = _parse_measures(args.measures)
+    measures = _parse_names(args.measures, "measure", MEASURE_NAMES, CSV_COLUMNS)
+    _quantum(args.decimals)  # reject a bad --decimals before reading input
     graphs = _read_graphs(args.paths, args.format)
     results = [
         (label, compute_all(g, args.tolerance, spectral=args.spectral,
@@ -182,17 +178,13 @@ def _cmd_compute(args) -> int:
         for label, g in graphs
     ]
     if args.output == "csv":
-        print(",".join(measures))
+        print(MeasureReport.csv_header(measures))
         for _, report in results:
-            print(",".join(format_value(report.value(m), args.decimals) for m in measures))
+            print(report.csv_row(args.decimals, measures))
     elif args.output == "json":
-        payload = []
-        for label, report in results:
-            row: dict = {"input": label}
-            for m in measures:
-                v = report.value(m)
-                row[m] = round_half_away(v, args.decimals) if isinstance(v, float) else v
-            payload.append(row)
+        payload = [{"input": label, **{m: _json_value(report.value(m), args.decimals)
+                                       for m in measures}}
+                   for label, report in results]
         print(json.dumps(payload, indent=2))
     else:
         rows = [[label] + [_cell(report.value(m), args.decimals) for m in measures]
@@ -207,6 +199,7 @@ def _cmd_rank(args) -> int:
     needs_spectral = args.by in SPECTRAL_MEASURES
     if needs_spectral and not args.spectral:
         raise ValueError(f"ranking by {args.by} requires spectral computation")
+    _quantum(args.decimals)
     graphs = _read_graphs(args.paths, args.format)
     scored = []
     for label, g in graphs:
@@ -216,38 +209,29 @@ def _cmd_rank(args) -> int:
         if value is None:
             raise ValueError(f"measure {args.by} is undefined for input {label}")
         scored.append((label, value))
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
-    ranks = []
-    for pos, idx in enumerate(order):
-        if pos > 0 and scored[idx][1] == scored[order[pos - 1]][1]:
-            ranks.append(ranks[-1])
-        else:
-            ranks.append(pos + 1)
-    tie_sizes = {r: ranks.count(r) for r in ranks}
-    entries = [
-        {"rank": ranks[pos], "input": scored[idx][0],
-         args.by: scored[idx][1], "tie": tie_sizes[ranks[pos]] > 1}
-        for pos, idx in enumerate(order)
-    ]
+    scored.sort(key=lambda item: -item[1])  # stable, so ties keep input order
+    ranks: list[int] = []
+    for pos, (_, value) in enumerate(scored):
+        ranks.append(ranks[-1] if pos and value == scored[pos - 1][1] else pos + 1)
+    tie_sizes = Counter(ranks)
+    entries = [{"rank": rank, "input": label, args.by: value, "tie": tie_sizes[rank] > 1}
+               for rank, (label, value) in zip(ranks, scored)]
     if args.output == "csv":
         print(f"rank,{args.by},tie,input")
         for e in entries:
             print(f"{e['rank']},{format_value(e[args.by], args.decimals)},"
                   f"{str(e['tie']).lower()},{e['input']}")
     elif args.output == "json":
-        payload = [
-            {**e, args.by: round_half_away(e[args.by], args.decimals)
-             if isinstance(e[args.by], float) else e[args.by]}
-            for e in entries
-        ]
+        payload = [{**e, args.by: _json_value(e[args.by], args.decimals)} for e in entries]
         print(json.dumps(payload, indent=2))
     else:
         rows = [[str(e["rank"]), _cell(e[args.by], args.decimals),
                  "tie" if e["tie"] else "", e["input"]] for e in entries]
         _print_table(["rank", args.by, "", "input"], rows)
-        for rank in sorted(set(r for r in ranks if tie_sizes[r] > 1)):
-            print(f"tie at rank {rank}: {tie_sizes[rank]} graphs share "
-                  f"{args.by} = {format_value(entries[[e['rank'] for e in entries].index(rank)][args.by], args.decimals)}")
+        for pos, e in enumerate(entries):
+            if e["tie"] and (pos == 0 or entries[pos - 1]["rank"] != e["rank"]):
+                print(f"tie at rank {e['rank']}: {tie_sizes[e['rank']]} graphs share "
+                      f"{args.by} = {format_value(e[args.by], args.decimals)}")
     return 0
 
 
@@ -285,7 +269,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claims = _parse_claims(args.claims)
+    claims = _parse_names(args.claims, "claim", CLAIM_IDS + ("table_rows",), CLAIM_IDS)
     ns = _parse_n_spec(args.n)
     reports = []
     for claim_id in claims:

@@ -25,12 +25,10 @@ import numpy as np
 from .generators import antiregular
 from .graphs import Graph, degree_sequence, is_connected, pair_order
 from .io import emit_graph6
-from .measures import MeasureReport, compute_all, n0 as _n0
+from .measures import _ira, _irb, compute_all, n0 as _n0
 
 __all__ = [
-    "EnumerationTask",
     "VerificationReport",
-    "enumerate_graphs",
     "is_isomorphic_to",
     "verify_claim",
     "table_match",
@@ -41,19 +39,7 @@ __all__ = [
 
 MIN_N = 3
 MAX_N = 8
-SPECTRAL_MAX_N = 6
 _CHUNK_BITS = 18
-
-
-@dataclass(frozen=True)
-class EnumerationTask:
-    """What to enumerate: order n, connectivity filter, report predicate, spectral columns."""
-
-    n: int
-    connected_only: bool = True
-    predicate: Callable[[MeasureReport], bool] | None = None
-    spectral: bool = False
-    max_spectral_n: int = SPECTRAL_MAX_N
 
 
 @dataclass(frozen=True)
@@ -210,34 +196,12 @@ def _scan_chunks(n: int) -> Iterator[_Chunk]:
         )
 
 
-def _check_enum_n(n: int) -> None:
-    if not MIN_N <= n <= MAX_N:
-        raise ValueError(f"enumeration supports {MIN_N} <= n <= {MAX_N}, got n={n}")
-
-
 def _masks_where(chunk: _Chunk, cond: np.ndarray) -> list[int]:
     return [int(chunk.start + i) for i in np.nonzero(cond)[0]]
 
 
 def _g6(n: int, mask: int) -> str:
     return emit_graph6(Graph.from_pair_mask(n, mask))
-
-
-def enumerate_graphs(task: EnumerationTask) -> Iterator[tuple[Graph, MeasureReport]]:
-    """Yield (graph, report) for every matching labeled graph, in bitmask order."""
-    _check_enum_n(task.n)
-    if task.spectral and task.n > task.max_spectral_n:
-        raise ValueError(
-            f"spectral enumeration is capped at n <= {task.max_spectral_n}, got n={task.n}"
-        )
-    for chunk in _scan_chunks(task.n):
-        indices = np.nonzero(chunk.connected)[0] if task.connected_only else range(chunk.size)
-        for i in indices:
-            g = Graph.from_pair_mask(task.n, chunk.start + int(i))
-            report = compute_all(g, spectral=task.spectral, lenient=True)
-            if task.predicate is not None and not task.predicate(report):
-                continue
-            yield g, report
 
 
 def is_isomorphic_to(g: Graph, h: Graph) -> bool:
@@ -519,10 +483,9 @@ class _CorEdgeDeleted(_Claim):
         details: dict = {"regular_graphs": len(extremes.regular_masks),
                          "deletions_checked": self.checked}
         if expected is not None:
-            p_total = n * (n - 1)
             details["n0_after_deletion"] = expected
-            details["ira_after_deletion"] = p_total / (2 * expected) - 1.0
-            details["irb_after_deletion"] = 1.0 - 2 * expected / p_total
+            details["ira_after_deletion"] = _ira(n, expected)
+            details["irb_after_deletion"] = _irb(n, expected)
         return self._report(witness_masks, details)
 
 
@@ -676,7 +639,8 @@ def verify_claim(claim_id: str, n: int) -> VerificationReport:
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; expected one of {sorted(CLAIMS)}")
-    _check_enum_n(n)
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"enumeration supports {MIN_N} <= n <= {MAX_N}, got n={n}")
     return CLAIMS[claim_id](n)
 
 

@@ -1,21 +1,19 @@
-"""Immutable simple graphs: construction, degrees, connectivity, degree-difference matrices."""
+"""Immutable simple graphs: construction, degrees, connectivity."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Graph",
     "DegreeSequence",
-    "DegreeDifferenceMatrix",
     "pair_order",
     "degree_sequence",
     "is_connected",
-    "degree_difference_matrix",
 ]
 
 
@@ -83,7 +81,13 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, listed in pair order."""
-        return [(i, j) for i, j in pair_order(self.n) if (self._adj[i] >> j) & 1]
+        edges = []
+        for j, adj in enumerate(self._adj):
+            lower = adj & ((1 << j) - 1)  # neighbours i < j, visited lowest first
+            while lower:
+                edges.append(((lower & -lower).bit_length() - 1, j))
+                lower &= lower - 1
+        return edges
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """Copy of this graph with edge (u, v) removed."""
@@ -179,38 +183,3 @@ class DegreeSequence:
 def degree_sequence(g: Graph) -> DegreeSequence:
     """Degree sequence of g, sorted non-increasing."""
     return DegreeSequence(g.degrees())
-
-
-@dataclass(frozen=True, eq=False)
-class DegreeDifferenceMatrix:
-    """n x n matrix of degree differences taken on degrees sorted non-increasing.
-
-    kind "absolute": entries |d_i - d_j| (symmetric, non-negative above the diagonal).
-    kind "signed":   entries d_i - d_j (antisymmetric).
-    kind "squared":  entries (d_i - d_j)^2 (symmetric).
-    order holds the original vertex ids in the sorted-degree order used.
-    """
-
-    kind: str
-    entries: np.ndarray
-    order: tuple[int, ...]
-
-
-DDM_KINDS = ("absolute", "signed", "squared")
-
-
-def degree_difference_matrix(g: Graph, kind: str = "absolute") -> DegreeDifferenceMatrix:
-    """Degree-difference matrix of g for the given kind; sorts degrees internally."""
-    if kind not in DDM_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {DDM_KINDS}")
-    deg = g.degrees()
-    order = tuple(sorted(range(g.n), key=lambda v: (-deg[v], v)))
-    d = np.array([deg[v] for v in order], dtype=np.int64)
-    diff = d[:, None] - d[None, :]
-    if kind == "absolute":
-        entries = np.abs(diff)
-    elif kind == "signed":
-        entries = diff
-    else:
-        entries = diff * diff
-    return DegreeDifferenceMatrix(kind=kind, entries=entries, order=order)

@@ -9,13 +9,16 @@ irb the probability of the same event.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import combinations
 
-from .graphs import DegreeSequence, Graph, degree_sequence, is_connected
-from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _lambda1_unchecked, rho as _rho
+from .graphs import DegreeSequence, Graph, is_connected
+from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _power_lambda1, rho as _rho
 
 __all__ = [
+    "CSV_COLUMNS",
     "NkSpectrum",
     "MeasureReport",
     "nk_spectrum",
@@ -36,26 +39,83 @@ __all__ = [
     "format_value",
 ]
 
+# 15 places keep every quantize of a measure inside Decimal's default 28 digits.
+_MAX_DECIMALS = 15
+
+
+def _quantum(decimals: int) -> Decimal:
+    """The unit of the last kept place; raises ValueError outside 0..15 decimals."""
+    if not 0 <= decimals <= _MAX_DECIMALS:
+        raise ValueError(f"decimals must be in 0..{_MAX_DECIMALS}, got {decimals}")
+    return Decimal(1).scaleb(-decimals)
+
+
+def _quantize(x: float, decimals: int) -> Decimal:
+    return Decimal(repr(float(x))).quantize(_quantum(decimals), rounding=ROUND_HALF_UP)
+
 
 def round_half_away(x: float, decimals: int = 3) -> float:
     """Round with ties going away from zero (so 0.0005 -> 0.001 at 3 decimals)."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(_quantize(x, decimals))
 
 
 def format_value(x, decimals: int = 3) -> str:
     """Fixed-point display string; integers stay integers, None becomes ''."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, int):
         return str(x)
-    quantum = Decimal(1).scaleb(-decimals)
-    quantized = Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP)
+    quantized = _quantize(x, decimals)
     if quantized.is_zero():
         quantized = abs(quantized)  # avoid a -0.000 display
-    return str(quantized)
+    return f"{quantized:f}"
+
+
+# One formula per degree quantity, shared by compute_all and the single measures.
+
+
+def _pair_counts(multiplicities: dict[int, int]) -> tuple[int, int]:
+    """n0 and the degree-set size, from the map degree value -> vertex count.
+
+    n0 sums c*(c-1)/2 over every occurring degree value including 0, so that
+    it always equals the k=0 entry of nk_spectrum.
+    """
+    counts = multiplicities.values()
+    return sum(c * (c - 1) // 2 for c in counts), len(counts)
+
+
+def _irr_t(degrees: tuple[int, ...]) -> int:
+    """Total irregularity in rank form: sum of (n+1-2i)*d_i, degrees sorted non-increasing."""
+    n = len(degrees)
+    return sum((n + 1 - 2 * i) * v for i, v in enumerate(degrees, start=1))
+
+
+def _ira(n: int, n0_value: int) -> float:
+    return n * (n - 1) / (2 * n0_value) - 1.0
+
+
+def _irb(n: int, n0_value: int) -> float:
+    return 1.0 - 2 * n0_value / (n * (n - 1))
+
+
+def _gini(irr_t_value: int, total: int, n: int) -> float:
+    if total == 0:
+        raise ValueError("gini is undefined for an edgeless graph (mean degree 0)")
+    return irr_t_value / (total * n)
+
+
+def _deviations(degrees: tuple[int, ...], total: int) -> tuple[float, float]:
+    """Variance and total absolute deviation of the degrees around their mean."""
+    n = len(degrees)
+    mean = total / n
+    dev = [v - mean for v in degrees]
+    return sum(x ** 2 for x in dev) / n, sum(abs(x) for x in dev)
+
+
+def _edge_sums(g: Graph, deg: tuple[int, ...]) -> tuple[int, int]:
+    """Sums of |d_u - d_v| and of (d_u - d_v)^2 over the edges, in one walk."""
+    diffs = [abs(deg[u] - deg[v]) for u, v in g.edges()]
+    return sum(diffs), sum(x * x for x in diffs)
 
 
 @dataclass(frozen=True)
@@ -76,57 +136,50 @@ class NkSpectrum:
 
 
 def nk_spectrum(d) -> NkSpectrum:
-    """Degree-difference pair counts over all C(n, 2) unordered vertex pairs."""
+    """Degree-difference pair counts over all C(n, 2) unordered vertex pairs, k ascending.
+
+    Built from the degree multiplicities c: N_0 = n0 and N_k = sum of c_a * c_b
+    over the degree values a > b with a - b = k.
+    """
     d = DegreeSequence.of(d)
     if d.n < 2:
         raise ValueError(f"nk_spectrum needs n >= 2 (no pairs for n={d.n})")
-    counts: dict[int, int] = {}
-    degs = d.degrees
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            k = degs[i] - degs[j]  # sorted non-increasing, so never negative
-            counts[k] = counts.get(k, 0) + 1
-    return NkSpectrum(counts=counts, n=d.n)
+    hist = d.multiplicities
+    counts = Counter({0: _pair_counts(hist)[0]})
+    for a, b in combinations(sorted(hist, reverse=True), 2):
+        counts[a - b] += hist[a] * hist[b]
+    return NkSpectrum(counts={k: c for k, c in sorted(counts.items()) if c}, n=d.n)
 
 
 def irr_t(d) -> int:
     """Total irregularity: sum of |d_u - d_v| over all unordered vertex pairs."""
-    d = DegreeSequence.of(d)
-    degs = d.degrees
-    return sum(degs[i] - degs[j] for i in range(d.n) for j in range(i + 1, d.n))
+    return _irr_t(DegreeSequence.of(d).degrees)
 
 
 def n0(d) -> int:
-    """Number of unordered vertex pairs with equal degrees.
-
-    Computed from the degree multiplicities as sum of c*(c-1)/2, taken over
-    every occurring degree value including 0, so that it always equals the
-    k=0 entry of nk_spectrum.
-    """
+    """Number of unordered vertex pairs with equal degrees."""
     d = DegreeSequence.of(d)
     if d.n < 2:
         raise ValueError(f"n0 needs n >= 2, got n={d.n}")
-    return sum(c * (c - 1) // 2 for c in d.multiplicities.values())
+    return _pair_counts(d.multiplicities)[0]
 
 
 def ira(d) -> float:
     """Odds that a random vertex pair has distinct degrees: n(n-1)/(2*n0) - 1."""
     d = DegreeSequence.of(d)
-    return d.n * (d.n - 1) / (2 * n0(d)) - 1.0
+    return _ira(d.n, n0(d))
 
 
 def irb(d) -> float:
     """Fraction of vertex pairs with distinct degrees: 1 - 2*n0/(n(n-1))."""
     d = DegreeSequence.of(d)
-    return 1.0 - 2 * n0(d) / (d.n * (d.n - 1))
+    return _irb(d.n, n0(d))
 
 
 def gini(d) -> float:
     """Gini index of the degree sequence: irr_t/(2mn)."""
     d = DegreeSequence.of(d)
-    if d.total == 0:
-        raise ValueError("gini is undefined for an edgeless graph (mean degree 0)")
-    return irr_t(d) / (d.total * d.n)
+    return _gini(_irr_t(d.degrees), d.total, d.n)
 
 
 def gini_sequence(y) -> float:
@@ -151,40 +204,34 @@ def gini_sequence(y) -> float:
 def variance(d) -> float:
     """Degree variance: mean squared deviation from the average degree."""
     d = DegreeSequence.of(d)
-    mean = d.total / d.n
-    return sum((v - mean) ** 2 for v in d.degrees) / d.n
+    return _deviations(d.degrees, d.total)[0]
 
 
 def discrepancy(d) -> float:
     """Mean absolute deviation of the degrees from the average degree."""
     d = DegreeSequence.of(d)
-    mean = d.total / d.n
-    return sum(abs(v - mean) for v in d.degrees) / d.n
+    return _deviations(d.degrees, d.total)[1] / d.n
 
 
 def degree_deviation(d) -> float:
     """Total absolute deviation from the average degree: n times the discrepancy."""
     d = DegreeSequence.of(d)
-    mean = d.total / d.n
-    return float(sum(abs(v - mean) for v in d.degrees))
+    return _deviations(d.degrees, d.total)[1]
 
 
 def albertson(g: Graph) -> int:
     """Sum of |d_u - d_v| over the edges."""
-    deg = g.degrees()
-    return sum(abs(deg[u] - deg[v]) for u, v in g.edges())
+    return _edge_sums(g, g.degrees())[0]
 
 
 def sigma(g: Graph) -> int:
     """Sum of (d_u - d_v)^2 over the edges."""
-    deg = g.degrees()
-    return sum((deg[u] - deg[v]) ** 2 for u, v in g.edges())
+    return _edge_sums(g, g.degrees())[1]
 
 
 def degree_set_size(d) -> int:
     """Number of distinct degree values."""
-    d = DegreeSequence.of(d)
-    return len(set(d.degrees))
+    return _pair_counts(DegreeSequence.of(d).multiplicities)[1]
 
 
 # CSV column order for MeasureReport serialization.
@@ -209,7 +256,7 @@ class MeasureReport:
     n0: int
     ira: float
     irb: float
-    gini: float | None
+    gini: float
     var: float
     disc: float
     s: float
@@ -223,8 +270,6 @@ class MeasureReport:
 
     def value(self, name: str):
         """Look up a field or derived column by name."""
-        if name == "degset_minus_1":
-            return self.degset_minus_1
         return getattr(self, name)
 
     def to_dict(self, decimals: int | None = None) -> dict:
@@ -251,58 +296,52 @@ def compute_all(
     *,
     spectral: bool = True,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    lenient: bool = False,
 ) -> MeasureReport:
     """Compute every measure for g and return one MeasureReport.
 
-    cs and rho are computed even for disconnected input (the report's
-    ``connected`` flag records the caveat), skipped entirely when
+    The degree measures come from one sorted degree sequence, its
+    multiplicities, one pass over the deviations from the mean and one walk
+    over the edges.  cs and rho are computed even for disconnected input (the
+    report's ``connected`` flag records the caveat), skipped entirely when
     spectral=False, and set to None when undefined (rho needs n >= 3 and no
-    isolated vertex).  An edgeless graph has no Gini index; by default that
-    raises, with lenient=True it yields gini=None instead.
+    isolated vertex).  An edgeless graph has no Gini index and raises
+    ValueError.
     """
-    d = degree_sequence(g)
-    connected = is_connected(g)
-
-    if d.total == 0:
-        if not lenient:
-            raise ValueError("gini is undefined for an edgeless graph (mean degree 0)")
-        gini_value = None
-    else:
-        gini_value = gini(d)
-
-    if d.n >= 2:
-        n0_value = n0(d)
-        ira_value = ira(d)
-        irb_value = irb(d)
-    else:
-        n0_value, ira_value, irb_value = 0, 0.0, 0.0
+    deg = g.degrees()
+    degrees = tuple(sorted(deg, reverse=True))
+    n, total = g.n, sum(deg)
+    m = total // 2
+    irr_t_value = _irr_t(degrees)
+    gini_value = _gini(irr_t_value, total, n)
+    n0_value, degree_set = _pair_counts(Counter(degrees))
+    var, abs_deviation = _deviations(degrees, total)
+    albertson_value, sigma_value = _edge_sums(g, deg)
 
     cs_value = None
     rho_value = None
     if spectral:
-        lam = _lambda1_unchecked(g, spectral_tolerance, max_iterations)
-        cs_value = lam.lambda1 - 2 * g.m / g.n
-        if g.n >= 3 and d.min_degree >= 1:
+        lam = _power_lambda1(g.adjacency_matrix(), spectral_tolerance, max_iterations)
+        cs_value = lam.lambda1 - 2 * m / n
+        if n >= 3 and degrees[-1] >= 1:
             rho_value = _rho(g)
 
     return MeasureReport(
-        n=d.n,
-        m=d.m,
-        max_degree=d.max_degree,
-        min_degree=d.min_degree,
-        degree_set_size=degree_set_size(d),
-        irr_t=irr_t(d),
-        albertson=albertson(g),
-        sigma=sigma(g),
+        n=n,
+        m=m,
+        max_degree=degrees[0],
+        min_degree=degrees[-1],
+        degree_set_size=degree_set,
+        irr_t=irr_t_value,
+        albertson=albertson_value,
+        sigma=sigma_value,
         n0=n0_value,
-        ira=ira_value,
-        irb=irb_value,
+        ira=_ira(n, n0_value),
+        irb=_irb(n, n0_value),
         gini=gini_value,
-        var=variance(d),
-        disc=discrepancy(d),
-        s=degree_deviation(d),
+        var=var,
+        disc=abs_deviation / n,
+        s=abs_deviation,
         cs=cs_value,
         rho=rho_value,
-        connected=connected,
+        connected=is_connected(g),
     )

@@ -15,7 +15,16 @@ import numpy as np
 
 from .graphs import Graph, is_connected
 
-__all__ = ["SpectralResult", "ConvergenceError", "lambda1", "cs_index", "randic", "rho"]
+__all__ = [
+    "DEFAULT_TOLERANCE",
+    "DEFAULT_MAX_ITERATIONS",
+    "SpectralResult",
+    "ConvergenceError",
+    "lambda1",
+    "cs_index",
+    "randic",
+    "rho",
+]
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -46,7 +55,12 @@ def _power_lambda1(a: np.ndarray, tolerance: float, max_iterations: int) -> Spec
     The all-ones vector is never orthogonal to the positive Perron vector, so
     the iteration converges for every connected graph.  Convergence requires
     both a small Rayleigh-quotient delta and a small infinity-norm residual.
+    Connectivity is not checked here: compute_all flags it instead.
     """
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     n = a.shape[0]
     shifted = a + np.eye(n)
     x = np.ones(n) / math.sqrt(n)
@@ -70,28 +84,15 @@ def _power_lambda1(a: np.ndarray, tolerance: float, max_iterations: int) -> Spec
     )
 
 
-def _lambda1_unchecked(
-    g: Graph,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> SpectralResult:
-    # Connectivity not required here; used by compute_all, which flags instead.
-    return _power_lambda1(g.adjacency_matrix(), tolerance, max_iterations)
-
-
 def lambda1(
     g: Graph,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph."""
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     if not is_connected(g):
         raise ValueError("lambda1 requires a connected graph")
-    return _lambda1_unchecked(g, tolerance, max_iterations)
+    return _power_lambda1(g.adjacency_matrix(), tolerance, max_iterations)
 
 
 def cs_index(

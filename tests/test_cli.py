@@ -8,7 +8,7 @@ import pytest
 
 from graphirr import cli, compute_all, emit_graph6, parse_graph6, round_half_away
 from graphirr.enumeration import CLAIMS, VerificationReport
-from graphirr.generators import antiregular, path, star
+from graphirr.generators import antiregular, cycle, path, star
 
 A6_G6 = "E@^w"
 TABLE_WITNESSES = ["E~q?", "E}a?", "E}q?", "E~a?"]  # n0 = 1..4, shared irr_t 26
@@ -72,6 +72,30 @@ def test_compute_no_spectral(tmp_path, capsys):
     assert code == 0
     parsed = next(csv.DictReader(io.StringIO(out)))
     assert parsed["cs"] == "" and parsed["rho"] == ""
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("compute", ["--tolerance", "-1"], "tolerance must be positive, got -1.0"),
+    ("compute", ["--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
+    ("compute", ["--decimals", "400"], "decimals must be in 0..15, got 400"),
+    ("compute", ["--decimals", "-1"], "decimals must be in 0..15, got -1"),
+    ("rank", ["--decimals", "16"], "decimals must be in 0..15, got 16"),
+    ("rank", ["--by", "cs", "--tolerance", "0"], "tolerance must be positive, got 0.0"),
+])
+def test_bad_settings_give_one_line_error(tmp_path, capsys, command, flags, message):
+    g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
+    code, out, err = run(capsys, [command, g6_file, *flags])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_compute_decimals_9_is_fixed_point_on_regular_graph(tmp_path, capsys):
+    g6_file = write_lines(tmp_path, "c5.g6", [emit_graph6(cycle(5))])
+    code, out, _ = run(capsys, ["compute", g6_file, "--output", "csv", "--decimals", "9"])
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    for name in ("var", "gini", "cs", "ira", "irb", "s", "rho"):
+        assert row[name] == "0.000000000", name
+    assert "E" not in out
 
 
 def test_compute_stdin(capsys, monkeypatch):

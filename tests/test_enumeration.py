@@ -10,12 +10,10 @@ import pytest
 from graphirr import (
     CLAIM_IDS,
     DEFAULT_TABLE_ROWS,
-    EnumerationTask,
     Graph,
     VerificationReport,
     compute_all,
     degree_sequence,
-    enumerate_graphs,
     is_connected,
     is_isomorphic_to,
     parse_graph6,
@@ -49,7 +47,8 @@ def oracle_connected_count(n):
 
 
 def count_enumerated(n, connected_only=True):
-    return sum(1 for _ in enumerate_graphs(EnumerationTask(n, connected_only=connected_only)))
+    return sum(int(chunk.connected.sum()) if connected_only else chunk.size
+               for chunk in _scan_chunks(n))
 
 
 def test_connected_counts_match_brute_force_oracle():
@@ -69,35 +68,27 @@ def test_enumerate_all_graphs_count():
 
 
 def test_enumerate_yields_ascending_masks_and_reports():
-    masks = []
-    for g, report in enumerate_graphs(EnumerationTask(4, connected_only=False)):
-        masks.append(g.pair_mask())
-        assert report.n == 4
-        assert report.m == g.m
-        assert report.cs is None  # spectral off by default
-    assert masks == sorted(masks)
-    assert masks[0] == 0
+    # the chunks tile the masks 0 .. 2^C(n,2) - 1 in ascending order; their
+    # per-graph fields are checked in test_scan_fields_match_per_graph_oracle_*
+    for n in (3, 4, 6):
+        spans = [(chunk.start, chunk.size) for chunk in _scan_chunks(n)]
+        assert spans[0][0] == 0
+        assert all(start + size == nxt for (start, size), (nxt, _) in zip(spans, spans[1:]))
+        assert sum(size for _, size in spans) == 2 ** math.comb(n, 2)
 
 
 def test_enumerate_predicate_filter():
-    hits = list(enumerate_graphs(EnumerationTask(4, predicate=lambda r: r.n0 == 1)))
     # labeled antiregular copies: 4!/|Aut(A4)| = 12
-    assert len(hits) == 12
-    assert all(is_isomorphic_to(g, antiregular(4)) for g, _ in hits)
+    report = verify_claim("lemma_n0", 4)
+    assert report.details["extremal_labeled_count"] == 12
+    assert all(is_isomorphic_to(parse_graph6(g6), antiregular(4)) for g6 in report.witnesses)
 
 
 def test_enumerate_spectral_reports():
-    for g, report in enumerate_graphs(EnumerationTask(3, spectral=True)):
-        assert report.cs is not None
-
-
-def test_enumerate_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(EnumerationTask(2)))
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(EnumerationTask(9)))
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(EnumerationTask(7, spectral=True)))
+    for chunk in _scan_chunks(3):
+        for i in np.nonzero(chunk.connected)[0]:
+            report = compute_all(Graph.from_pair_mask(3, chunk.start + int(i)))
+            assert report.cs is not None and report.cs >= -1e-9
 
 
 def test_is_isomorphic_basic():

@@ -1,8 +1,13 @@
-"""verify output, byte for byte, against files captured from the per-claim scan code.
+"""CLI output, byte for byte, against files captured from earlier implementations.
 
-The files under golden/ were written by the earlier implementation, which ran
-one scan per claim.  They pin every count, detail value and witness order;
-regenerating them from the current code would make this test vacuous.
+The verify_* files were written by the code that ran one scan per claim.  The
+compute, rank and spectrum files were written by the code that computed each
+degree measure on its own (irr_t pairwise, n0 once per pair-count measure),
+over golden/corpus.g6: antiregular n = 2..12, the four table_rows witnesses,
+path(7), cycle(8), star(9), complete_split(8, 3), 40 seeded gnp graphs with
+n = 8..30, and one 6-vertex graph with an isolated vertex.  They pin every
+count, rounded value and ordering; regenerating them from the current code
+would make this test vacuous.
 """
 
 from pathlib import Path
@@ -12,6 +17,7 @@ import pytest
 from graphirr import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+CORPUS = str(GOLDEN / "corpus.g6")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -19,7 +25,30 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify_all_n3-6.txt", ["verify", "--claims", "all", "--n", "3-6"]),
     ("verify_table_rows_n6.json", ["verify", "--claims", "table_rows", "--n", "6",
                                    "--output", "json"]),
+    ("compute.txt", ["compute", CORPUS]),
+    ("compute.csv", ["compute", CORPUS, "--output", "csv"]),
+    ("compute.json", ["compute", CORPUS, "--output", "json"]),
+    ("compute_no_spectral_d6.csv", ["compute", CORPUS, "--no-spectral", "--decimals", "6",
+                                    "--output", "csv"]),
+    ("rank_ira.txt", ["rank", CORPUS, "--by", "ira"]),
+    ("rank_ira.csv", ["rank", CORPUS, "--by", "ira", "--output", "csv"]),
+    ("rank_ira.json", ["rank", CORPUS, "--by", "ira", "--output", "json"]),
+    ("rank_cs.txt", ["rank", CORPUS, "--by", "cs"]),
+    ("rank_cs.csv", ["rank", CORPUS, "--by", "cs", "--output", "csv"]),
+    ("rank_cs.json", ["rank", CORPUS, "--by", "cs", "--output", "json"]),
+    ("spectrum.txt", ["spectrum", CORPUS]),
+    ("spectrum.csv", ["spectrum", CORPUS, "--output", "csv"]),
+    ("spectrum.json", ["spectrum", CORPUS, "--output", "json"]),
 ])
 def test_verify_output_matches_golden(capsys, name, argv):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_compute_edgeless_error_matches_golden(tmp_path, capsys):
+    edgeless = tmp_path / "edgeless.g6"
+    edgeless.write_text("B?\n")
+    assert cli.main(["compute", str(edgeless)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (GOLDEN / "compute_edgeless.err").read_bytes()

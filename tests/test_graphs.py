@@ -1,6 +1,4 @@
-"""Graph container, connectivity, degree sequences, degree-difference matrices."""
-
-import itertools
+"""Graph container, connectivity, degree sequences."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from graphirr import (
     DegreeSequence,
     Graph,
-    degree_difference_matrix,
     degree_sequence,
     is_connected,
     pair_order,
@@ -52,6 +49,16 @@ def test_graph_basic():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_edges_are_listed_in_pair_order():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9, 17):
+        for _ in range(5):
+            edges = [pair for pair in pair_order(n) if rng.random() < 0.4]
+            g = Graph(n, reversed(edges))
+            assert g.edges() == edges
+            assert g.edges() == [(i, j) for i, j in pair_order(n) if g.has_edge(i, j)]
 
 
 def test_graph_rejects_bad_input():
@@ -149,32 +156,6 @@ def test_degree_sequence_rejects_bad_input():
         DegreeSequence(())
     with pytest.raises(ValueError):
         DegreeSequence((2, -1))
-
-
-def test_degree_difference_matrix_path3():
-    ddm = degree_difference_matrix(path(3))
-    # center vertex first (highest degree), then lower-degree vertices by index
-    assert ddm.order == (1, 0, 2)
-    assert ddm.kind == "absolute"
-    assert ddm.entries.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
-
-
-def test_degree_difference_matrix_kinds():
-    signed = degree_difference_matrix(path(3), kind="signed")
-    assert signed.entries.tolist() == [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]
-    squared = degree_difference_matrix(star(4), kind="squared")
-    assert squared.entries.tolist()[0] == [0, 4, 4, 4]
-    with pytest.raises(ValueError):
-        degree_difference_matrix(path(3), kind="cubed")
-
-
-def test_degree_difference_matrix_entries_match_pairs():
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4), (1, 2)])
-    ddm = degree_difference_matrix(g)
-    deg = g.degrees()
-    for a, u in enumerate(ddm.order):
-        for b, v in enumerate(ddm.order):
-            assert ddm.entries[a, b] == abs(deg[u] - deg[v])
 
 
 def test_neighbor_mask():

@@ -169,6 +169,38 @@ def test_format_value():
     assert format_value(0.0005, 3) == "0.001"
 
 
+def test_format_value_is_fixed_point_at_every_precision():
+    assert format_value(0.0, 9) == "0.000000000"
+    assert format_value(-1e-12, 9) == "0.000000000"
+    assert format_value(1e-7, 7) == "0.0000001"
+    assert format_value(2.5, 0) == "3"
+    assert format_value(1 / 3, 15) == "0.333333333333333"
+    assert round_half_away(1 / 3, 15) == 0.333333333333333
+
+
+def test_decimals_outside_0_to_15_rejected():
+    for bad in (-1, 16, 400):
+        with pytest.raises(ValueError, match="0..15"):
+            format_value(1.0, bad)
+        with pytest.raises(ValueError, match="0..15"):
+            round_half_away(1.0, bad)
+    assert format_value(7, 400) == "7"  # integers are never rounded
+
+
+def test_compute_all_matches_single_measures():
+    for seed in range(30):
+        g = gnp(4 + seed % 20, 0.3, seed=seed)
+        if g.m == 0:
+            continue
+        r = compute_all(g, spectral=False)
+        d = degree_sequence(g)
+        assert (r.irr_t, r.n0, r.degree_set_size) == (irr_t(d), n0(d), degree_set_size(d))
+        assert (r.ira, r.irb, r.gini) == (ira(d), irb(d), gini(d))
+        assert (r.var, r.disc, r.s) == (variance(d), discrepancy(d), degree_deviation(d))
+        assert (r.albertson, r.sigma) == (albertson(g), sigma(g))
+        assert r.irr_t == sum(abs(a - b) for a in d.degrees for b in d.degrees) // 2
+
+
 def test_compute_all_report_fields():
     r = compute_all(path(4))
     assert r.n == 4 and r.m == 3
@@ -200,20 +232,17 @@ def test_compute_all_rho_needs_three_vertices_and_no_isolates():
 
 
 def test_compute_all_edgeless():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="edgeless"):
         compute_all(Graph(3, []))
-    r = compute_all(Graph(3, []), lenient=True)
-    assert r.gini is None
-    assert r.irr_t == 0 and r.ira == 0.0
+    with pytest.raises(ValueError, match="edgeless"):
+        compute_all(Graph(3, []), spectral=False)
 
 
 def test_compute_all_single_vertex():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="edgeless"):
         compute_all(complete(1))  # edgeless, so no gini
-    r = compute_all(complete(1), lenient=True)
-    assert r.n0 == 0 and r.ira == 0.0 and r.irb == 0.0
-    assert r.gini is None
-    assert r.rho is None
+    with pytest.raises(ValueError):
+        n0(complete(1))
 
 
 def test_csv_row_round_trips_rounded_values():

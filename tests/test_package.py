@@ -1,0 +1,50 @@
+"""The package's public surface: graphirr.__all__ is the union of the module lists."""
+
+import graphirr
+from graphirr import enumeration, generators, graphs, io, measures, spectral
+
+MODULES = (graphs, io, measures, spectral, generators, enumeration)
+
+PUBLIC = {
+    "CLAIM_IDS", "CLAIM_SUMMARIES", "CSV_COLUMNS", "ConvergenceError",
+    "DEFAULT_MAX_ITERATIONS", "DEFAULT_TABLE_ROWS", "DEFAULT_TOLERANCE", "DegreeSequence",
+    "FAMILIES", "FamilySpec", "FormatError", "Graph", "MeasureReport", "NkSpectrum",
+    "SpectralResult", "VerificationReport", "__version__", "albertson", "antiregular",
+    "complete", "complete_minus_edge", "complete_split", "compute_all", "cs_index", "cycle",
+    "degree_deviation", "degree_sequence", "degree_set_size", "discrepancy", "emit_edgelist",
+    "emit_graph6", "family", "format_value", "gini", "gini_sequence", "gnp", "ira", "irb",
+    "irr_t", "is_connected", "is_isomorphic_to", "lambda1", "n0", "nk_spectrum", "pair_order",
+    "parse_edgelist", "parse_graph6", "path", "randic", "rho", "round_half_away", "sigma",
+    "star", "table_match", "variance", "verify_claim",
+}
+
+DELETED = ("DegreeDifferenceMatrix", "degree_difference_matrix", "DDM_KINDS",
+           "enumerate_graphs", "EnumerationTask", "SPECTRAL_MAX_N")
+
+
+def test_all_is_pinned_and_resolves():
+    names = graphirr.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == PUBLIC
+    for name in names:
+        assert getattr(graphirr, name) is not None
+
+
+def test_all_is_the_module_lists():
+    assert graphirr.__all__ == [name for m in MODULES for name in m.__all__] + ["__version__"]
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(graphirr, name) is getattr(module, name)
+
+
+def test_star_import_matches_all():
+    namespace: dict = {}
+    exec("from graphirr import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def test_deleted_names_are_gone():
+    for name in DELETED:
+        assert name not in graphirr.__all__
+        assert not hasattr(graphirr, name)
+        assert not any(hasattr(module, name) for module in MODULES)

@@ -8,6 +8,7 @@ import pytest
 from graphirr import (
     ConvergenceError,
     Graph,
+    compute_all,
     cs_index,
     lambda1,
     randic,
@@ -56,6 +57,21 @@ def test_lambda1_input_validation():
         lambda1(path(4), max_iterations=0)
     with pytest.raises(ValueError):
         lambda1(Graph(4, [(0, 1), (2, 3)]))  # disconnected
+
+
+def test_power_iteration_settings_checked_for_compute_all():
+    disconnected = Graph(4, [(0, 1), (2, 3)])
+    for g in (path(4), disconnected):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            compute_all(g, -1.0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            compute_all(g, float("nan"))
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            compute_all(g, max_iterations=0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        cs_index(path(4), tolerance=0.0)
+    # the settings only matter to power iteration
+    assert compute_all(path(4), -1.0, spectral=False, max_iterations=0).cs is None
 
 
 def test_lambda1_single_vertex():
