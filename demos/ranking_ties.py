@@ -8,11 +8,11 @@ strict ranking.
 Run: python3 demos/ranking_ties.py
 """
 
-from graphirr import compute_all, parse_graph6, table_match
+from graphirr import compute_all, parse_graph6, verify_claim
 
 
 def main():
-    report = table_match(6)
+    report = verify_claim("table_rows", 6)
     if not report.passed:
         raise SystemExit("reference rows unexpectedly unmatched")
 

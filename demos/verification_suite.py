@@ -9,7 +9,7 @@ Run: python3 demos/verification_suite.py [max_n]
 import sys
 import time
 
-from graphirr import CLAIM_IDS, CLAIM_SUMMARIES, table_match, verify_claim
+from graphirr import CLAIM_IDS, CLAIM_SUMMARIES, verify_claim
 
 
 def main():
@@ -34,7 +34,7 @@ def main():
         print()
 
     print("reference-row search at n = 6:")
-    report = table_match(6)
+    report = verify_claim("table_rows", 6)
     for row in report.details["rows"]:
         status = "ok" if row["matched"] else "FAILED"
         print(f"  row {row['label']}: {status}  witness={row['witness']}  "

@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .enumeration import CLAIM_IDS, table_match, verify_claim
+from .enumeration import CLAIM_IDS, CLAIMS, verify_claim
 from .generators import FAMILIES, FamilySpec, family
 from .graphs import Graph, degree_sequence
 from .io import FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
@@ -45,16 +45,11 @@ def _add_input_flags(sub):
                      help="input format (graph6: one graph per line; edgelist: one graph per file)")
 
 
-def _add_spectral_flags(sub):
+def _add_power_iteration_flags(sub):
     sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                      help="power-iteration convergence tolerance")
     sub.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS,
                      help="power-iteration cap")
-    spectral = sub.add_mutually_exclusive_group()
-    spectral.add_argument("--spectral", dest="spectral", action="store_true", default=True,
-                          help="compute spectral measures (default)")
-    spectral.add_argument("--no-spectral", dest="spectral", action="store_false",
-                          help="skip spectral measures; cs and rho print empty")
 
 
 def build_parser() -> _Parser:
@@ -69,7 +64,12 @@ def build_parser() -> _Parser:
     compute.add_argument("--output", choices=("text", "csv", "json"), default="text")
     compute.add_argument("--decimals", type=int, default=3,
                          help="decimal places for floating output, 0..15")
-    _add_spectral_flags(compute)
+    _add_power_iteration_flags(compute)
+    spectral = compute.add_mutually_exclusive_group()
+    spectral.add_argument("--spectral", dest="spectral", action="store_true", default=True,
+                          help="compute spectral measures (default)")
+    spectral.add_argument("--no-spectral", dest="spectral", action="store_false",
+                          help="skip spectral measures; cs and rho print empty")
 
     rank = sub.add_parser("rank", help="rank graphs by one measure, descending")
     _add_input_flags(rank)
@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
     rank.add_argument("--output", choices=("text", "csv", "json"), default="text")
     rank.add_argument("--decimals", type=int, default=3,
                       help="decimal places for floating output, 0..15")
-    _add_spectral_flags(rank)
+    _add_power_iteration_flags(rank)
 
     generate = sub.add_parser("generate", help="emit one graph from a named family")
     generate.add_argument("--family", required=True, choices=FAMILIES)
@@ -196,14 +196,11 @@ def _cmd_compute(args) -> int:
 def _cmd_rank(args) -> int:
     if args.by not in MEASURE_NAMES:
         raise ValueError(f"unknown measure {args.by!r}; choices: {', '.join(MEASURE_NAMES)}")
-    needs_spectral = args.by in SPECTRAL_MEASURES
-    if needs_spectral and not args.spectral:
-        raise ValueError(f"ranking by {args.by} requires spectral computation")
     _quantum(args.decimals)
     graphs = _read_graphs(args.paths, args.format)
     scored = []
     for label, g in graphs:
-        report = compute_all(g, args.tolerance, spectral=needs_spectral,
+        report = compute_all(g, args.tolerance, spectral=args.by in SPECTRAL_MEASURES,
                              max_iterations=args.max_iterations)
         value = report.value(args.by)
         if value is None:
@@ -269,15 +266,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claims = _parse_names(args.claims, "claim", CLAIM_IDS + ("table_rows",), CLAIM_IDS)
+    claims = _parse_names(args.claims, "claim", tuple(CLAIMS), CLAIM_IDS)
     ns = _parse_n_spec(args.n)
-    reports = []
-    for claim_id in claims:
-        for n in ns:
-            if claim_id == "table_rows":
-                reports.append(table_match(n))
-            else:
-                reports.append(verify_claim(claim_id, n))
+    reports = [verify_claim(claim_id, n) for claim_id in claims for n in ns]
     failed = sum(1 for r in reports if not r.passed)
     if args.output == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))

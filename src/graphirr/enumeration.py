@@ -31,7 +31,6 @@ __all__ = [
     "VerificationReport",
     "is_isomorphic_to",
     "verify_claim",
-    "table_match",
     "CLAIM_IDS",
     "CLAIM_SUMMARIES",
     "DEFAULT_TABLE_ROWS",
@@ -83,9 +82,6 @@ class VerificationReport:
             lines.append(f"  {key}: {value}")
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.format_text()
-
 
 @dataclass
 class _Chunk:
@@ -100,7 +96,7 @@ class _Chunk:
     dmin: np.ndarray        # uint8
     degset: np.ndarray      # int16, number of distinct degree values
     n0: np.ndarray          # int32, equal-degree pairs
-    irrt: np.ndarray        # int32, pairwise |d_i - d_j| sum
+    irrt: np.ndarray        # int32, total irregularity as sum of k * nk[k]
     nk: np.ndarray          # (size, n) int32, pair counts per degree difference
     nmax_cnt: np.ndarray    # int16, vertices of maximum degree
     universal_cnt: np.ndarray  # int16, vertices of degree n-1
@@ -114,6 +110,15 @@ class _Chunk:
     def sigma(self) -> np.ndarray:
         """int32, sum of (d_i - d_j)^2 over edges."""
         return self._edge_diff_sum(2)
+
+    @functools.cached_property
+    def pairwise_irrt(self) -> np.ndarray:
+        """int16, sum of |d_i - d_j| over all vertex pairs, from deg alone (not from nk)."""
+        deg = self.deg.view(np.int8)
+        total = np.zeros(self.size, np.int16)
+        for i, j in pair_order(deg.shape[1]):
+            total += np.abs(deg[:, i] - deg[:, j])
+        return total
 
     def _edge_diff_sum(self, power: int) -> np.ndarray:
         masks = np.arange(self.start, self.start + self.size, dtype=np.int64)
@@ -239,24 +244,17 @@ def is_isomorphic_to(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
-def _iso_classes(n: int, masks: list[int]) -> list[tuple[int, int]]:
-    """Group bitmasks by isomorphism; returns (representative_mask, labeled_count) pairs.
-
-    Masks must be ascending; the representative is the first member seen.
-    """
+def _iso_classes(n: int, masks: list[int]) -> list[int]:
+    """One representative per isomorphism class among the bitmasks: the first
+    member seen, so ascending masks give each class's smallest mask."""
     reps: list[tuple[int, Graph, tuple[int, ...]]] = []
-    counts: list[int] = []
     for mask in masks:
         g = Graph.from_pair_mask(n, mask)
         key = tuple(sorted(g.degrees()))
-        for idx, (_, rep_graph, rep_key) in enumerate(reps):
-            if rep_key == key and is_isomorphic_to(g, rep_graph):
-                counts[idx] += 1
-                break
-        else:
+        if not any(rep_key == key and is_isomorphic_to(g, rep_graph)
+                   for _, rep_graph, rep_key in reps):
             reps.append((mask, g, key))
-            counts.append(1)
-    return [(mask, count) for (mask, _, _), count in zip(reps, counts)]
+    return [mask for mask, _, _ in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +536,7 @@ class _IrrtNotUnique(_Claim):
         classes = _iso_classes(n, self.max_masks)
         target = antiregular(n)
         non_anti_reps = [
-            mask for mask, _ in classes
+            mask for mask in classes
             if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target)
         ]
         return self._report(non_anti_reps, {
@@ -551,7 +549,8 @@ class _IrrtNotUnique(_Claim):
 
 
 class _Eq2Identity(_Claim):
-    """The degree-difference pair counts sum to C(n,2) and weight-sum to irr_t."""
+    """The degree-difference pair counts sum to C(n,2) and weight-sum to the
+    pairwise irr_t."""
 
     claim_id = "eq2_identity"
 
@@ -559,24 +558,23 @@ class _Eq2Identity(_Claim):
         totals = chunk.nk.sum(axis=1)
         weighted = chunk.nk @ np.arange(self.n, dtype=np.int32)
         self.tally(chunk.connected,
-                   (totals != math.comb(self.n, 2)) | (weighted != chunk.irrt))
+                   (totals != math.comb(self.n, 2)) | (weighted != chunk.pairwise_irrt))
 
 
 class _Sec3Identities(_Claim):
-    """The three total-irregularity forms agree exactly and the two Gini forms
-    agree to 1e-12 relative."""
+    """The three total-irregularity forms (pairwise, weighted by the pair counts
+    nk, ranked) agree exactly and the two Gini forms agree to 1e-12 relative."""
 
     claim_id = "sec3_identities"
 
     def update(self, chunk):
         n = self.n
-        weights = np.arange(n, dtype=np.int32)
         # coefficient (n + 1 - 2i) for 1-based rank i on degrees sorted non-increasing
         rank_coef = (n + 1 - 2 * np.arange(1, n + 1)).astype(np.int64)
         gini_coef = (2 * np.arange(1, n + 1) - 1).astype(np.int64)
         sorted_desc = -np.sort(-chunk.deg.astype(np.int64), axis=1)
-        form_pairwise = chunk.irrt.astype(np.int64)
-        form_weighted = (chunk.nk @ weights).astype(np.int64)
+        form_pairwise = chunk.pairwise_irrt.astype(np.int64)
+        form_weighted = chunk.irrt  # nk weighted by the degree difference
         form_ranked = sorted_desc @ rank_coef
         int_bad = (form_pairwise != form_weighted) | (form_pairwise != form_ranked)
         two_mn = (2 * chunk.m.astype(np.float64) * n)
@@ -588,20 +586,91 @@ class _Sec3Identities(_Claim):
         self.tally(chunk.connected, int_bad | float_bad)
 
 
+# Measure profiles of four pairwise non-isomorphic connected 6-vertex graphs
+# that share total irregularity 26 but differ in their equal-degree pair
+# counts (n0 = 1..4), hence in ira/irb.
+DEFAULT_TABLE_ROWS = (
+    {"label": "n0=1", "m": 9, "irr_t": 26, "degset_minus_1": 4, "albertson": 16,
+     "sigma": 40, "n0": 1, "var": 1.667, "s": 6.000, "gini": 0.241, "cs": 0.404, "rho": 0.304},
+    {"label": "n0=2", "m": 7, "irr_t": 26, "degset_minus_1": 3, "albertson": 18,
+     "sigma": 56, "n0": 2, "var": 1.889, "s": 6.667, "gini": 0.310, "cs": 0.481, "rho": 0.522},
+    {"label": "n0=3", "m": 8, "irr_t": 26, "degset_minus_1": 3, "albertson": 20,
+     "sigma": 56, "n0": 3, "var": 1.889, "s": 7.333, "gini": 0.271, "cs": 0.435, "rho": 0.419},
+    {"label": "n0=4", "m": 8, "irr_t": 26, "degset_minus_1": 2, "albertson": 14,
+     "sigma": 44, "n0": 4, "var": 1.889, "s": 6.667, "gini": 0.271, "cs": 0.510, "rho": 0.433},
+)
+
+_ROW_TOL = {"var": 5e-4, "s": 5e-4, "gini": 5e-4, "cs": 1e-3, "rho": 1e-3}
+
+
+class _TableRows(_Claim):
+    """Every reference row is realized by a connected 6-vertex graph.
+
+    The scan keeps the masks that match a row's integer columns exactly; the
+    float columns (tolerances in _ROW_TOL) are isomorphism invariants, so they
+    are checked once per isomorphism class.  A row's witness is the first
+    mask of its first matching class.
+    """
+
+    claim_id = "table_rows"
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.rows = DEFAULT_TABLE_ROWS
+        self.row_masks: list[list[int]] = [[] for _ in self.rows]
+
+    def update(self, chunk):
+        self.tally(chunk.connected)
+        columns = {"m": chunk.m, "irr_t": chunk.irrt, "degset_minus_1": chunk.degset - 1,
+                   "albertson": chunk.albertson, "sigma": chunk.sigma, "n0": chunk.n0}
+        for row, masks in zip(self.rows, self.row_masks):
+            sel = chunk.connected.copy()
+            for key, values in columns.items():
+                sel &= values == row[key]
+            masks.extend(_masks_where(chunk, sel))
+
+    def finish(self, extremes):
+        witness_masks: list[int] = []
+        row_details = []
+        for row, masks in zip(self.rows, self.row_masks):
+            classes = _iso_classes(self.n, masks)
+            matching = [mask for mask in classes
+                        if _floats_match(row, compute_all(Graph.from_pair_mask(self.n, mask)))]
+            self.violations += int(not matching)
+            witness_masks.extend(matching[:1])
+            row_details.append({
+                "label": row["label"],
+                "matched": bool(matching),
+                "candidate_classes": len(classes),
+                "matching_classes": len(matching),
+                "witness": _g6(self.n, matching[0]) if matching else None,
+            })
+        return self._report(witness_masks, {"rows": row_details})
+
+
+def _floats_match(row: dict, report) -> bool:
+    return all(abs(report.value(key) - row[key]) <= tol for key, tol in _ROW_TOL.items())
+
+
 _CLAIM_TYPES: tuple[type[_Claim], ...] = (
     _LemmaN0, _PropBounds, _LemmaDelta, _PropLower, _PropBidegreed,
     _CorEdgeDeleted, _Problem1, _IrrtNotUnique, _Eq2Identity, _Sec3Identities,
 )
 
 
+def _fold(n: int, reducers) -> None:
+    """Feed every chunk of the n-vertex scan, in mask order, to each reducer."""
+    for chunk in _scan_chunks(n):
+        for reducer in reducers:
+            reducer.update(chunk)
+
+
 @functools.cache
 def _verify_all(n: int) -> dict[str, VerificationReport]:
-    """Every claim at n from one scan; memoised, so callers get copies."""
+    """Every claim of _CLAIM_TYPES at n from one scan; memoised, so callers get copies."""
     extremes = _Extremes(n)
     claims = [claim_type(n) for claim_type in _CLAIM_TYPES]
-    for chunk in _scan_chunks(n):
-        for reducer in (extremes, *claims):
-            reducer.update(chunk)
+    _fold(n, (extremes, *claims))
     extremes.check()
     return {claim.claim_id: claim.finish(extremes) for claim in claims}
 
@@ -610,12 +679,23 @@ def _claim_report(claim_id: str, n: int) -> VerificationReport:
     return copy.deepcopy(_verify_all(n)[claim_id])
 
 
+def _table_rows(n: int) -> VerificationReport:
+    """Its own scan, never part of _verify_all: the isomorphism grouping of the
+    row candidates costs more than the scan, and --claims all does not ask for it."""
+    table = _TableRows(n)
+    _fold(n, (table,))
+    return table.finish(None)
+
+
+CLAIM_IDS = tuple(claim_type.claim_id for claim_type in _CLAIM_TYPES)
+
 CLAIMS: dict[str, Callable[[int], VerificationReport]] = {
-    claim_type.claim_id: functools.partial(_claim_report, claim_type.claim_id)
-    for claim_type in _CLAIM_TYPES
+    **{claim_id: functools.partial(_claim_report, claim_id) for claim_id in CLAIM_IDS},
+    _TableRows.claim_id: _table_rows,
 }
 
-CLAIM_IDS = tuple(CLAIMS)
+# the table rows describe 6-vertex graphs
+_ORDERS = {**dict.fromkeys(CLAIM_IDS, range(MIN_N, MAX_N + 1)), _TableRows.claim_id: range(6, 7)}
 
 CLAIM_SUMMARIES = {
     "lemma_n0": "n0 >= 1; n0 = 1 exactly on antiregular graphs",
@@ -634,118 +714,14 @@ CLAIM_SUMMARIES = {
 def verify_claim(claim_id: str, n: int) -> VerificationReport:
     """Exhaustively check one claim over all connected labeled n-vertex graphs.
 
-    The first call at a given n scans once for every claim and keeps the
-    reports; each call returns its own copy.
+    claim_id is one of CLAIM_IDS, for 3 <= n <= 8, or "table_rows", for
+    n = 6: the search for graphs realizing DEFAULT_TABLE_ROWS.  The first
+    call at a given n scans once for all of CLAIM_IDS and keeps the reports;
+    each call returns its own copy.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; expected one of {sorted(CLAIMS)}")
-    if not MIN_N <= n <= MAX_N:
-        raise ValueError(f"enumeration supports {MIN_N} <= n <= {MAX_N}, got n={n}")
+    orders = _ORDERS[claim_id]
+    if n not in orders:
+        raise ValueError(f"claim {claim_id} supports {orders[0]} <= n <= {orders[-1]}, got n={n}")
     return CLAIMS[claim_id](n)
-
-
-# ---------------------------------------------------------------------------
-# Reference-row matching: find connected 6-vertex graphs realizing given
-# measure profiles.
-# ---------------------------------------------------------------------------
-
-# Measure profiles of four pairwise non-isomorphic connected 6-vertex graphs
-# that share total irregularity 26 but differ in their equal-degree pair
-# counts (n0 = 1..4), hence in ira/irb.
-DEFAULT_TABLE_ROWS = (
-    {"label": "n0=1", "m": 9, "irr_t": 26, "degset_minus_1": 4, "albertson": 16,
-     "sigma": 40, "n0": 1, "var": 1.667, "s": 6.000, "gini": 0.241, "cs": 0.404, "rho": 0.304},
-    {"label": "n0=2", "m": 7, "irr_t": 26, "degset_minus_1": 3, "albertson": 18,
-     "sigma": 56, "n0": 2, "var": 1.889, "s": 6.667, "gini": 0.310, "cs": 0.481, "rho": 0.522},
-    {"label": "n0=3", "m": 8, "irr_t": 26, "degset_minus_1": 3, "albertson": 20,
-     "sigma": 56, "n0": 3, "var": 1.889, "s": 7.333, "gini": 0.271, "cs": 0.435, "rho": 0.419},
-    {"label": "n0=4", "m": 8, "irr_t": 26, "degset_minus_1": 2, "albertson": 14,
-     "sigma": 44, "n0": 4, "var": 1.889, "s": 6.667, "gini": 0.271, "cs": 0.510, "rho": 0.433},
-)
-
-_ROW_INT_KEYS = ("m", "irr_t", "degset_minus_1", "albertson", "sigma", "n0")
-_ROW_DEGREE_TOL = {"var": 5e-4, "s": 5e-4, "gini": 5e-4}
-_ROW_SPECTRAL_TOL = {"cs": 1e-3, "rho": 1e-3}
-_ROW_KEYS = ("label",) + _ROW_INT_KEYS + tuple(_ROW_DEGREE_TOL) + tuple(_ROW_SPECTRAL_TOL)
-
-
-def table_match(n: int = 6, target_rows=DEFAULT_TABLE_ROWS) -> VerificationReport:
-    """Find, for each target row, a connected n-vertex graph matching every column.
-
-    Integer columns must match exactly; var/s/gini within 5e-4; cs/rho within
-    1e-3.  Rows may omit columns, in which case only the provided ones are
-    matched.  Witnesses are the smallest-bitmask representative of each
-    matching isomorphism class, one per matched row.
-    """
-    if n != 6:
-        raise ValueError(f"table_match targets the 6-vertex reference rows, got n={n}")
-    rows = list(target_rows)
-    for row in rows:
-        unknown = set(row) - set(_ROW_KEYS)
-        if unknown:
-            raise ValueError(f"unknown row keys {sorted(unknown)}; allowed: {_ROW_KEYS}")
-        if "label" not in row:
-            raise ValueError("every target row needs a label")
-
-    checked = 0
-    candidate_masks: list[list[int]] = [[] for _ in rows]
-    for chunk in _scan_chunks(n):
-        conn = chunk.connected
-        checked += int(conn.sum())
-        mean = 2.0 * chunk.m / n
-        var_arr = (chunk.deg.astype(np.float64) ** 2).sum(axis=1) / n - mean**2
-        s_arr = np.abs(chunk.deg.astype(np.float64) - mean[:, None]).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_arr = np.where(chunk.m > 0, chunk.irrt / (2.0 * chunk.m * n), np.nan)
-        chunk_ints = {
-            "m": chunk.m, "irr_t": chunk.irrt, "degset_minus_1": chunk.degset - 1,
-            "albertson": chunk.albertson, "sigma": chunk.sigma, "n0": chunk.n0,
-        }
-        chunk_floats = {"var": var_arr, "s": s_arr, "gini": gini_arr}
-        for row_idx, row in enumerate(rows):
-            sel = conn.copy()
-            for key in _ROW_INT_KEYS:
-                if key in row:
-                    sel &= chunk_ints[key] == row[key]
-            for key, tol in _ROW_DEGREE_TOL.items():
-                if key in row:
-                    sel &= np.abs(chunk_floats[key] - row[key]) <= tol
-            candidate_masks[row_idx].extend(_masks_where(chunk, sel))
-
-    violations = 0
-    witnesses: list[str] = []
-    row_details = []
-    for row, masks in zip(rows, candidate_masks):
-        classes = _iso_classes(n, masks)
-        matching: list[int] = []
-        for rep_mask, _ in classes:
-            g = Graph.from_pair_mask(n, rep_mask)
-            spectral_keys = [k for k in _ROW_SPECTRAL_TOL if k in row]
-            if spectral_keys:
-                report = compute_all(g)
-                if any(
-                    report.value(k) is None or abs(report.value(k) - row[k]) > _ROW_SPECTRAL_TOL[k]
-                    for k in spectral_keys
-                ):
-                    continue
-            matching.append(rep_mask)
-        detail = {
-            "label": row["label"],
-            "matched": bool(matching),
-            "candidate_classes": len(classes),
-            "matching_classes": len(matching),
-            "witness": _g6(n, matching[0]) if matching else None,
-        }
-        row_details.append(detail)
-        if matching:
-            witnesses.append(_g6(n, matching[0]))
-        else:
-            violations += 1
-    return VerificationReport(
-        claim_id="table_rows",
-        n=n,
-        graphs_checked=checked,
-        violations=violations,
-        witnesses=tuple(witnesses),
-        details={"rows": row_details},
-    )

@@ -10,8 +10,8 @@ irb the probability of the same event.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_UP, Decimal
+from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import combinations
 
 from .graphs import DegreeSequence, Graph, is_connected
@@ -39,7 +39,7 @@ __all__ = [
     "format_value",
 ]
 
-# 15 places keep every quantize of a measure inside Decimal's default 28 digits.
+# A double holds 15 to 17 significant decimal digits; more places print noise.
 _MAX_DECIMALS = 15
 
 
@@ -51,7 +51,10 @@ def _quantum(decimals: int) -> Decimal:
 
 
 def _quantize(x: float, decimals: int) -> Decimal:
-    return Decimal(repr(float(x))).quantize(_quantum(decimals), rounding=ROUND_HALF_UP)
+    value = Decimal(repr(float(x)))
+    # room for every integer digit, the kept places and a carry out of rounding
+    digits = max(value.adjusted() + 1, 0) + decimals + 1
+    return value.quantize(_quantum(decimals), context=Context(prec=digits, rounding=ROUND_HALF_UP))
 
 
 def round_half_away(x: float, decimals: int = 3) -> float:
@@ -271,16 +274,6 @@ class MeasureReport:
     def value(self, name: str):
         """Look up a field or derived column by name."""
         return getattr(self, name)
-
-    def to_dict(self, decimals: int | None = None) -> dict:
-        """Plain-data dict of all fields; floats optionally rounded half away from zero."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if decimals is not None and isinstance(v, float):
-                v = round_half_away(v, decimals)
-            out[f.name] = v
-        return out
 
     @staticmethod
     def csv_header(columns=CSV_COLUMNS) -> str:

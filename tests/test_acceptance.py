@@ -22,7 +22,6 @@ from graphirr import (
     n0,
     nk_spectrum,
     parse_graph6,
-    table_match,
     verify_claim,
 )
 from graphirr.enumeration import _scan_chunks
@@ -60,7 +59,7 @@ def test_criterion_01_antiregular6_row():
 
 def test_criterion_02_table_rows_realizable():
     t0 = time.perf_counter()
-    report = table_match(6)
+    report = verify_claim("table_rows", 6)
     elapsed = time.perf_counter() - t0
     row_status = {row["label"]: row["matched"] for row in report.details["rows"]}
     checks = [

@@ -166,8 +166,10 @@ def test_rank_stable_on_ties(tmp_path, capsys):
 
 def test_rank_by_spectral_requires_spectral(tmp_path, capsys):
     g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
-    code, _, err = run(capsys, ["rank", g6_file, "--by", "cs", "--no-spectral"])
-    assert code == 1 and "spectral" in err
+    # rank computes cs and rho exactly when ranking by them, so it has no switch
+    for flag in ("--spectral", "--no-spectral"):
+        code, _, err = run(capsys, ["rank", g6_file, "--by", "cs", flag])
+        assert code == 1 and f"unrecognized arguments: {flag}" in err
     code, _, _ = run(capsys, ["rank", g6_file, "--by", "cs"])
     assert code == 0
 
@@ -268,8 +270,9 @@ def test_verify_bad_inputs(capsys):
     assert code == 1
     code, _, err = run(capsys, ["verify", "--claims", "lemma_n0", "--n", "abc"])
     assert code == 1
-    code, _, err = run(capsys, ["verify", "--claims", "table_rows", "--n", "5"])
-    assert code == 1
+    for n in ("5", "7"):
+        code, _, err = run(capsys, ["verify", "--claims", "table_rows", "--n", n])
+        assert code == 1 and "table_rows" in err
 
 
 @pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])

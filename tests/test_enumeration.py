@@ -1,5 +1,6 @@
 """Exhaustive enumeration, isomorphism, claim verification, table matching."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,10 +18,9 @@ from graphirr import (
     is_connected,
     is_isomorphic_to,
     parse_graph6,
-    table_match,
     verify_claim,
 )
-from graphirr import enumeration
+from graphirr import cli, enumeration
 from graphirr.enumeration import _scan_chunks
 from graphirr.generators import antiregular, complete, complete_split, cycle, path, star
 
@@ -131,12 +131,21 @@ def test_verify_claim_validation(monkeypatch):
         raise AssertionError(f"scan started at n={n}")
 
     monkeypatch.setattr(enumeration, "_verify_all", no_scan)
-    with pytest.raises(ValueError):
-        verify_claim("mystery", 4)
-    with pytest.raises(ValueError):
-        verify_claim("lemma_n0", 2)
-    with pytest.raises(ValueError):
-        verify_claim("lemma_n0", 9)
+    monkeypatch.setattr(enumeration, "_scan_chunks", no_scan)
+    for claim_id, n in (("mystery", 4), ("lemma_n0", 2), ("lemma_n0", 9),
+                        ("table_rows", 5), ("table_rows", 7)):
+        with pytest.raises(ValueError):
+            verify_claim(claim_id, n)
+
+
+def test_verify_all_never_builds_the_table_reducer(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("the table_rows reducer was built")
+
+    monkeypatch.setattr(enumeration, "_TableRows", refuse)
+    assert set(enumeration._verify_all.__wrapped__(6)) == set(CLAIM_IDS)
+    assert cli.main(["verify", "--claims", "all", "--n", "3-6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "40 of 40 claim runs passed"
 
 
 def test_verify_claim_results_share_no_state():
@@ -221,8 +230,8 @@ def test_verification_report_shape():
     assert "FAILED" in failing.format_text()
 
 
-def test_table_match_default_rows():
-    report = table_match(6)
+def test_table_rows_default_rows():
+    report = verify_claim("table_rows", 6)
     assert report.passed
     assert len(report.witnesses) == 4
     labels = [row["label"] for row in report.details["rows"]]
@@ -241,29 +250,48 @@ def test_table_match_default_rows():
         assert abs(r.rho - row["rho"]) <= 1e-3
 
 
-def test_table_match_rows_share_irrt_but_not_ira():
-    report = table_match(6)
+def test_table_rows_share_irrt_but_not_ira():
+    report = verify_claim("table_rows", 6)
     reports = [compute_all(parse_graph6(g6)) for g6 in report.witnesses]
     assert len({r.irr_t for r in reports}) == 1
     assert len({r.ira for r in reports}) == 4
     assert len({r.irb for r in reports}) == 4
 
 
-def test_table_match_unsatisfiable_row_fails():
-    report = table_match(6, target_rows=[{"label": "impossible", "m": 9, "irr_t": 1}])
-    assert not report.passed
-    assert report.violations == 1
-    assert report.details["rows"][0]["matched"] is False
-    assert report.details["rows"][0]["witness"] is None
+def test_table_rows_unsatisfiable_row_fails(monkeypatch, capsys):
+    # one row no graph's integer columns match, and one whose integer columns
+    # match the antiregular graph but whose cs does not
+    rows = ({**DEFAULT_TABLE_ROWS[0], "label": "irr_t=1", "irr_t": 1},
+            {**DEFAULT_TABLE_ROWS[0], "label": "cs off", "cs": 0.5},
+            DEFAULT_TABLE_ROWS[1])
+    monkeypatch.setattr(enumeration, "DEFAULT_TABLE_ROWS", rows)
+    report = verify_claim("table_rows", 6)
+    assert report.violations == 2
+    assert report.details["rows"][:2] == [
+        {"label": "irr_t=1", "matched": False, "candidate_classes": 0,
+         "matching_classes": 0, "witness": None},
+        {"label": "cs off", "matched": False, "candidate_classes": 1,
+         "matching_classes": 0, "witness": None},
+    ]
+    assert report.details["rows"][2]["matched"] is True
+    assert cli.main(["verify", "--claims", "table_rows", "--n", "6"]) == 2
+    assert "claim table_rows at n=6: FAILED" in capsys.readouterr().out
 
 
-def test_table_match_validation():
-    with pytest.raises(ValueError):
-        table_match(5)
-    with pytest.raises(ValueError):
-        table_match(6, target_rows=[{"label": "x", "bogus": 1}])
-    with pytest.raises(ValueError):
-        table_match(6, target_rows=[{"m": 9}])
+def test_identities_catch_corrupted_pair_counts():
+    # move one pair from degree difference 1 to 2 wherever there is one: the
+    # pair total stays C(n,2), and irrt, weighted from nk as the scan does,
+    # moves with it, so only an independent pairwise sum can tell
+    chunk = next(_scan_chunks(5))
+    nk = chunk.nk.copy()
+    shifted = nk[:, 1] > 0
+    nk[shifted, 1] -= 1
+    nk[shifted, 2] += 1
+    bad = dataclasses.replace(chunk, nk=nk, irrt=nk @ np.arange(5, dtype=np.int32))
+    for claim_type in (enumeration._Eq2Identity, enumeration._Sec3Identities):
+        claim = claim_type(5)
+        claim.update(bad)
+        assert claim.violations == int((chunk.connected & shifted).sum())
 
 
 def test_max_albertson_graphs_are_complete_split():
@@ -284,14 +312,14 @@ def test_max_albertson_graphs_are_complete_split():
                 masks.extend(int(chunk.start + i)
                              for i in np.nonzero(chunk.albertson == best)[0])
         targets = [complete_split(n, k) for k in range(1, n)]
-        for rep_mask, _ in _iso_classes(n, masks):
+        for rep_mask in _iso_classes(n, masks):
             g = Graph.from_pair_mask(n, rep_mask)
             assert any(is_isomorphic_to(g, t) for t in targets), \
                 f"n={n}: maximizer {rep_mask} is not a complete split graph"
 
 
-SCAN_FIELDS = ("connected", "m", "deg", "dmax", "dmin", "degset", "n0", "irrt", "nk",
-               "albertson", "sigma", "nmax_cnt", "universal_cnt")
+SCAN_FIELDS = ("connected", "m", "deg", "dmax", "dmin", "degset", "n0", "irrt",
+               "pairwise_irrt", "nk", "albertson", "sigma", "nmax_cnt", "universal_cnt")
 
 
 def oracle_scan_fields(n, mask):
@@ -310,6 +338,7 @@ def oracle_scan_fields(n, mask):
         "degset": len(set(ds)),
         "n0": pair_diffs.count(0),
         "irrt": sum(pair_diffs),
+        "pairwise_irrt": sum(pair_diffs),
         "nk": [pair_diffs.count(k) for k in range(n)],
         "albertson": sum(edge_diffs),
         "sigma": sum(d * d for d in edge_diffs),

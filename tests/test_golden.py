@@ -1,6 +1,7 @@
 """CLI output, byte for byte, against files captured from earlier implementations.
 
-The verify_* files were written by the code that ran one scan per claim.  The
+The verify_* files were written by the code that ran one scan per claim, except
+verify_table_rows_n6.txt, written by a table_rows search with its own scan loop.  The
 compute, rank and spectrum files were written by the code that computed each
 degree measure on its own (irr_t pairwise, n0 once per pair-count measure),
 over golden/corpus.g6: antiregular n = 2..12, the four table_rows witnesses,
@@ -39,6 +40,7 @@ CORPUS = str(GOLDEN / "corpus.g6")
     ("spectrum.txt", ["spectrum", CORPUS]),
     ("spectrum.csv", ["spectrum", CORPUS, "--output", "csv"]),
     ("spectrum.json", ["spectrum", CORPUS, "--output", "json"]),
+    ("verify_table_rows_n6.txt", ["verify", "--claims", "table_rows", "--n", "6"]),
 ])
 def test_verify_output_matches_golden(capsys, name, argv):
     assert cli.main(argv) == 0

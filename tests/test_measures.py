@@ -178,6 +178,17 @@ def test_format_value_is_fixed_point_at_every_precision():
     assert round_half_away(1 / 3, 15) == 0.333333333333333
 
 
+def test_large_values_keep_15_decimals():
+    # more digits than Decimal's default 28-digit precision holds
+    assert format_value(1e14, 15) == "100000000000000." + "0" * 15
+    assert format_value(-1e14, 15) == "-100000000000000." + "0" * 15
+    assert round_half_away(1e14, 15) == 1e14
+    assert round_half_away(-1e14, 15) == -1e14
+    assert format_value(1e300, 15) == "1" + "0" * 300 + "." + "0" * 15
+    assert round_half_away(1e300, 15) == 1e300
+    assert format_value(9.9995, 3) == "10.000"  # rounding carries into a new digit
+
+
 def test_decimals_outside_0_to_15_rejected():
     for bad in (-1, 16, 400):
         with pytest.raises(ValueError, match="0..15"):
