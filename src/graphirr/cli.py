@@ -11,8 +11,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .enumeration import CLAIM_IDS, CLAIMS, verify_claim
-from .generators import FAMILIES, FamilySpec, family
+from .enumeration import _CLAIMS, CLAIM_IDS, MAX_N, _check_request, verify_claim
+from .generators import FAMILIES, family
 from .graphs import Graph, degree_sequence
 from .io import FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .measures import (
@@ -65,11 +65,8 @@ def build_parser() -> _Parser:
     compute.add_argument("--decimals", type=int, default=3,
                          help="decimal places for floating output, 0..15")
     _add_power_iteration_flags(compute)
-    spectral = compute.add_mutually_exclusive_group()
-    spectral.add_argument("--spectral", dest="spectral", action="store_true", default=True,
-                          help="compute spectral measures (default)")
-    spectral.add_argument("--no-spectral", dest="spectral", action="store_false",
-                          help="skip spectral measures; cs and rho print empty")
+    compute.add_argument("--no-spectral", dest="spectral", action="store_false",
+                         help="skip spectral measures; cs and rho print empty")
 
     rank = sub.add_parser("rank", help="rank graphs by one measure, descending")
     _add_input_flags(rank)
@@ -129,7 +126,8 @@ def _parse_n_spec(text: str) -> list[int]:
             raise ValueError(f"bad vertex counts {part!r}; expected N or A-B") from None
         if lo > hi:
             raise ValueError(f"empty range {part!r}")
-        values.update(range(lo, hi + 1))
+        # no claim supports n > MAX_N, so one count past it fails as any larger one would
+        values.update(range(lo, min(hi, max(lo, MAX_N + 1)) + 1))
     if not values:
         raise ValueError(f"no vertex counts in {text!r}")
     return sorted(values)
@@ -233,8 +231,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = FamilySpec(family=args.family, n=args.n, k=args.k, p=args.p, seed=args.seed)
-    g = family(spec)
+    g = family(args.family, args.n, k=args.k, p=args.p, seed=args.seed)
     if args.format == "graph6":
         print(emit_graph6(g))
     else:
@@ -266,8 +263,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claims = _parse_names(args.claims, "claim", tuple(CLAIMS), CLAIM_IDS)
+    claims = _parse_names(args.claims, "claim", tuple(_CLAIMS), CLAIM_IDS)
     ns = _parse_n_spec(args.n)
+    for claim_id in claims:  # the whole request, before the first scan
+        for n in ns:
+            _check_request(claim_id, n)
     reports = [verify_claim(claim_id, n) for claim_id in claims for n in ns]
     failed = sum(1 for r in reports if not r.passed)
     if args.output == "json":
@@ -298,6 +298,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.subcommand](args)
     except (FormatError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -205,8 +205,8 @@ def _masks_where(chunk: _Chunk, cond: np.ndarray) -> list[int]:
     return [int(chunk.start + i) for i in np.nonzero(cond)[0]]
 
 
-def _g6(n: int, mask: int) -> str:
-    return emit_graph6(Graph.from_pair_mask(n, mask))
+def _g6(n: int, masks) -> tuple[str, ...]:
+    return tuple(emit_graph6(Graph.from_pair_mask(n, mask)) for mask in masks)
 
 
 def is_isomorphic_to(g: Graph, h: Graph) -> bool:
@@ -279,16 +279,17 @@ class _Extremes:
         self.max_masks.extend(_masks_where(chunk, chunk.connected & (chunk.n0 == 1)))
 
     def check(self) -> None:
+        """Also encodes the maximizers once, as the witnesses of every claim that lists them."""
         target = antiregular(self.n)
         self.target_bad = int(_n0(degree_sequence(target)) != 1)
-        self.not_antiregular = sum(
-            1 for mask in self.max_masks
-            if not is_isomorphic_to(Graph.from_pair_mask(self.n, mask), target)
-        )
+        graphs = [Graph.from_pair_mask(self.n, mask) for mask in self.max_masks]
+        self.not_antiregular = sum(1 for g in graphs if not is_isomorphic_to(g, target))
+        self.max_g6 = tuple(emit_graph6(g) for g in graphs)
 
 
 class _Claim:
     claim_id = ""
+    orders = range(MIN_N, MAX_N + 1)
 
     def __init__(self, n: int):
         self.n = n
@@ -307,13 +308,13 @@ class _Claim:
     def finish(self, extremes: _Extremes) -> VerificationReport:
         return self._report()
 
-    def _report(self, witness_masks=(), details=None) -> VerificationReport:
+    def _report(self, witnesses=(), details=None) -> VerificationReport:
         return VerificationReport(
             claim_id=self.claim_id,
             n=self.n,
             graphs_checked=self.checked,
             violations=self.violations,
-            witnesses=tuple(_g6(self.n, m) for m in witness_masks),
+            witnesses=witnesses,
             details={} if details is None else details,
         )
 
@@ -322,13 +323,14 @@ class _LemmaN0(_Claim):
     """n0 >= 1 always; n0 = 1 exactly on antiregular graphs (= degree set of size n-1)."""
 
     claim_id = "lemma_n0"
+    summary = "n0 >= 1; n0 = 1 exactly on antiregular graphs"
 
     def update(self, chunk):
         self.tally(chunk.connected, chunk.n0 < 1, (chunk.n0 == 1) != (chunk.degset == self.n - 1))
 
     def finish(self, extremes):
         self.violations += extremes.target_bad + extremes.not_antiregular
-        return self._report(extremes.max_masks, {
+        return self._report(extremes.max_g6, {
             "extremal_labeled_count": len(extremes.max_masks),
             "extremal_not_antiregular": extremes.not_antiregular,
         })
@@ -339,6 +341,7 @@ class _PropBounds(_Claim):
     regular, right equality iff antiregular."""
 
     claim_id = "prop_bounds"
+    summary = "ira/irb bounds with regular and antiregular equality cases"
 
     def update(self, chunk):
         n = self.n
@@ -370,6 +373,7 @@ class _LemmaDelta(_Claim):
     bidegreed graphs with a single vertex of degree n-1."""
 
     claim_id = "lemma_delta"
+    summary = "n0 <= n(n-1)/2 - max degree on nonregular graphs, with equality case"
 
     def __init__(self, n):
         super().__init__(n)
@@ -383,7 +387,7 @@ class _LemmaDelta(_Claim):
         self.equality_masks.extend(_masks_where(chunk, nonreg & eq))
 
     def finish(self, extremes):
-        return self._report(self.equality_masks,
+        return self._report(_g6(self.n, self.equality_masks),
                             {"equality_labeled_count": len(self.equality_masks)})
 
 
@@ -397,6 +401,7 @@ class _PropLower(_Claim):
     """
 
     claim_id = "prop_lower"
+    summary = "ira/irb lower bounds on nonregular graphs, with equality case"
 
     def __init__(self, n):
         super().__init__(n)
@@ -427,6 +432,7 @@ class _PropBidegreed(_Claim):
     hence ira and irb."""
 
     claim_id = "prop_bidegreed"
+    summary = "bidegreed graphs with matching degree-class sizes share ira/irb"
 
     def __init__(self, n):
         super().__init__(n)
@@ -460,11 +466,12 @@ class _CorEdgeDeleted(_Claim):
     connected) always lands on the same n0, hence the same ira and irb."""
 
     claim_id = "cor_edge_deleted"
+    summary = "edge-deleted regular graphs all share ira/irb at fixed n"
 
     def finish(self, extremes):
         n = self.n
         expected: int | None = None
-        witness_masks: list[int] = []
+        witnesses: list[str] = []
         for mask in extremes.regular_masks:
             g = Graph.from_pair_mask(n, mask)
             for u, v in g.edges():
@@ -477,14 +484,14 @@ class _CorEdgeDeleted(_Claim):
                     expected = value
                 elif value != expected:
                     self.violations += 1
-                    witness_masks.append(h.pair_mask())
+                    witnesses.append(emit_graph6(h))
         details: dict = {"regular_graphs": len(extremes.regular_masks),
                          "deletions_checked": self.checked}
         if expected is not None:
             details["n0_after_deletion"] = expected
             details["ira_after_deletion"] = _ira(n, expected)
             details["irb_after_deletion"] = _irb(n, expected)
-        return self._report(witness_masks, details)
+        return self._report(tuple(witnesses), details)
 
 
 class _Problem1(_Claim):
@@ -492,6 +499,7 @@ class _Problem1(_Claim):
     exactly on graphs isomorphic to the antiregular graph."""
 
     claim_id = "problem1_ira_irb"
+    summary = "ira/irb minimal exactly on regular, maximal exactly on antiregular"
 
     def update(self, chunk):
         # minimum (ira = irb = 0) is equivalent to n0 = C(n,2)
@@ -504,7 +512,7 @@ class _Problem1(_Claim):
         if not extremes.max_masks:  # maximum must actually be attained
             self.violations += 1
         self.violations += extremes.target_bad + extremes.not_antiregular
-        return self._report(extremes.max_masks, {
+        return self._report(extremes.max_g6, {
             "minimizer_labeled_count": len(extremes.regular_masks),
             "maximizer_labeled_count": len(extremes.max_masks),
         })
@@ -515,6 +523,7 @@ class _IrrtNotUnique(_Claim):
     total irregularity and report the maximizers that are not antiregular."""
 
     claim_id = "irrt_not_unique"
+    summary = "probe: maximizers of total irregularity beyond the antiregular graph"
 
     def __init__(self, n):
         super().__init__(n)
@@ -539,7 +548,7 @@ class _IrrtNotUnique(_Claim):
             mask for mask in classes
             if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target)
         ]
-        return self._report(non_anti_reps, {
+        return self._report(_g6(n, non_anti_reps), {
             "max_irr_t": self.best,
             "maximizer_labeled_count": len(self.max_masks),
             "maximizer_class_count": len(classes),
@@ -553,6 +562,7 @@ class _Eq2Identity(_Claim):
     pairwise irr_t."""
 
     claim_id = "eq2_identity"
+    summary = "pair counts sum to C(n,2) and weight-sum to irr_t"
 
     def update(self, chunk):
         totals = chunk.nk.sum(axis=1)
@@ -566,6 +576,7 @@ class _Sec3Identities(_Claim):
     nk, ranked) agree exactly and the two Gini forms agree to 1e-12 relative."""
 
     claim_id = "sec3_identities"
+    summary = "total-irregularity and Gini rewrite identities"
 
     def update(self, chunk):
         n = self.n
@@ -613,6 +624,7 @@ class _TableRows(_Claim):
     """
 
     claim_id = "table_rows"
+    orders = range(6, 7)  # the rows describe 6-vertex graphs
 
     def __init__(self, n):
         super().__init__(n)
@@ -630,32 +642,37 @@ class _TableRows(_Claim):
             masks.extend(_masks_where(chunk, sel))
 
     def finish(self, extremes):
-        witness_masks: list[int] = []
+        witnesses: list[str] = []
         row_details = []
         for row, masks in zip(self.rows, self.row_masks):
             classes = _iso_classes(self.n, masks)
             matching = [mask for mask in classes
                         if _floats_match(row, compute_all(Graph.from_pair_mask(self.n, mask)))]
             self.violations += int(not matching)
-            witness_masks.extend(matching[:1])
+            witnesses.extend(_g6(self.n, matching[:1]))
             row_details.append({
                 "label": row["label"],
                 "matched": bool(matching),
                 "candidate_classes": len(classes),
                 "matching_classes": len(matching),
-                "witness": _g6(self.n, matching[0]) if matching else None,
+                "witness": witnesses[-1] if matching else None,
             })
-        return self._report(witness_masks, {"rows": row_details})
+        return self._report(tuple(witnesses), {"rows": row_details})
 
 
 def _floats_match(row: dict, report) -> bool:
     return all(abs(report.value(key) - row[key]) <= tol for key, tol in _ROW_TOL.items())
 
 
-_CLAIM_TYPES: tuple[type[_Claim], ...] = (
+_CLAIMS: dict[str, type[_Claim]] = {claim_type.claim_id: claim_type for claim_type in (
     _LemmaN0, _PropBounds, _LemmaDelta, _PropLower, _PropBidegreed,
-    _CorEdgeDeleted, _Problem1, _IrrtNotUnique, _Eq2Identity, _Sec3Identities,
-)
+    _CorEdgeDeleted, _Problem1, _IrrtNotUnique, _Eq2Identity, _Sec3Identities, _TableRows,
+)}
+
+# what --claims all runs: every claim but the table search
+CLAIM_IDS = tuple(claim_id for claim_id in _CLAIMS if claim_id != _TableRows.claim_id)
+
+CLAIM_SUMMARIES = {claim_id: _CLAIMS[claim_id].summary for claim_id in CLAIM_IDS}
 
 
 def _fold(n: int, reducers) -> None:
@@ -667,48 +684,23 @@ def _fold(n: int, reducers) -> None:
 
 @functools.cache
 def _verify_all(n: int) -> dict[str, VerificationReport]:
-    """Every claim of _CLAIM_TYPES at n from one scan; memoised, so callers get copies."""
+    """Every claim of CLAIM_IDS at n from one scan; memoised, so callers get copies."""
     extremes = _Extremes(n)
-    claims = [claim_type(n) for claim_type in _CLAIM_TYPES]
+    claims = [_CLAIMS[claim_id](n) for claim_id in CLAIM_IDS]
     _fold(n, (extremes, *claims))
     extremes.check()
     return {claim.claim_id: claim.finish(extremes) for claim in claims}
 
 
-def _claim_report(claim_id: str, n: int) -> VerificationReport:
-    return copy.deepcopy(_verify_all(n)[claim_id])
 
 
-def _table_rows(n: int) -> VerificationReport:
-    """Its own scan, never part of _verify_all: the isomorphism grouping of the
-    row candidates costs more than the scan, and --claims all does not ask for it."""
-    table = _TableRows(n)
-    _fold(n, (table,))
-    return table.finish(None)
-
-
-CLAIM_IDS = tuple(claim_type.claim_id for claim_type in _CLAIM_TYPES)
-
-CLAIMS: dict[str, Callable[[int], VerificationReport]] = {
-    **{claim_id: functools.partial(_claim_report, claim_id) for claim_id in CLAIM_IDS},
-    _TableRows.claim_id: _table_rows,
-}
-
-# the table rows describe 6-vertex graphs
-_ORDERS = {**dict.fromkeys(CLAIM_IDS, range(MIN_N, MAX_N + 1)), _TableRows.claim_id: range(6, 7)}
-
-CLAIM_SUMMARIES = {
-    "lemma_n0": "n0 >= 1; n0 = 1 exactly on antiregular graphs",
-    "prop_bounds": "ira/irb bounds with regular and antiregular equality cases",
-    "lemma_delta": "n0 <= n(n-1)/2 - max degree on nonregular graphs, with equality case",
-    "prop_lower": "ira/irb lower bounds on nonregular graphs, with equality case",
-    "prop_bidegreed": "bidegreed graphs with matching degree-class sizes share ira/irb",
-    "cor_edge_deleted": "edge-deleted regular graphs all share ira/irb at fixed n",
-    "problem1_ira_irb": "ira/irb minimal exactly on regular, maximal exactly on antiregular",
-    "irrt_not_unique": "probe: maximizers of total irregularity beyond the antiregular graph",
-    "eq2_identity": "pair counts sum to C(n,2) and weight-sum to irr_t",
-    "sec3_identities": "total-irregularity and Gini rewrite identities",
-}
+def _check_request(claim_id: str, n: int) -> None:
+    """Reject an unknown claim, or an n the claim does not support, before any scan."""
+    if claim_id not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}; expected one of {sorted(_CLAIMS)}")
+    orders = _CLAIMS[claim_id].orders
+    if n not in orders:
+        raise ValueError(f"claim {claim_id} supports {orders[0]} <= n <= {orders[-1]}, got n={n}")
 
 
 def verify_claim(claim_id: str, n: int) -> VerificationReport:
@@ -717,11 +709,13 @@ def verify_claim(claim_id: str, n: int) -> VerificationReport:
     claim_id is one of CLAIM_IDS, for 3 <= n <= 8, or "table_rows", for
     n = 6: the search for graphs realizing DEFAULT_TABLE_ROWS.  The first
     call at a given n scans once for all of CLAIM_IDS and keeps the reports;
-    each call returns its own copy.
+    each call returns its own copy.  table_rows runs its own scan, never
+    part of _verify_all: the isomorphism grouping of its candidates costs
+    more than the scan, and --claims all does not ask for it.
     """
-    if claim_id not in CLAIMS:
-        raise ValueError(f"unknown claim {claim_id!r}; expected one of {sorted(CLAIMS)}")
-    orders = _ORDERS[claim_id]
-    if n not in orders:
-        raise ValueError(f"claim {claim_id} supports {orders[0]} <= n <= {orders[-1]}, got n={n}")
-    return CLAIMS[claim_id](n)
+    _check_request(claim_id, n)
+    if claim_id in CLAIM_IDS:
+        return copy.deepcopy(_verify_all(n)[claim_id])
+    reducer = _CLAIMS[claim_id](n)
+    _fold(n, (reducer,))
+    return reducer.finish(None)

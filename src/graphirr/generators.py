@@ -8,36 +8,9 @@ connected n-vertex graph with exactly one equal-degree vertex pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph, pair_order
-
-__all__ = [
-    "FamilySpec",
-    "FAMILIES",
-    "antiregular",
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "complete_split",
-    "complete_minus_edge",
-    "gnp",
-    "family",
-]
-
-FAMILIES = (
-    "antiregular",
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "complete_split",
-    "complete_minus_edge",
-    "gnp",
-)
 
 
 def antiregular(n: int) -> Graph:
@@ -107,37 +80,30 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, (pair for pair, u in zip(pairs, draws) if u < p))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Which family to build and its parameters (k for complete_split; p, seed for gnp)."""
+_BUILDERS = {builder.__name__: builder for builder in (
+    antiregular, path, cycle, complete, star, complete_split, complete_minus_edge, gnp,
+)}
 
-    family: str
-    n: int
-    k: int | None = None
-    p: float | None = None
-    seed: int | None = None
+FAMILIES = tuple(_BUILDERS)
+
+# every family's builder is public under the family's name
+__all__ = ["FAMILIES", *FAMILIES, "family"]
 
 
-def family(spec: FamilySpec) -> Graph:
-    """Build the graph described by spec."""
-    if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
-    if spec.family == "complete_split":
-        if spec.k is None:
+def family(name: str, n: int, *, k: int | None = None, p: float | None = None,
+           seed: int | None = None) -> Graph:
+    """Build one graph of the named family: k is complete_split's clique size,
+    p and seed are gnp's."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    if name == "complete_split":
+        if k is None:
             raise ValueError("complete_split needs k (clique size)")
-        return complete_split(spec.n, spec.k)
-    if spec.family == "gnp":
-        if spec.p is None or spec.seed is None:
+        return complete_split(n, k)
+    if name == "gnp":
+        if p is None or seed is None:
             raise ValueError("gnp needs p and seed")
-        return gnp(spec.n, spec.p, spec.seed)
-    if spec.k is not None or spec.p is not None or spec.seed is not None:
-        raise ValueError(f"family {spec.family!r} takes no k/p/seed parameters")
-    builder = {
-        "antiregular": antiregular,
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "star": star,
-        "complete_minus_edge": complete_minus_edge,
-    }[spec.family]
-    return builder(spec.n)
+        return gnp(n, p, seed)
+    if k is not None or p is not None or seed is not None:
+        raise ValueError(f"family {name!r} takes no k/p/seed parameters")
+    return _BUILDERS[name](n)

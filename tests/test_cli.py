@@ -7,7 +7,8 @@ import json
 import pytest
 
 from graphirr import cli, compute_all, emit_graph6, parse_graph6, round_half_away
-from graphirr.enumeration import CLAIMS, VerificationReport
+from graphirr import enumeration
+from graphirr.enumeration import VerificationReport
 from graphirr.generators import antiregular, cycle, path, star
 
 A6_G6 = "E@^w"
@@ -72,6 +73,9 @@ def test_compute_no_spectral(tmp_path, capsys):
     assert code == 0
     parsed = next(csv.DictReader(io.StringIO(out)))
     assert parsed["cs"] == "" and parsed["rho"] == ""
+    # spectral measures are on by default, so there is no switch to turn them on
+    code, _, err = run(capsys, ["compute", g6_file, "--spectral"])
+    assert code == 1 and "unrecognized arguments: --spectral" in err
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -254,10 +258,10 @@ def test_verify_table_rows(capsys):
 
 
 def test_verify_failed_claim_exits_two(capsys, monkeypatch):
-    def fake(n):
-        return VerificationReport(claim_id="lemma_n0", n=n, graphs_checked=1, violations=1)
+    def fake(claim_id, n):
+        return VerificationReport(claim_id=claim_id, n=n, graphs_checked=1, violations=1)
 
-    monkeypatch.setitem(CLAIMS, "lemma_n0", fake)
+    monkeypatch.setattr(cli, "verify_claim", fake)
     code, out, _ = run(capsys, ["verify", "--claims", "lemma_n0", "--n", "3"])
     assert code == 2
     assert "FAILED" in out
@@ -273,6 +277,35 @@ def test_verify_bad_inputs(capsys):
     for n in ("5", "7"):
         code, _, err = run(capsys, ["verify", "--claims", "table_rows", "--n", n])
         assert code == 1 and "table_rows" in err
+
+
+def test_verify_checks_whole_request_before_scanning(capsys, monkeypatch):
+    def no_scan(n):
+        raise AssertionError(f"scan started at n={n}")
+
+    monkeypatch.setattr(enumeration, "_verify_all", no_scan)
+    monkeypatch.setattr(enumeration, "_scan_chunks", no_scan)
+    for flags, message in (
+        (["--claims", "all", "--n", "6-9"], "claim lemma_n0 supports 3 <= n <= 8, got n=9"),
+        (["--claims", "lemma_n0,table_rows", "--n", "6-7"],
+         "claim table_rows supports 6 <= n <= 6, got n=7"),
+        (["--n", "3-100000"], "claim lemma_n0 supports 3 <= n <= 8, got n=9"),
+    ):
+        code, out, err = run(capsys, ["verify", *flags])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_n_spec_stops_one_past_the_largest_order():
+    assert cli._parse_n_spec("5,3-100000,200-300") == [3, 4, 5, 6, 7, 8, 9, 200]
+    assert cli._parse_n_spec("4-6,5") == [4, 5, 6]
+
+
+def test_huge_edgelist_header_is_one_line_error(tmp_path, capsys):
+    # the vertex arrays cannot be allocated, so this fails at once and uses no memory
+    target = tmp_path / "huge.el"
+    target.write_text("n 1000000000000000\n0 1\n")
+    code, out, err = run(capsys, ["compute", str(target), "--format", "edgelist"])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])

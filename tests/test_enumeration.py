@@ -389,6 +389,14 @@ def test_connected_counts_match_graph_atlas():
 
 
 @pytest.mark.slow
+def test_every_claim_passes_at_n8():
+    reports = {claim_id: verify_claim(claim_id, 8) for claim_id in CLAIM_IDS}
+    assert [claim_id for claim_id, report in reports.items() if not report.passed] == []
+    # the antiregular graph's 8!/2 labelings: its automorphism group has order 2
+    assert reports["lemma_n0"].details["extremal_labeled_count"] == math.factorial(8) // 2
+
+
+@pytest.mark.slow
 def test_connected_count_n8_matches_oeis():
     # OEIS A001187: connected labeled graphs on 8 vertices
     assert sum(int(chunk.connected.sum()) for chunk in _scan_chunks(8)) == 251_548_592

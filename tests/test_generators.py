@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from graphirr import FAMILIES, FamilySpec, degree_sequence, family, is_connected, n0
+from graphirr import FAMILIES, degree_sequence, family, is_connected, n0
 from graphirr.generators import (
     antiregular,
     complete,
@@ -102,22 +102,22 @@ def test_gnp_edge_rate_is_plausible():
 
 
 def test_family_dispatcher():
-    assert family(FamilySpec("antiregular", 6)) == antiregular(6)
-    assert family(FamilySpec("path", 4)) == path(4)
-    assert family(FamilySpec("complete_split", 6, k=2)) == complete_split(6, 2)
-    assert family(FamilySpec("gnp", 8, p=0.5, seed=3)) == gnp(8, 0.5, seed=3)
-    assert set(FAMILIES) >= {"antiregular", "path", "cycle", "complete", "star",
-                             "complete_split", "complete_minus_edge", "gnp"}
+    assert family("antiregular", 6) == antiregular(6)
+    assert family("path", 4) == path(4)
+    assert family("complete_split", 6, k=2) == complete_split(6, 2)
+    assert family("gnp", 8, p=0.5, seed=3) == gnp(8, 0.5, seed=3)
+    assert FAMILIES == ("antiregular", "path", "cycle", "complete", "star",
+                        "complete_split", "complete_minus_edge", "gnp")
 
 
 def test_family_dispatcher_validation():
-    with pytest.raises(ValueError):
-        family(FamilySpec("mystery", 5))
-    with pytest.raises(ValueError):
-        family(FamilySpec("complete_split", 6))  # k required
-    with pytest.raises(ValueError):
-        family(FamilySpec("gnp", 6, p=0.5))  # seed required
-    with pytest.raises(ValueError):
-        family(FamilySpec("gnp", 6, seed=1))  # p required
-    with pytest.raises(ValueError):
-        family(FamilySpec("path", 6, k=2))  # stray parameter
+    with pytest.raises(ValueError, match=r"^unknown family 'mystery'; expected one of \("):
+        family("mystery", 5)
+    with pytest.raises(ValueError, match=r"^complete_split needs k \(clique size\)$"):
+        family("complete_split", 6)
+    with pytest.raises(ValueError, match="^gnp needs p and seed$"):
+        family("gnp", 6, p=0.5)
+    with pytest.raises(ValueError, match="^gnp needs p and seed$"):
+        family("gnp", 6, seed=1)
+    with pytest.raises(ValueError, match="^family 'path' takes no k/p/seed parameters$"):
+        family("path", 6, k=2)
