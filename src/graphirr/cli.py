@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .enumeration import _CLAIMS, CLAIM_IDS, MAX_N, _check_request, verify_claim
+from .enumeration import _CLAIMS, _MAX_ORDER, CLAIM_IDS, _check_request, verify_claim
 from .generators import FAMILIES, family
 from .graphs import Graph, degree_sequence
 from .io import FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
@@ -126,8 +126,8 @@ def _parse_n_spec(text: str) -> list[int]:
             raise ValueError(f"bad vertex counts {part!r}; expected N or A-B") from None
         if lo > hi:
             raise ValueError(f"empty range {part!r}")
-        # no claim supports n > MAX_N, so one count past it fails as any larger one would
-        values.update(range(lo, min(hi, max(lo, MAX_N + 1)) + 1))
+        # one count past _MAX_ORDER fails as any larger one would
+        values.update(range(lo, min(hi, max(lo, _MAX_ORDER + 1)) + 1))
     if not values:
         raise ValueError(f"no vertex counts in {text!r}")
     return sorted(values)

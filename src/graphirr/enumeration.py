@@ -674,6 +674,9 @@ CLAIM_IDS = tuple(claim_id for claim_id in _CLAIMS if claim_id != _TableRows.cla
 
 CLAIM_SUMMARIES = {claim_id: _CLAIMS[claim_id].summary for claim_id in CLAIM_IDS}
 
+# the largest n any claim supports
+_MAX_ORDER = max(claim_type.orders[-1] for claim_type in _CLAIMS.values())
+
 
 def _fold(n: int, reducers) -> None:
     """Feed every chunk of the n-vertex scan, in mask order, to each reducer."""
@@ -690,8 +693,6 @@ def _verify_all(n: int) -> dict[str, VerificationReport]:
     _fold(n, (extremes, *claims))
     extremes.check()
     return {claim.claim_id: claim.finish(extremes) for claim in claims}
-
-
 
 
 def _check_request(claim_id: str, n: int) -> None:

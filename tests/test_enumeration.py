@@ -142,7 +142,7 @@ def test_verify_all_never_builds_the_table_reducer(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError("the table_rows reducer was built")
 
-    monkeypatch.setattr(enumeration, "_TableRows", refuse)
+    monkeypatch.setitem(enumeration._CLAIMS, "table_rows", refuse)
     assert set(enumeration._verify_all.__wrapped__(6)) == set(CLAIM_IDS)
     assert cli.main(["verify", "--claims", "all", "--n", "3-6"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "40 of 40 claim runs passed"
