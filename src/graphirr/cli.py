@@ -14,7 +14,7 @@ from pathlib import Path
 from .enumeration import _CLAIMS, _MAX_ORDER, CLAIM_IDS, _check_request, verify_claim
 from .generators import FAMILIES, family
 from .graphs import Graph, degree_sequence
-from .io import FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
+from .io import GRAPH6_MAX_N, FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .measures import (
     CSV_COLUMNS,
     MeasureReport,
@@ -231,6 +231,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.format == "graph6" and args.n > GRAPH6_MAX_N:  # before building the graph
+        raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={args.n}")
     g = family(args.family, args.n, k=args.k, p=args.p, seed=args.seed)
     if args.format == "graph6":
         print(emit_graph6(g))

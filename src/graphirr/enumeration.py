@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .generators import antiregular
-from .graphs import Graph, degree_sequence, is_connected, pair_order
+from .graphs import Graph, degree_sequence, pair_order
 from .io import emit_graph6
 from .measures import _ira, _irb, compute_all, n0 as _n0
 
@@ -265,17 +265,17 @@ def _iso_classes(n: int, masks: list[int]) -> list[int]:
 
 
 class _Extremes:
-    """The connected graphs at both ends of ira and irb: the regular ones (value 0)
-    and those with n0 = 1 (maximal).  The maximizers are checked against
+    """The connected graphs at both ends of ira and irb: how many are regular
+    (value 0), and which have n0 = 1 (maximal).  The maximizers are checked against
     antiregular(n) once, for every claim that characterizes them."""
 
     def __init__(self, n: int):
         self.n = n
-        self.regular_masks: list[int] = []
+        self.regular_count = 0
         self.max_masks: list[int] = []
 
     def update(self, chunk: _Chunk) -> None:
-        self.regular_masks.extend(_masks_where(chunk, chunk.connected & (chunk.dmax == chunk.dmin)))
+        self.regular_count += int((chunk.connected & (chunk.dmax == chunk.dmin)).sum())
         self.max_masks.extend(_masks_where(chunk, chunk.connected & (chunk.n0 == 1)))
 
     def check(self) -> None:
@@ -301,9 +301,6 @@ class _Claim:
         self.checked += int(population.sum())
         for cond in bad:
             self.violations += int((population & cond).sum())
-
-    def update(self, chunk: _Chunk) -> None:
-        pass
 
     def finish(self, extremes: _Extremes) -> VerificationReport:
         return self._report()
@@ -360,7 +357,7 @@ class _PropBounds(_Claim):
 
     def finish(self, extremes):
         self.violations += extremes.target_bad + extremes.not_antiregular
-        return self._report(details={"lower_equality_count": len(extremes.regular_masks),
+        return self._report(details={"lower_equality_count": extremes.regular_count,
                                      "upper_equality_count": len(extremes.max_masks)})
 
 
@@ -463,35 +460,39 @@ class _PropBidegreed(_Claim):
 
 class _CorEdgeDeleted(_Claim):
     """Deleting any edge from any connected regular graph (keeping the result
-    connected) always lands on the same n0, hence the same ira and irb."""
+    connected) always lands on the same n0, hence the same ira and irb.  Each
+    such g - uv is exactly a connected graph with degrees k^(n-2) (k-1)^2 whose
+    two degree-(k-1) vertices u, v are not adjacent: adding uv back gives g."""
 
     claim_id = "cor_edge_deleted"
     summary = "edge-deleted regular graphs all share ira/irb at fixed n"
 
+    def __init__(self, n):
+        super().__init__(n)
+        self.expected: int | None = None
+        self.witness_masks: list[int] = []
+
+    def update(self, chunk):
+        idx = np.nonzero(chunk.connected & (chunk.degset == 2) & (chunk.nmax_cnt == self.n - 2)
+                         & (chunk.dmin + 1 == chunk.dmax))[0]
+        # pair bit of the two degree-(k-1) vertices i < j: they must not be adjacent
+        i, j = np.nonzero(chunk.deg[idx] == chunk.dmin[idx, None])[1].reshape(-1, 2).T
+        idx = idx[(((chunk.start + idx) >> (j * (j - 1) // 2 + i)) & 1) == 0]
+        n0v = chunk.n0[idx]
+        if self.expected is None and len(n0v):
+            self.expected = int(n0v[0])
+        bad = idx[n0v != self.expected]
+        self.checked += len(idx)
+        self.violations += len(bad)
+        self.witness_masks.extend((chunk.start + bad).tolist())
+
     def finish(self, extremes):
-        n = self.n
-        expected: int | None = None
-        witnesses: list[str] = []
-        for mask in extremes.regular_masks:
-            g = Graph.from_pair_mask(n, mask)
-            for u, v in g.edges():
-                h = g.without_edge(u, v)
-                if not is_connected(h):
-                    continue
-                self.checked += 1
-                value = _n0(degree_sequence(h))
-                if expected is None:
-                    expected = value
-                elif value != expected:
-                    self.violations += 1
-                    witnesses.append(emit_graph6(h))
-        details: dict = {"regular_graphs": len(extremes.regular_masks),
-                         "deletions_checked": self.checked}
-        if expected is not None:
-            details["n0_after_deletion"] = expected
-            details["ira_after_deletion"] = _ira(n, expected)
-            details["irb_after_deletion"] = _irb(n, expected)
-        return self._report(tuple(witnesses), details)
+        details = {"regular_graphs": extremes.regular_count, "deletions_checked": self.checked}
+        if self.expected is not None:
+            details.update(n0_after_deletion=self.expected,
+                           ira_after_deletion=_ira(self.n, self.expected),
+                           irb_after_deletion=_irb(self.n, self.expected))
+        return self._report(_g6(self.n, self.witness_masks), details)
 
 
 class _Problem1(_Claim):
@@ -507,13 +508,11 @@ class _Problem1(_Claim):
         self.tally(chunk.connected, regular != (chunk.n0 == math.comb(self.n, 2)))
 
     def finish(self, extremes):
-        if not extremes.regular_masks:  # minimum must actually be attained
-            self.violations += 1
-        if not extremes.max_masks:  # maximum must actually be attained
-            self.violations += 1
+        # the minimum and the maximum must actually be attained
+        self.violations += int(not extremes.regular_count) + int(not extremes.max_masks)
         self.violations += extremes.target_bad + extremes.not_antiregular
         return self._report(extremes.max_g6, {
-            "minimizer_labeled_count": len(extremes.regular_masks),
+            "minimizer_labeled_count": extremes.regular_count,
             "maximizer_labeled_count": len(extremes.max_masks),
         })
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,8 +33,8 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
+        if not 1 <= n <= sys.maxsize:
+            raise ValueError(f"vertex count must be in 1..{sys.maxsize}, got n={n}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -88,12 +89,6 @@ class Graph:
                 edges.append(((lower & -lower).bit_length() - 1, j))
                 lower &= lower - 1
         return edges
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        """Copy of this graph with edge (u, v) removed."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"no edge ({u}, {v}) to remove")
-        return Graph(self.n, (e for e in self.edges() if e != (min(u, v), max(u, v))))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix as float64."""

@@ -10,6 +10,8 @@ group emitted as one byte offset by 63 and zero-padded at the end.
 
 from __future__ import annotations
 
+import sys
+
 from .graphs import Graph, pair_order
 
 __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "emit_graph6"]
@@ -38,8 +40,8 @@ def parse_edgelist(text: str) -> Graph:
                 n = int(tokens[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
-            if n < 1:
-                raise FormatError(f"line {lineno}: vertex count must be >= 1, got {n}")
+            if not 1 <= n <= sys.maxsize:
+                raise FormatError(f"line {lineno}: vertex count {n} is outside 1..{sys.maxsize}")
             continue
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")

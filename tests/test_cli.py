@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from graphirr.generators import antiregular, cycle, path, star
 
 A6_G6 = "E@^w"
 TABLE_WITNESSES = ["E~q?", "E}a?", "E}q?", "E~a?"]  # n0 = 1..4, shared irr_t 26
+HUGE_N = "99999999999999999999"
 
 
 def run(capsys, argv):
@@ -306,6 +308,29 @@ def test_huge_edgelist_header_is_one_line_error(tmp_path, capsys):
     target.write_text("n 1000000000000000\n0 1\n")
     code, out, err = run(capsys, ["compute", str(target), "--format", "edgelist"])
     assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+def test_edgelist_count_too_large_to_hold_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "huge.el"
+    target.write_text(f"n {HUGE_N}\n0 1\n")
+    code, out, err = run(capsys, ["compute", str(target), "--format", "edgelist"])
+    assert (code, out) == (1, "")
+    assert err == f"error: line 1: vertex count {HUGE_N} is outside 1..{sys.maxsize}\n"
+
+
+@pytest.mark.parametrize("family", [["complete"], ["antiregular"], ["path"],
+                                    ["gnp", "--p", "0.5", "--seed", "1"]])
+def test_generate_huge_n_as_graph6_fails_before_building(capsys, family):
+    # complete, antiregular and gnp list every vertex pair first: at this n
+    # that would run until memory ran out
+    code, out, err = run(capsys, ["generate", "--family", *family, "--n", HUGE_N])
+    assert (code, out, err) == (1, "", f"error: graph6 output supports n <= 62, got n={HUGE_N}\n")
+
+
+def test_generate_huge_n_as_edgelist_is_one_line_error(capsys):
+    code, out, err = run(capsys, ["generate", "--family", "path", "--n", HUGE_N,
+                                  "--format", "edgelist"])
+    assert (code, out, err) == (1, "", f"error: vertex count must be in 1..{sys.maxsize}, got n={HUGE_N}\n")
 
 
 @pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])

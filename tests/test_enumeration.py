@@ -15,8 +15,10 @@ from graphirr import (
     VerificationReport,
     compute_all,
     degree_sequence,
+    emit_graph6,
     is_connected,
     is_isomorphic_to,
+    n0,
     parse_graph6,
     verify_claim,
 )
@@ -104,7 +106,7 @@ def test_is_isomorphic_needs_structure_not_just_degrees():
     assert sorted(c6.degrees()) == sorted(two_triangles.degrees())
     assert not is_isomorphic_to(c6, two_triangles)
     # K_{3,3} vs the triangular prism: both 3-regular on 6 vertices
-    k33 = complete_split(6, 3).without_edge(0, 1).without_edge(0, 2).without_edge(1, 2)
+    k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
     prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     assert sorted(k33.degrees()) == sorted(prism.degrees())
     assert not is_isomorphic_to(k33, prism)
@@ -194,6 +196,54 @@ def test_edge_deleted_regular_details():
     assert report.details["n0_after_deletion"] == math.comb(4, 2) + 1
     assert report.details["ira_after_deletion"] == pytest.approx(8 / 7, abs=1e-12)
     assert report.details["irb_after_deletion"] == pytest.approx(8 / 15, abs=1e-12)
+
+
+def edge_deleted_reference(n):
+    """cor_edge_deleted the slow way: delete every edge of every connected
+    regular graph, keep the connected results and compare their n0."""
+    regular_masks = [chunk.start + int(i) for chunk in _scan_chunks(n)
+                     for i in np.nonzero(chunk.connected & (chunk.dmax == chunk.dmin))[0]]
+    checked = violations = 0
+    expected = None
+    witnesses = []
+    for mask in regular_masks:
+        g = Graph.from_pair_mask(n, mask)
+        for u, v in g.edges():
+            h = Graph(n, [e for e in g.edges() if e != (u, v)])
+            if not is_connected(h):
+                continue
+            checked += 1
+            value = n0(degree_sequence(h))
+            if expected is None:
+                expected = value
+            elif value != expected:
+                violations += 1
+                witnesses.append(emit_graph6(h))
+    details = {"regular_graphs": len(regular_masks), "deletions_checked": checked}
+    if expected is not None:
+        details["n0_after_deletion"] = expected
+        details["ira_after_deletion"] = n * (n - 1) / (2 * expected) - 1.0
+        details["irb_after_deletion"] = 1.0 - 2 * expected / (n * (n - 1))
+    return VerificationReport(claim_id="cor_edge_deleted", n=n, graphs_checked=checked,
+                              violations=violations, witnesses=tuple(witnesses),
+                              details=details)
+
+
+def test_edge_deleted_matches_the_deletion_loop():
+    # the claim reads each deletion off the degree pattern it leaves behind
+    for n, deletions in zip(range(3, 8), (3, 18, 70, 1185, 9051)):
+        report = verify_claim("cor_edge_deleted", n)
+        assert report == edge_deleted_reference(n)
+        assert report.details["deletions_checked"] == deletions
+
+
+@pytest.mark.slow
+def test_edge_deleted_count_at_n8():
+    # what the graph-by-graph deletion loop reported at n = 8
+    details = verify_claim("cor_edge_deleted", 8).details
+    assert details["regular_graphs"] == 44_808
+    assert details["deletions_checked"] == 634_368
+    assert details["n0_after_deletion"] == math.comb(6, 2) + 1
 
 
 def test_irrt_probe_finds_multiple_classes_at_n6():

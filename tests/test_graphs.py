@@ -1,5 +1,7 @@
 """Graph container, connectivity, degree sequences."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,13 +91,13 @@ def test_pair_mask_round_trip():
             assert g.edges() == [(i, j)]
 
 
-def test_without_edge():
-    g = cycle(4)
-    h = g.without_edge(0, 1)
-    assert h.m == 3 and not h.has_edge(0, 1)
-    assert g.m == 4  # original untouched
-    with pytest.raises(ValueError):
-        g.without_edge(0, 2)
+def test_vertex_count_beyond_maxsize_is_value_error():
+    # a list of that many vertices cannot even be sized, so this must be
+    # refused before any allocation
+    with pytest.raises(ValueError, match="vertex count must be in 1.."):
+        Graph(sys.maxsize + 1)
+    with pytest.raises(ValueError, match="vertex count must be in 1.."):
+        Graph(10**22, [(0, 1)])
 
 
 def test_adjacency_matrix():

@@ -1,5 +1,7 @@
 """graph6 and edge-list parsing and emission."""
 
+import sys
+
 import pytest
 
 from graphirr import (
@@ -100,6 +102,14 @@ def test_parse_edgelist_errors_carry_line_numbers():
         parse_edgelist("n 3\n0 3\n")  # vertex out of range
     with pytest.raises(FormatError, match="line 2"):
         parse_edgelist("n 3\n0 1 2\n")  # malformed edge line
+
+
+def test_parse_edgelist_rejects_counts_too_large_to_hold():
+    # the count overflows a list size, so it must be refused as text, not built
+    with pytest.raises(FormatError, match="line 2: vertex count 9999999999999999999999 is outside 1.."):
+        parse_edgelist("\nn 9999999999999999999999\n0 1\n")
+    with pytest.raises(FormatError, match="line 1"):
+        parse_edgelist(f"n {sys.maxsize + 1}\n")
 
 
 def test_parse_edgelist_rejects_bad_headers():

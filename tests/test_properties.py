@@ -2,9 +2,10 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphirr import (
+    FormatError,
     Graph,
     degree_sequence,
     emit_graph6,
@@ -15,6 +16,7 @@ from graphirr import (
     irr_t,
     n0,
     nk_spectrum,
+    parse_edgelist,
     parse_graph6,
 )
 
@@ -119,3 +121,52 @@ def test_gnp_seed_determinism(n, seed):
     from graphirr.generators import gnp
 
     assert gnp(n, 0.5, seed=seed) == gnp(n, 0.5, seed=seed)
+
+
+def parses_or_format_error(parse, text):
+    try:
+        assert isinstance(parse(text), Graph)
+    except FormatError:
+        pass
+
+
+@given(st.text(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_graph6_text_parses_or_is_format_error(text, prefixed):
+    parses_or_format_error(parse_graph6, ">>graph6<<" + text if prefixed else text)
+
+
+# Vertex counts a graph is built for.  A count between these two ranges would
+# have Graph allocate (or try to allocate) gigabytes, so none is ever drawn.
+SAFE_COUNTS = st.one_of(st.integers(-2, 64), st.integers(2**63, 2**200))
+
+
+def header_count(text):
+    """The count the edge-list header line gives, or None when it gives none."""
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens:
+            try:
+                return int(tokens[1]) if len(tokens) == 2 and tokens[0] == "n" else None
+            except ValueError:
+                return None
+    return None
+
+
+edge_lines = st.one_of(
+    st.tuples(st.integers(-2, 70), st.integers(-2, 70)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.text(max_size=12),
+)
+edgelist_texts = st.one_of(
+    st.text(),
+    st.tuples(SAFE_COUNTS, st.lists(edge_lines, max_size=8)).map(
+        lambda parts: "\n".join([f"n {parts[0]}", *parts[1]])),
+)
+
+
+@given(edgelist_texts)
+@settings(max_examples=300, deadline=None)
+def test_edgelist_text_parses_or_is_format_error(text):
+    count = header_count(text)
+    assume(count is None or count <= 64 or count >= 2**63)
+    parses_or_format_error(parse_edgelist, text)
