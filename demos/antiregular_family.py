@@ -22,8 +22,8 @@ def main():
     for n in range(2, 9):
         g = antiregular(n)
         d = degree_sequence(g)
-        repeated = [v for v, c in Counter(d.degrees).items() if c > 1]
-        print(f"{n:>2}  {emit_graph6(g):<10} {str(d.degrees):<24} "
+        repeated = [v for v, c in Counter(d).items() if c > 1]
+        print(f"{n:>2}  {emit_graph6(g):<10} {str(d):<24} "
               f"{str(repeated[0]):<9} {n0(d):>3} {ira(d):>8.3f} {irb(d):>7.3f}")
 
     print()

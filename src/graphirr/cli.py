@@ -13,17 +13,9 @@ from pathlib import Path
 
 from .enumeration import _CLAIMS, _MAX_ORDER, CLAIM_IDS, _check_request, verify_claim
 from .generators import FAMILIES, family
-from .graphs import Graph, degree_sequence
+from .graphs import Graph
 from .io import GRAPH6_MAX_N, FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
-from .measures import (
-    CSV_COLUMNS,
-    MeasureReport,
-    _quantum,
-    compute_all,
-    format_value,
-    nk_spectrum,
-    round_half_away,
-)
+from .measures import CSV_COLUMNS, _quantum, compute_all, format_value, nk_spectrum, round_half_away
 from .spectral import ConvergenceError, DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
 MEASURE_NAMES = CSV_COLUMNS + ("disc",)
@@ -170,23 +162,23 @@ def _cmd_compute(args) -> int:
     measures = _parse_names(args.measures, "measure", MEASURE_NAMES, CSV_COLUMNS)
     _quantum(args.decimals)  # reject a bad --decimals before reading input
     graphs = _read_graphs(args.paths, args.format)
-    results = [
-        (label, compute_all(g, args.tolerance, spectral=args.spectral,
-                            max_iterations=args.max_iterations))
-        for label, g in graphs
-    ]
+    unread = () if args.spectral else SPECTRAL_MEASURES
+    # every value is read before the first line prints, so an error leaves stdout empty
+    results = []
+    for label, g in graphs:
+        report = compute_all(g, args.tolerance, max_iterations=args.max_iterations)
+        results.append((label, [None if m in unread else report.value(m) for m in measures]))
     if args.output == "csv":
-        print(MeasureReport.csv_header(measures))
-        for _, report in results:
-            print(report.csv_row(args.decimals, measures))
+        print(",".join(measures))
+        for _, values in results:
+            print(",".join(format_value(v, args.decimals) for v in values))
     elif args.output == "json":
-        payload = [{"input": label, **{m: _json_value(report.value(m), args.decimals)
-                                       for m in measures}}
-                   for label, report in results]
+        payload = [{"input": label, **{m: _json_value(v, args.decimals)
+                                       for m, v in zip(measures, values)}}
+                   for label, values in results]
         print(json.dumps(payload, indent=2))
     else:
-        rows = [[label] + [_cell(report.value(m), args.decimals) for m in measures]
-                for label, report in results]
+        rows = [[label] + [_cell(v, args.decimals) for v in values] for label, values in results]
         _print_table(["input"] + list(measures), rows)
     return 0
 
@@ -198,9 +190,7 @@ def _cmd_rank(args) -> int:
     graphs = _read_graphs(args.paths, args.format)
     scored = []
     for label, g in graphs:
-        report = compute_all(g, args.tolerance, spectral=args.by in SPECTRAL_MEASURES,
-                             max_iterations=args.max_iterations)
-        value = report.value(args.by)
+        value = compute_all(g, args.tolerance, max_iterations=args.max_iterations).value(args.by)
         if value is None:
             raise ValueError(f"measure {args.by} is undefined for input {label}")
         scored.append((label, value))
@@ -243,7 +233,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     graphs = _read_graphs(args.paths, args.format)
-    spectra = [(label, nk_spectrum(degree_sequence(g))) for label, g in graphs]
+    spectra = [(label, nk_spectrum(g)) for label, g in graphs]
     if args.output == "json":
         payload = [
             {"input": label, "n": spec.n,

@@ -3,23 +3,27 @@
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Graph",
-    "DegreeSequence",
     "pair_order",
     "degree_sequence",
     "is_connected",
 ]
 
 
+def _check_order(n: int) -> None:
+    """Reject a vertex count outside 1..sys.maxsize before anything is sized by it."""
+    if not 1 <= n <= sys.maxsize:
+        raise ValueError(f"vertex count must be in 1..{sys.maxsize}, got n={n}")
+
+
 def pair_order(n: int) -> list[tuple[int, int]]:
     """Vertex pairs (i, j) with i < j in column order: (0,1), (0,2), (1,2), (0,3), ..."""
+    _check_order(n)
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
@@ -33,8 +37,7 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 1 <= n <= sys.maxsize:
-            raise ValueError(f"vertex count must be in 1..{sys.maxsize}, got n={n}")
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -125,56 +128,6 @@ def is_connected(g: Graph) -> bool:
     return reach == (1 << g.n) - 1
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Vertex degrees in non-increasing order."""
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        ds = tuple(sorted((int(d) for d in self.degrees), reverse=True))
-        if not ds:
-            raise ValueError("empty degree sequence")
-        if ds[-1] < 0:
-            raise ValueError("negative degree")
-        object.__setattr__(self, "degrees", ds)
-
-    @classmethod
-    def of(cls, source) -> "DegreeSequence":
-        """Coerce a Graph, DegreeSequence, or iterable of ints to a DegreeSequence."""
-        if isinstance(source, DegreeSequence):
-            return source
-        if isinstance(source, Graph):
-            return cls(source.degrees())
-        return cls(tuple(source))
-
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        """Sum of degrees (= 2m for a graph)."""
-        return sum(self.degrees)
-
-    @property
-    def m(self) -> int:
-        return self.total // 2
-
-    @property
-    def max_degree(self) -> int:
-        return self.degrees[0]
-
-    @property
-    def min_degree(self) -> int:
-        return self.degrees[-1]
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        """Map degree value -> number of vertices with that degree."""
-        return dict(Counter(self.degrees))
-
-
-def degree_sequence(g: Graph) -> DegreeSequence:
-    """Degree sequence of g, sorted non-increasing."""
-    return DegreeSequence(g.degrees())
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    """Degrees of g, sorted non-increasing."""
+    return tuple(sorted(g.degrees(), reverse=True))

@@ -4,7 +4,10 @@ All of these quantify how far a graph is from regular; each is zero exactly on
 regular graphs.  Most depend only on the degree sequence.  The two pair-count
 measures ira and irb are built from n0, the number of unordered vertex pairs
 with equal degrees: ira is the odds that a random pair has distinct degrees,
-irb the probability of the same event.
+irb the probability of the same event.  Every measure is computed from one
+sorted degree sequence (plus the edges, for albertson, sigma, cs and rho)
+when it is first read, so reading one measure never computes another that
+does not feed it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import cached_property
 from itertools import combinations
 
-from .graphs import DegreeSequence, Graph, is_connected
+from .graphs import Graph, degree_sequence, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _power_lambda1, rho as _rho
 
 __all__ = [
@@ -74,25 +78,6 @@ def format_value(x, decimals: int = 3) -> str:
     return f"{quantized:f}"
 
 
-# One formula per degree quantity, shared by compute_all and the single measures.
-
-
-def _pair_counts(multiplicities: dict[int, int]) -> tuple[int, int]:
-    """n0 and the degree-set size, from the map degree value -> vertex count.
-
-    n0 sums c*(c-1)/2 over every occurring degree value including 0, so that
-    it always equals the k=0 entry of nk_spectrum.
-    """
-    counts = multiplicities.values()
-    return sum(c * (c - 1) // 2 for c in counts), len(counts)
-
-
-def _irr_t(degrees: tuple[int, ...]) -> int:
-    """Total irregularity in rank form: sum of (n+1-2i)*d_i, degrees sorted non-increasing."""
-    n = len(degrees)
-    return sum((n + 1 - 2 * i) * v for i, v in enumerate(degrees, start=1))
-
-
 def _ira(n: int, n0_value: int) -> float:
     return n * (n - 1) / (2 * n0_value) - 1.0
 
@@ -101,24 +86,103 @@ def _irb(n: int, n0_value: int) -> float:
     return 1.0 - 2 * n0_value / (n * (n - 1))
 
 
-def _gini(irr_t_value: int, total: int, n: int) -> float:
-    if total == 0:
-        raise ValueError("gini is undefined for an edgeless graph (mean degree 0)")
-    return irr_t_value / (total * n)
+class _Degrees:
+    """One degree sequence, sorted non-increasing, and every degree measure of it.
 
+    Built from a Graph or an iterable of non-negative ints.  Each measure is
+    computed when first read and kept; n0 (so also ira and irb) raises
+    ValueError for n < 2 and gini for an edgeless graph, when read.
+    """
 
-def _deviations(degrees: tuple[int, ...], total: int) -> tuple[float, float]:
-    """Variance and total absolute deviation of the degrees around their mean."""
-    n = len(degrees)
-    mean = total / n
-    dev = [v - mean for v in degrees]
-    return sum(x ** 2 for x in dev) / n, sum(abs(x) for x in dev)
+    def __init__(self, source):
+        if isinstance(source, Graph):
+            degrees = degree_sequence(source)
+        else:
+            degrees = tuple(sorted((int(v) for v in source), reverse=True))
+            if not degrees:
+                raise ValueError("empty degree sequence")
+            if degrees[-1] < 0:
+                raise ValueError("negative degree")
+        self.degrees = degrees
+        self.n = len(degrees)
+        self.total = sum(degrees)  # = 2m for a graph
 
+    @property
+    def m(self) -> int:
+        return self.total // 2
 
-def _edge_sums(g: Graph, deg: tuple[int, ...]) -> tuple[int, int]:
-    """Sums of |d_u - d_v| and of (d_u - d_v)^2 over the edges, in one walk."""
-    diffs = [abs(deg[u] - deg[v]) for u, v in g.edges()]
-    return sum(diffs), sum(x * x for x in diffs)
+    @property
+    def max_degree(self) -> int:
+        return self.degrees[0]
+
+    @property
+    def min_degree(self) -> int:
+        return self.degrees[-1]
+
+    @cached_property
+    def multiplicities(self) -> Counter:
+        """Map degree value -> number of vertices with that degree."""
+        return Counter(self.degrees)
+
+    @property
+    def degree_set_size(self) -> int:
+        return len(self.multiplicities)
+
+    @property
+    def degset_minus_1(self) -> int:
+        return self.degree_set_size - 1
+
+    @cached_property
+    def irr_t(self) -> int:
+        """Rank form: sum of (n+1-2i)*d_i over the non-increasing degrees."""
+        n = self.n
+        return sum((n + 1 - 2 * i) * v for i, v in enumerate(self.degrees, start=1))
+
+    @cached_property
+    def n0(self) -> int:
+        """Sum of c*(c-1)/2 over every occurring degree value including 0, so
+        that it always equals the k=0 entry of nk_spectrum."""
+        if self.n < 2:
+            raise ValueError(f"n0 needs n >= 2, got n={self.n}")
+        return sum(c * (c - 1) // 2 for c in self.multiplicities.values())
+
+    @cached_property
+    def ira(self) -> float:
+        return _ira(self.n, self.n0)
+
+    @cached_property
+    def irb(self) -> float:
+        return _irb(self.n, self.n0)
+
+    @cached_property
+    def gini(self) -> float:
+        if self.total == 0:
+            raise ValueError("gini is undefined for an edgeless graph (mean degree 0)")
+        return self.irr_t / (self.total * self.n)
+
+    @cached_property
+    def _deviations(self) -> tuple[float, float]:
+        """Variance and total absolute deviation of the degrees around their mean."""
+        n = self.n
+        mean = self.total / n
+        dev = [v - mean for v in self.degrees]
+        return sum(x ** 2 for x in dev) / n, sum(abs(x) for x in dev)
+
+    @property
+    def var(self) -> float:
+        return self._deviations[0]
+
+    @property
+    def s(self) -> float:
+        return self._deviations[1]
+
+    @property
+    def disc(self) -> float:
+        return self._deviations[1] / self.n
+
+    def value(self, name: str):
+        """Look up a measure by its column name."""
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -144,11 +208,11 @@ def nk_spectrum(d) -> NkSpectrum:
     Built from the degree multiplicities c: N_0 = n0 and N_k = sum of c_a * c_b
     over the degree values a > b with a - b = k.
     """
-    d = DegreeSequence.of(d)
+    d = _Degrees(d)
     if d.n < 2:
         raise ValueError(f"nk_spectrum needs n >= 2 (no pairs for n={d.n})")
     hist = d.multiplicities
-    counts = Counter({0: _pair_counts(hist)[0]})
+    counts = Counter({0: d.n0})
     for a, b in combinations(sorted(hist, reverse=True), 2):
         counts[a - b] += hist[a] * hist[b]
     return NkSpectrum(counts={k: c for k, c in sorted(counts.items()) if c}, n=d.n)
@@ -156,33 +220,27 @@ def nk_spectrum(d) -> NkSpectrum:
 
 def irr_t(d) -> int:
     """Total irregularity: sum of |d_u - d_v| over all unordered vertex pairs."""
-    return _irr_t(DegreeSequence.of(d).degrees)
+    return _Degrees(d).irr_t
 
 
 def n0(d) -> int:
     """Number of unordered vertex pairs with equal degrees."""
-    d = DegreeSequence.of(d)
-    if d.n < 2:
-        raise ValueError(f"n0 needs n >= 2, got n={d.n}")
-    return _pair_counts(d.multiplicities)[0]
+    return _Degrees(d).n0
 
 
 def ira(d) -> float:
     """Odds that a random vertex pair has distinct degrees: n(n-1)/(2*n0) - 1."""
-    d = DegreeSequence.of(d)
-    return _ira(d.n, n0(d))
+    return _Degrees(d).ira
 
 
 def irb(d) -> float:
     """Fraction of vertex pairs with distinct degrees: 1 - 2*n0/(n(n-1))."""
-    d = DegreeSequence.of(d)
-    return _irb(d.n, n0(d))
+    return _Degrees(d).irb
 
 
 def gini(d) -> float:
     """Gini index of the degree sequence: irr_t/(2mn)."""
-    d = DegreeSequence.of(d)
-    return _gini(_irr_t(d.degrees), d.total, d.n)
+    return _Degrees(d).gini
 
 
 def gini_sequence(y) -> float:
@@ -206,135 +264,89 @@ def gini_sequence(y) -> float:
 
 def variance(d) -> float:
     """Degree variance: mean squared deviation from the average degree."""
-    d = DegreeSequence.of(d)
-    return _deviations(d.degrees, d.total)[0]
+    return _Degrees(d).var
 
 
 def discrepancy(d) -> float:
     """Mean absolute deviation of the degrees from the average degree."""
-    d = DegreeSequence.of(d)
-    return _deviations(d.degrees, d.total)[1] / d.n
+    return _Degrees(d).disc
 
 
 def degree_deviation(d) -> float:
     """Total absolute deviation from the average degree: n times the discrepancy."""
-    d = DegreeSequence.of(d)
-    return _deviations(d.degrees, d.total)[1]
+    return _Degrees(d).s
 
 
 def albertson(g: Graph) -> int:
     """Sum of |d_u - d_v| over the edges."""
-    return _edge_sums(g, g.degrees())[0]
+    return compute_all(g).albertson
 
 
 def sigma(g: Graph) -> int:
     """Sum of (d_u - d_v)^2 over the edges."""
-    return _edge_sums(g, g.degrees())[1]
+    return compute_all(g).sigma
 
 
 def degree_set_size(d) -> int:
     """Number of distinct degree values."""
-    return _pair_counts(DegreeSequence.of(d).multiplicities)[1]
+    return _Degrees(d).degree_set_size
 
 
-# CSV column order for MeasureReport serialization.
+# The columns compute prints by default, in order.
 CSV_COLUMNS = (
     "n", "m", "irr_t", "degset_minus_1", "cs", "albertson", "sigma",
     "var", "s", "gini", "rho", "n0", "ira", "irb",
 )
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Every measure for one graph, plus basic degree statistics."""
+class MeasureReport(_Degrees):
+    """Every measure of one graph, each computed when first read.
 
-    n: int
-    m: int
-    max_degree: int
-    min_degree: int
-    degree_set_size: int
-    irr_t: int
-    albertson: int
-    sigma: int
-    n0: int
-    ira: float
-    irb: float
-    gini: float
-    var: float
-    disc: float
-    s: float
-    cs: float | None
-    rho: float | None
-    connected: bool
+    Adds the edge measures, the spectral ones and connectivity to the degree
+    measures.  cs runs power iteration, checking its settings, on first read;
+    it is computed even for disconnected input, which ``connected`` flags.
+    rho is None where undefined (it needs n >= 3 and no isolated vertex).
+    """
 
-    @property
-    def degset_minus_1(self) -> int:
-        return self.degree_set_size - 1
+    def __init__(self, g: Graph, spectral_tolerance: float, max_iterations: int):
+        super().__init__(g)
+        self.graph = g
+        self._power_settings = (spectral_tolerance, max_iterations)
 
-    def value(self, name: str):
-        """Look up a field or derived column by name."""
-        return getattr(self, name)
+    @cached_property
+    def _edge_diffs(self) -> list[int]:
+        """|d_u - d_v| for each edge uv."""
+        deg = self.graph.degrees()
+        return [abs(deg[u] - deg[v]) for u, v in self.graph.edges()]
 
-    @staticmethod
-    def csv_header(columns=CSV_COLUMNS) -> str:
-        return ",".join(columns)
+    @cached_property
+    def albertson(self) -> int:
+        return sum(self._edge_diffs)
 
-    def csv_row(self, decimals: int = 3, columns=CSV_COLUMNS) -> str:
-        return ",".join(format_value(self.value(c), decimals) for c in columns)
+    @cached_property
+    def sigma(self) -> int:
+        return sum(x * x for x in self._edge_diffs)
+
+    @cached_property
+    def cs(self) -> float:
+        lam = _power_lambda1(self.graph.adjacency_matrix(), *self._power_settings)
+        return lam.lambda1 - 2 * self.m / self.n
+
+    @cached_property
+    def rho(self) -> float | None:
+        return _rho(self.graph) if self.n >= 3 and self.min_degree >= 1 else None
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
 
 
 def compute_all(
     g: Graph,
     spectral_tolerance: float = DEFAULT_TOLERANCE,
     *,
-    spectral: bool = True,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> MeasureReport:
-    """Compute every measure for g and return one MeasureReport.
-
-    The degree measures come from one sorted degree sequence, its
-    multiplicities, one pass over the deviations from the mean and one walk
-    over the edges.  cs and rho are computed even for disconnected input (the
-    report's ``connected`` flag records the caveat), skipped entirely when
-    spectral=False, and set to None when undefined (rho needs n >= 3 and no
-    isolated vertex).  An edgeless graph has no Gini index and raises
-    ValueError.
-    """
-    deg = g.degrees()
-    degrees = tuple(sorted(deg, reverse=True))
-    n, total = g.n, sum(deg)
-    m = total // 2
-    irr_t_value = _irr_t(degrees)
-    gini_value = _gini(irr_t_value, total, n)
-    n0_value, degree_set = _pair_counts(Counter(degrees))
-    var, abs_deviation = _deviations(degrees, total)
-    albertson_value, sigma_value = _edge_sums(g, deg)
-
-    cs_value = None
-    rho_value = None
-    if spectral:
-        lam = _power_lambda1(g.adjacency_matrix(), spectral_tolerance, max_iterations)
-        cs_value = lam.lambda1 - 2 * m / n
-        if n >= 3 and degrees[-1] >= 1:
-            rho_value = _rho(g)
-
-    return MeasureReport(
-        n=n,
-        m=m,
-        max_degree=degrees[0],
-        min_degree=degrees[-1],
-        degree_set_size=degree_set,
-        irr_t=irr_t_value,
-        albertson=albertson_value,
-        sigma=sigma_value,
-        n0=n0_value,
-        ira=_ira(n, n0_value),
-        irb=_irb(n, n0_value),
-        gini=gini_value,
-        var=var,
-        disc=abs_deviation / n,
-        s=abs_deviation,
-        cs=cs_value,
-        rho=rho_value,
-        connected=is_connected(g),
-    )
+    """The MeasureReport of g: each measure is computed when first read, so
+    an undefined one raises only when read and an unread cs costs nothing."""
+    return MeasureReport(g, spectral_tolerance, max_iterations)

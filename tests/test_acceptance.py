@@ -102,7 +102,7 @@ def test_criterion_05_lower_bounds():
     checks = [verify_claim("prop_lower", n).passed for n in (3, 4, 5, 6, 7)]
     # analytic spot check: the 6-vertex star sits exactly on its lower bound
     d = degree_sequence(star(6))
-    delta = d.max_degree
+    delta = d[0]
     bound = 2 * delta / (6 * 5 - 2 * delta)
     checks.append(ira(d) == 0.5)
     checks.append(ira(d) == bound)

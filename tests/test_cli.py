@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
@@ -180,6 +183,35 @@ def test_rank_by_spectral_requires_spectral(tmp_path, capsys):
     assert code == 0
 
 
+def test_compute_and_rank_read_only_the_asked_measures(tmp_path, capsys):
+    # an edgeless graph has no gini, which neither command asks for here
+    g6_file = write_lines(tmp_path, "edgeless.g6", ["B?"])
+    code, out, err = run(capsys, ["compute", g6_file, "--measures", "ira,n0", "--output", "csv"])
+    assert (code, out, err) == (0, "ira,n0\n0.000,3\n", "")
+    code, out, err = run(capsys, ["rank", g6_file, "--by", "ira"])
+    assert code == 0 and not err
+
+
+def test_compute_ira_of_single_vertex_is_one_line_error(tmp_path, capsys):
+    g6_file = write_lines(tmp_path, "k1.g6", ["@"])
+    code, out, err = run(capsys, ["compute", g6_file, "--measures", "ira"])
+    assert (code, out, err) == (1, "", "error: n0 needs n >= 2, got n=1\n")
+
+
+def test_unread_measures_are_never_computed(tmp_path, capsys, monkeypatch):
+    def not_asked_for(*args):
+        raise AssertionError("computed a measure that was not asked for")
+
+    for name in ("_power_lambda1", "is_connected", "_rho"):
+        monkeypatch.setattr(f"graphirr.measures.{name}", not_asked_for)
+    g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
+    assert run(capsys, ["rank", g6_file, "--by", "ira"])[0] == 0
+    code, out, _ = run(capsys, ["compute", g6_file, "--no-spectral", "--output", "csv"])
+    assert code == 0
+    parsed = next(csv.DictReader(io.StringIO(out)))
+    assert parsed["cs"] == "" and parsed["rho"] == ""
+
+
 def test_rank_unknown_measure(tmp_path, capsys):
     g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
     code, _, err = run(capsys, ["rank", g6_file, "--by", "nope"])
@@ -331,6 +363,25 @@ def test_generate_huge_n_as_edgelist_is_one_line_error(capsys):
     code, out, err = run(capsys, ["generate", "--family", "path", "--n", HUGE_N,
                                   "--format", "edgelist"])
     assert (code, out, err) == (1, "", f"error: vertex count must be in 1..{sys.maxsize}, got n={HUGE_N}\n")
+
+
+@pytest.mark.parametrize("family", [["complete"], ["antiregular"],
+                                    ["gnp", "--p", "0.5", "--seed", "1"]])
+def test_generate_huge_n_as_edgelist_fails_before_listing_pairs(family):
+    # a separate, memory-capped process: listing every vertex pair first
+    # would grow until memory ran out
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "graphirr.cli", "generate", "--family", *family,
+         "--n", HUGE_N, "--format", "edgelist"],
+        capture_output=True, text=True, timeout=20, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error: vertex count must be in 1..{sys.maxsize}, got n={HUGE_N}\n")
 
 
 @pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from graphirr import (
-    DegreeSequence,
     Graph,
     degree_sequence,
+    irr_t,
     is_connected,
+    n0,
+    nk_spectrum,
     pair_order,
 )
 from graphirr.generators import complete, cycle, path, star
@@ -135,29 +137,25 @@ def test_is_connected_matches_union_find_oracle():
 
 
 def test_degree_sequence_sorting_and_stats():
-    d = DegreeSequence((1, 3, 2, 2))
-    assert d.degrees == (3, 2, 2, 1)
-    assert d.n == 4
-    assert d.total == 8
-    assert d.m == 4
-    assert d.max_degree == 3
-    assert d.min_degree == 1
-    assert d.multiplicities == {3: 1, 2: 2, 1: 1}
+    g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    d = degree_sequence(g)
+    assert d == (3, 2, 2, 1)
+    assert sum(d) == 2 * g.m
 
 
 def test_degree_sequence_of_coercions():
+    # a measure takes a Graph, its sorted degrees, or the degrees in any order
     g = star(4)
-    assert DegreeSequence.of(g).degrees == (3, 1, 1, 1)
-    assert DegreeSequence.of([1, 1, 3, 1]).degrees == (3, 1, 1, 1)
-    d = degree_sequence(g)
-    assert DegreeSequence.of(d) is d
+    assert degree_sequence(g) == (3, 1, 1, 1)
+    for d in (g, degree_sequence(g), [1, 1, 3, 1]):
+        assert (irr_t(d), n0(d), nk_spectrum(d).counts) == (6, 3, {0: 3, 2: 3})
 
 
 def test_degree_sequence_rejects_bad_input():
-    with pytest.raises(ValueError):
-        DegreeSequence(())
-    with pytest.raises(ValueError):
-        DegreeSequence((2, -1))
+    with pytest.raises(ValueError, match="empty"):
+        n0([])
+    with pytest.raises(ValueError, match="negative"):
+        irr_t([2, -1])
 
 
 def test_neighbor_mask():

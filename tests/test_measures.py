@@ -1,14 +1,13 @@
 """Degree-based measures against hand-computed and brute-force oracles."""
 
-import csv
-import io as stdlib_io
+import itertools
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
 
 from graphirr import (
-    CSV_COLUMNS,
     Graph,
     albertson,
     compute_all,
@@ -117,7 +116,7 @@ def test_gini_matches_double_sum_oracle():
         if g.m == 0:
             continue
         d = degree_sequence(g)
-        assert gini(d) == pytest.approx(gini_double_sum(list(d.degrees)), abs=1e-12)
+        assert gini(d) == pytest.approx(gini_double_sum(list(d)), abs=1e-12)
 
 
 def test_gini_sequence_incomes():
@@ -138,7 +137,7 @@ def test_gini_agrees_with_gini_sequence_on_degrees():
         if g.m == 0:
             continue
         d = degree_sequence(g)
-        assert gini(d) == pytest.approx(gini_sequence(d.degrees), rel=1e-12)
+        assert gini(d) == pytest.approx(gini_sequence(d), rel=1e-12)
 
 
 def test_irr_t_is_degree_determined_but_albertson_is_not():
@@ -199,17 +198,26 @@ def test_decimals_outside_0_to_15_rejected():
 
 
 def test_compute_all_matches_single_measures():
+    """Each measure of the report against its own brute-force form."""
     for seed in range(30):
         g = gnp(4 + seed % 20, 0.3, seed=seed)
         if g.m == 0:
             continue
-        r = compute_all(g, spectral=False)
-        d = degree_sequence(g)
-        assert (r.irr_t, r.n0, r.degree_set_size) == (irr_t(d), n0(d), degree_set_size(d))
-        assert (r.ira, r.irb, r.gini) == (ira(d), irb(d), gini(d))
-        assert (r.var, r.disc, r.s) == (variance(d), discrepancy(d), degree_deviation(d))
-        assert (r.albertson, r.sigma) == (albertson(g), sigma(g))
-        assert r.irr_t == sum(abs(a - b) for a in d.degrees for b in d.degrees) // 2
+        r = compute_all(g)
+        n, deg = g.n, g.degrees()
+        pairs = list(itertools.combinations(range(n), 2))
+        irr_t_value = sum(abs(deg[u] - deg[v]) for u, v in pairs)
+        n0_value = sum(1 for u, v in pairs if deg[u] == deg[v])
+        mean = sum(deg) / n
+        abs_dev = sum(abs(v - mean) for v in deg)
+        assert (r.irr_t, r.n0, r.degree_set_size) == (irr_t_value, n0_value, len(set(deg)))
+        assert r.ira == pytest.approx(len(pairs) / n0_value - 1)
+        assert r.irb == pytest.approx(1 - n0_value / len(pairs))
+        assert r.gini == pytest.approx(gini_double_sum(deg))
+        assert r.var == pytest.approx(statistics.pvariance(deg))
+        assert (r.disc, r.s) == (pytest.approx(abs_dev / n), pytest.approx(abs_dev))
+        assert r.albertson == sum(abs(deg[u] - deg[v]) for u, v in g.edges())
+        assert r.sigma == sum((deg[u] - deg[v]) ** 2 for u, v in g.edges())
 
 
 def test_compute_all_report_fields():
@@ -230,12 +238,6 @@ def test_compute_all_disconnected_flagged():
     assert r.cs is not None  # still computed, caveat recorded in the flag
 
 
-def test_compute_all_spectral_off():
-    r = compute_all(path(4), spectral=False)
-    assert r.cs is None and r.rho is None
-    assert r.irr_t == 4
-
-
 def test_compute_all_rho_needs_three_vertices_and_no_isolates():
     assert compute_all(complete(2)).rho is None
     assert compute_all(Graph(4, [(0, 1), (1, 2)])).rho is None  # isolated vertex
@@ -243,28 +245,20 @@ def test_compute_all_rho_needs_three_vertices_and_no_isolates():
 
 
 def test_compute_all_edgeless():
+    r = compute_all(Graph(3, []))
+    assert (r.irr_t, r.n0, r.ira) == (0, 3, 0.0)  # gini is never computed unless read
     with pytest.raises(ValueError, match="edgeless"):
-        compute_all(Graph(3, []))
-    with pytest.raises(ValueError, match="edgeless"):
-        compute_all(Graph(3, []), spectral=False)
+        r.gini
 
 
 def test_compute_all_single_vertex():
+    r = compute_all(complete(1))
     with pytest.raises(ValueError, match="edgeless"):
-        compute_all(complete(1))  # edgeless, so no gini
+        r.gini  # edgeless, so no gini
+    with pytest.raises(ValueError, match="n0 needs n >= 2"):
+        r.ira
     with pytest.raises(ValueError):
         n0(complete(1))
-
-
-def test_csv_row_round_trips_rounded_values():
-    r = compute_all(star(6))
-    text = r.csv_header() + "\n" + r.csv_row()
-    parsed = next(csv.DictReader(stdlib_io.StringIO(text)))
-    assert set(parsed) == set(CSV_COLUMNS)
-    assert int(parsed["irr_t"]) == r.irr_t
-    assert float(parsed["ira"]) == round_half_away(r.ira, 3)
-    assert float(parsed["gini"]) == round_half_away(r.gini, 3)
-    assert float(parsed["cs"]) == round_half_away(r.cs, 3)
 
 
 def test_exact_fraction_values_p6_and_k6_minus_e():

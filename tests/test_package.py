@@ -1,5 +1,8 @@
 """The package's public surface: graphirr.__all__ is the union of the module lists."""
 
+import re
+from pathlib import Path
+
 import graphirr
 from graphirr import enumeration, generators, graphs, io, measures, spectral
 
@@ -7,7 +10,7 @@ MODULES = (graphs, io, measures, spectral, generators, enumeration)
 
 PUBLIC = {
     "CLAIM_IDS", "CLAIM_SUMMARIES", "CSV_COLUMNS", "ConvergenceError",
-    "DEFAULT_MAX_ITERATIONS", "DEFAULT_TABLE_ROWS", "DEFAULT_TOLERANCE", "DegreeSequence",
+    "DEFAULT_MAX_ITERATIONS", "DEFAULT_TABLE_ROWS", "DEFAULT_TOLERANCE",
     "FAMILIES", "FormatError", "Graph", "MeasureReport", "NkSpectrum",
     "SpectralResult", "VerificationReport", "__version__", "albertson", "antiregular",
     "complete", "complete_minus_edge", "complete_split", "compute_all", "cs_index", "cycle",
@@ -20,7 +23,7 @@ PUBLIC = {
 
 DELETED = ("DegreeDifferenceMatrix", "degree_difference_matrix", "DDM_KINDS",
            "enumerate_graphs", "EnumerationTask", "SPECTRAL_MAX_N", "table_match",
-           "CLAIMS", "FamilySpec")
+           "CLAIMS", "FamilySpec", "DegreeSequence")
 
 
 def test_all_is_pinned_and_resolves():
@@ -49,3 +52,14 @@ def test_deleted_names_are_gone():
         assert name not in graphirr.__all__
         assert not hasattr(graphirr, name)
         assert not any(hasattr(module, name) for module in MODULES)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(quick_start, {})
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "26 1 14.0",
+        "0.5",
+        "claim problem1_ira_irb at n=6: passed (26704 graphs checked, 0 violations)",
+    ]

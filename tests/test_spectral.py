@@ -63,15 +63,16 @@ def test_power_iteration_settings_checked_for_compute_all():
     disconnected = Graph(4, [(0, 1), (2, 3)])
     for g in (path(4), disconnected):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            compute_all(g, -1.0)
+            compute_all(g, -1.0).cs
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            compute_all(g, float("nan"))
+            compute_all(g, float("nan")).cs
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
-            compute_all(g, max_iterations=0)
+            compute_all(g, max_iterations=0).cs
     with pytest.raises(ValueError, match="tolerance must be positive"):
         cs_index(path(4), tolerance=0.0)
-    # the settings only matter to power iteration
-    assert compute_all(path(4), -1.0, spectral=False, max_iterations=0).cs is None
+    # the settings only matter to power iteration, which runs at the first cs read
+    r = compute_all(path(4), -1.0, max_iterations=0)
+    assert (r.irr_t, r.rho) == (4, pytest.approx(rho(path(4))))
 
 
 def test_lambda1_single_vertex():
