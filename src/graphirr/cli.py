@@ -16,7 +16,7 @@ from .generators import FAMILIES, family
 from .graphs import Graph
 from .io import GRAPH6_MAX_N, FormatError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .measures import CSV_COLUMNS, _quantum, compute_all, format_value, nk_spectrum, round_half_away
-from .spectral import ConvergenceError, DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
+from .spectral import ConvergenceError, DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
 MEASURE_NAMES = CSV_COLUMNS + ("disc",)
 SPECTRAL_MEASURES = ("cs", "rho")
@@ -164,9 +164,10 @@ def _cmd_compute(args) -> int:
     graphs = _read_graphs(args.paths, args.format)
     unread = () if args.spectral else SPECTRAL_MEASURES
     # every value is read before the first line prints, so an error leaves stdout empty
+    batch = Lambda1Batch([g for _, g in graphs], args.tolerance, args.max_iterations)
     results = []
     for label, g in graphs:
-        report = compute_all(g, args.tolerance, max_iterations=args.max_iterations)
+        report = compute_all(g, batch=batch)  # power iteration runs for all at the first cs
         results.append((label, [None if m in unread else report.value(m) for m in measures]))
     if args.output == "csv":
         print(",".join(measures))
@@ -188,9 +189,10 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"unknown measure {args.by!r}; choices: {', '.join(MEASURE_NAMES)}")
     _quantum(args.decimals)
     graphs = _read_graphs(args.paths, args.format)
+    batch = Lambda1Batch([g for _, g in graphs], args.tolerance, args.max_iterations)
     scored = []
     for label, g in graphs:
-        value = compute_all(g, args.tolerance, max_iterations=args.max_iterations).value(args.by)
+        value = compute_all(g, batch=batch).value(args.by)
         if value is None:
             raise ValueError(f"measure {args.by} is undefined for input {label}")
         scored.append((label, value))

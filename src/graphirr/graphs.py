@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +57,18 @@ class Graph:
             raise ValueError(f"mask {mask} out of range for n={n}")
         return cls(n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
 
+    @classmethod
+    def from_pair_bits(cls, n: int, bits: np.ndarray) -> "Graph":
+        """Build a graph from one 0/1 uint8 flag per pair of pair_order(n); as from_pair_mask."""
+        _check_order(n)
+        lower = np.zeros((n, n), np.uint8)
+        lower[np.tri(n, k=-1, dtype=bool)] = bits  # row j, column i < j: row-major is pair order
+        rows = np.packbits(lower | lower.T, axis=1, bitorder="little")
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = tuple(int.from_bytes(row, "little") for row in rows)
+        return g
+
     def pair_mask(self) -> int:
         """Inverse of from_pair_mask."""
         mask = 0
@@ -95,10 +107,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix as float64."""
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges():
-            a[i, j] = a[j, i] = 1.0
-        return a
+        return adjacency_stack([self], np.empty((1, self.n, self.n)))[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -126,6 +135,16 @@ def is_connected(g: Graph) -> bool:
             break
         reach = grown
     return reach == (1 << g.n) - 1
+
+
+def adjacency_stack(graphs: Sequence[Graph], out: np.ndarray) -> np.ndarray:
+    """Write the 0/1 adjacency matrices of B graphs of one order n into out, shape (B, n, n)."""
+    n = graphs[0].n
+    width = (n + 7) // 8
+    rows = b"".join(mask.to_bytes(width, "little") for g in graphs for mask in g._adj)
+    packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
+    out[...] = np.unpackbits(packed, axis=2, count=n, bitorder="little")
+    return out
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from .graphs import Graph, pair_order
 
 __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "emit_graph6"]
@@ -77,9 +79,11 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise FormatError("graph6 string contains non-ASCII characters") from None
-    for pos, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise FormatError(f"byte {byte} at position {pos} outside graph6 range [63, 126]")
+    raw = np.frombuffer(data, np.uint8)
+    outside = np.flatnonzero((raw < 63) | (raw > 126))
+    if outside.size:
+        pos = int(outside[0])
+        raise FormatError(f"byte {data[pos]} at position {pos} outside graph6 range [63, 126]")
     if data[0] == 126:
         raise FormatError(f"multi-byte vertex counts (n > {GRAPH6_MAX_N}) are not supported")
     n = data[0] - 63
@@ -91,29 +95,15 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 bit field for n={n} needs {expected} bytes, got {len(data) - 1}"
         )
-    mask = 0
-    for k in range(npairs):
-        byte = data[1 + k // 6] - 63
-        bit = (byte >> (5 - k % 6)) & 1  # bits are packed big-endian within each group
-        if bit:
-            mask |= 1 << k
-    return Graph.from_pair_mask(n, mask)
+    # each 6-bit group sits in the low bits of its byte, big-endian: drop the top two
+    bits = np.unpackbits(raw[1:] - 63).reshape(-1, 8)[:, 2:]
+    return Graph.from_pair_bits(n, bits.ravel()[:npairs])
 
 
 def emit_graph6(g: Graph) -> str:
     """Serialize g as a graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
-    out = [chr(63 + g.n)]
-    group = 0
-    width = 0
-    for i, j in pair_order(g.n):
-        group = (group << 1) | int(g.has_edge(i, j))
-        width += 1
-        if width == 6:
-            out.append(chr(63 + group))
-            group = 0
-            width = 0
-    if width:
-        out.append(chr(63 + (group << (6 - width))))
-    return "".join(out)
+    bits = "".join("1" if g.has_edge(i, j) else "0" for i, j in pair_order(g.n))
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + g.n) + "".join(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))

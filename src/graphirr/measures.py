@@ -7,19 +7,23 @@ with equal degrees: ira is the odds that a random pair has distinct degrees,
 irb the probability of the same event.  Every measure is computed from one
 sorted degree sequence (plus the edges, for albertson, sigma, cs and rho)
 when it is first read, so reading one measure never computes another that
-does not feed it.
+does not feed it; albertson, sigma and rho share one walk over the edges.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import Graph, degree_sequence, is_connected
-from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _power_lambda1, rho as _rho
+from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
 __all__ = [
     "CSV_COLUMNS",
@@ -37,6 +41,9 @@ __all__ = [
     "degree_deviation",
     "albertson",
     "sigma",
+    "cs_index",
+    "randic",
+    "rho",
     "degree_set_size",
     "compute_all",
     "round_half_away",
@@ -86,6 +93,10 @@ def _irb(n: int, n0_value: int) -> float:
     return 1.0 - 2 * n0_value / (n * (n - 1))
 
 
+def _rho(n: int, randic_value: float) -> float:
+    return (n - 2 * randic_value) / (n - 2 * math.sqrt(n - 1))
+
+
 class _Degrees:
     """One degree sequence, sorted non-increasing, and every degree measure of it.
 
@@ -98,7 +109,10 @@ class _Degrees:
         if isinstance(source, Graph):
             degrees = degree_sequence(source)
         else:
-            degrees = tuple(sorted((int(v) for v in source), reverse=True))
+            try:  # numpy integers pass; floats and strings do not
+                degrees = tuple(sorted(map(operator.index, source), reverse=True))
+            except TypeError:
+                raise ValueError("degrees must be integers") from None
             if not degrees:
                 raise ValueError("empty degree sequence")
             if degrees[-1] < 0:
@@ -287,6 +301,31 @@ def sigma(g: Graph) -> int:
     return compute_all(g).sigma
 
 
+def cs_index(
+    g: Graph,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> float:
+    """Spectral irregularity lambda1 - 2m/n of a connected graph; zero exactly on regular graphs."""
+    if not is_connected(g):
+        raise ValueError("lambda1 requires a connected graph")
+    return compute_all(g, tolerance, max_iterations=max_iterations).cs
+
+
+def randic(g: Graph) -> float:
+    """Sum of 1/sqrt(d_u * d_v) over the edges; equals n/2 on regular graphs."""
+    if min(g.degrees()) < 1:
+        raise ValueError("randic is undefined for graphs with an isolated vertex")
+    return compute_all(g)._edge_sums[2]
+
+
+def rho(g: Graph) -> float:
+    """Normalized heterogeneity (n - 2R)/(n - 2*sqrt(n-1)); zero iff regular."""
+    if g.n < 3:
+        raise ValueError(f"rho requires n >= 3, got n={g.n}")
+    return _rho(g.n, randic(g))
+
+
 def degree_set_size(d) -> int:
     """Number of distinct degree values."""
     return _Degrees(d).degree_set_size
@@ -303,38 +342,45 @@ class MeasureReport(_Degrees):
     """Every measure of one graph, each computed when first read.
 
     Adds the edge measures, the spectral ones and connectivity to the degree
-    measures.  cs runs power iteration, checking its settings, on first read;
-    it is computed even for disconnected input, which ``connected`` flags.
-    rho is None where undefined (it needs n >= 3 and no isolated vertex).
+    measures.  The first cs read of any report in a Lambda1Batch runs power
+    iteration, checking its settings, for all of them; cs is computed even
+    for disconnected input, which ``connected`` flags.  rho is None where
+    undefined (it needs n >= 3 and no isolated vertex).
     """
 
-    def __init__(self, g: Graph, spectral_tolerance: float, max_iterations: int):
+    def __init__(self, g: Graph, batch: Lambda1Batch):
         super().__init__(g)
         self.graph = g
-        self._power_settings = (spectral_tolerance, max_iterations)
+        self._batch = batch
 
     @cached_property
-    def _edge_diffs(self) -> list[int]:
-        """|d_u - d_v| for each edge uv."""
-        deg = self.graph.degrees()
-        return [abs(deg[u] - deg[v]) for u, v in self.graph.edges()]
+    def _edge_sums(self) -> tuple[int, int, float]:
+        """albertson, sigma and the Randic index from one walk over the edges.
 
-    @cached_property
+        The Randic terms are summed one by one in edge order by Python's sum, not
+        pairwise as np.sum would, so rho keeps its rounding.
+        """
+        edges = np.array(self.graph.edges(), dtype=np.intp).reshape(-1, 2)
+        deg = np.array(self.graph.degrees())
+        du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
+        diffs = np.abs(du - dv)
+        return int(diffs.sum()), int((diffs * diffs).sum()), sum((1.0 / np.sqrt(du * dv)).tolist())
+
+    @property
     def albertson(self) -> int:
-        return sum(self._edge_diffs)
+        return self._edge_sums[0]
 
-    @cached_property
+    @property
     def sigma(self) -> int:
-        return sum(x * x for x in self._edge_diffs)
+        return self._edge_sums[1]
 
     @cached_property
     def cs(self) -> float:
-        lam = _power_lambda1(self.graph.adjacency_matrix(), *self._power_settings)
-        return lam.lambda1 - 2 * self.m / self.n
+        return self._batch.result(self.graph).lambda1 - 2 * self.m / self.n
 
     @cached_property
     def rho(self) -> float | None:
-        return _rho(self.graph) if self.n >= 3 and self.min_degree >= 1 else None
+        return _rho(self.n, self._edge_sums[2]) if self.n >= 3 and self.min_degree >= 1 else None
 
     @cached_property
     def connected(self) -> bool:
@@ -346,7 +392,12 @@ def compute_all(
     spectral_tolerance: float = DEFAULT_TOLERANCE,
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    batch: Lambda1Batch | None = None,
 ) -> MeasureReport:
     """The MeasureReport of g: each measure is computed when first read, so
-    an undefined one raises only when read and an unread cs costs nothing."""
-    return MeasureReport(g, spectral_tolerance, max_iterations)
+    an undefined one raises only when read and an unread cs costs nothing.
+    With a ``batch`` holding g, cs comes from it, under its settings.
+    """
+    if batch is None:
+        batch = Lambda1Batch([g], spectral_tolerance, max_iterations)
+    return MeasureReport(g, batch)

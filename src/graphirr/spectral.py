@@ -1,9 +1,11 @@
-"""Adjacency spectral radius by power iteration, plus Randic-based heterogeneity.
+"""Adjacency spectral radius by power iteration.
 
 The largest adjacency eigenvalue is found by power iteration on A + I.  The
 shift matters: a connected bipartite graph has -lambda1 tied with lambda1 in
 magnitude, so unshifted iteration oscillates, while A + I is nonnegative and
 irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
+Graphs of one order iterate together as one stack; a single graph is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, adjacency_stack, is_connected
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -21,16 +23,13 @@ __all__ = [
     "SpectralResult",
     "ConvergenceError",
     "lambda1",
-    "cs_index",
-    "randic",
-    "rho",
 ]
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralResult:
     """Largest adjacency eigenvalue with iteration count and residual ||A v - lambda1 v||_inf."""
 
@@ -49,39 +48,90 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _power_lambda1(a: np.ndarray, tolerance: float, max_iterations: int) -> SpectralResult:
-    """Power iteration on a + I with an all-ones start vector.
+def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> list:
+    """Power iteration on A + I for each A of a (B, n, n) adjacency stack, overwritten with A + I.
 
-    The all-ones vector is never orthogonal to the positive Perron vector, so
-    the iteration converges for every connected graph.  Convergence requires
-    both a small Rayleigh-quotient delta and a small infinity-norm residual.
-    Connectivity is not checked here: compute_all flags it instead.
+    The all-ones start is never orthogonal to the positive Perron vector, so
+    every connected graph converges (connectivity is not checked here): both
+    its Rayleigh-quotient delta and its infinity-norm residual fall within
+    tolerance, and its row leaves the active set, so its iteration count and
+    residual are its own.  Returns per graph a SpectralResult or ConvergenceError.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    n = a.shape[0]
-    shifted = a + np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    prev = None
-    rayleigh = 0.0
-    residual = math.inf
+    count, n, _ = stack.shape
+    stack[:, range(n), range(n)] += 1.0
+    x = np.full((count, n), 1.0 / math.sqrt(n))
+    prev = np.full(count, np.nan)  # no delta to test at the first iteration
+    active = np.arange(count)  # input position of each row still iterating
+    outcomes: list = [None] * count
     for iteration in range(1, max_iterations + 1):
-        y = shifted @ x
-        rayleigh = float(x @ y)
-        residual = float(np.max(np.abs(y - rayleigh * x)))
-        if prev is not None and abs(rayleigh - prev) <= tolerance and residual <= tolerance:
-            return SpectralResult(lambda1=rayleigh - 1.0, iterations=iteration, residual=residual)
+        y = np.matmul(stack, x[:, :, None])[:, :, 0]
+        rayleigh = np.vecdot(x, y)
+        residual = np.abs(y - rayleigh[:, None] * x).max(axis=1)
+        done = residual <= tolerance  # seldom true, so the Rayleigh delta is tested only then
+        if done.any():
+            done &= np.abs(rayleigh - prev) <= tolerance
+        if done.any():
+            for k in np.flatnonzero(done):
+                outcomes[active[k]] = SpectralResult(
+                    float(rayleigh[k]) - 1.0, iteration, float(residual[k]))
+            if done.all():
+                return outcomes
+            # refill the converged rows of the first `live` with live rows from past them,
+            # so the stack shrinks in place to a prefix view
+            live = count - int(done.sum())
+            holes, movers = np.flatnonzero(done[:live]), np.flatnonzero(~done[live:]) + live
+            stack[holes] = stack[movers]
+            order = np.arange(live)
+            order[holes] = movers
+            stack, count = stack[:live], live
+            y, rayleigh, residual, active = y[order], rayleigh[order], residual[order], active[order]
         prev = rayleigh
-        x = y / float(np.linalg.norm(y))
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iterations} iterations "
-        f"(estimate {rayleigh - 1.0}, residual {residual})",
-        estimate=rayleigh - 1.0,
-        iterations=max_iterations,
-        residual=residual,
-    )
+        x = y / np.sqrt(np.vecdot(y, y))[:, None]
+    for k, position in enumerate(active):
+        estimate, last = float(rayleigh[k]) - 1.0, float(residual[k])
+        outcomes[position] = ConvergenceError(
+            f"power iteration did not converge in {max_iterations} iterations "
+            f"(estimate {estimate}, residual {last})", estimate, max_iterations, last)
+    return outcomes
+
+
+class Lambda1Batch:
+    """lambda1 of each of a list of graphs, all run together at the first ``result`` read.
+
+    The run takes one stack per vertex count in turn; each graph keeps its
+    SpectralResult or the ConvergenceError that every read of it raises.  A
+    disconnected graph gets the largest lambda1 over its components.
+    """
+
+    def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
+                 max_iterations: int = DEFAULT_MAX_ITERATIONS):
+        self.graphs = graphs
+        self.settings = (tolerance, max_iterations)
+        self._outcomes: dict[Graph, SpectralResult | ConvergenceError] | None = None
+
+    def result(self, g: Graph) -> SpectralResult:
+        """The SpectralResult of g, one of the batch's graphs."""
+        if self._outcomes is None:
+            by_order: dict[int, list[Graph]] = {}
+            for h in self.graphs:
+                by_order.setdefault(h.n, []).append(h)
+            # one buffer, sized for the largest stack, holds each stack in turn
+            buffer = np.empty(max(len(group) * n * n for n, group in by_order.items()))
+            outcomes = {}
+            for n, group in by_order.items():
+                stack = adjacency_stack(group, buffer[:len(group) * n * n].reshape(-1, n, n))
+                outcomes.update(zip(group, _power_batch(stack, *self.settings)))
+            self._outcomes = outcomes
+        if g not in self._outcomes:
+            raise ValueError(f"{g!r} is not one of the batch's graphs")
+        outcome = self._outcomes[g]
+        if isinstance(outcome, ConvergenceError):
+            raise outcome
+        return outcome
 
 
 def lambda1(
@@ -92,29 +142,4 @@ def lambda1(
     """Largest adjacency eigenvalue of a connected graph."""
     if not is_connected(g):
         raise ValueError("lambda1 requires a connected graph")
-    return _power_lambda1(g.adjacency_matrix(), tolerance, max_iterations)
-
-
-def cs_index(
-    g: Graph,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> float:
-    """Spectral irregularity lambda1 - 2m/n; zero exactly on regular graphs."""
-    result = lambda1(g, tolerance, max_iterations)
-    return result.lambda1 - 2 * g.m / g.n
-
-
-def randic(g: Graph) -> float:
-    """Sum of 1/sqrt(d_u * d_v) over the edges; equals n/2 on regular graphs."""
-    deg = g.degrees()
-    if min(deg) < 1:
-        raise ValueError("randic is undefined for graphs with an isolated vertex")
-    return sum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in g.edges())
-
-
-def rho(g: Graph) -> float:
-    """Normalized heterogeneity (n - 2R)/(n - 2*sqrt(n-1)); zero iff regular."""
-    if g.n < 3:
-        raise ValueError(f"rho requires n >= 3, got n={g.n}")
-    return (g.n - 2 * randic(g)) / (g.n - 2 * math.sqrt(g.n - 1))
+    return Lambda1Batch([g], tolerance, max_iterations).result(g)

@@ -198,11 +198,32 @@ def test_compute_ira_of_single_vertex_is_one_line_error(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: n0 needs n >= 2, got n=1\n")
 
 
+def test_convergence_error_is_the_first_failing_graphs_own(tmp_path, capsys):
+    # one batch runs all four graphs; the error is still the first failing graph's, in input order
+    g6_file = write_lines(tmp_path, "multi.g6", ["Bw", A6_G6, "EQjO", "C~"])
+    message = ("error: power iteration did not converge in 3 iterations "
+               "(estimate 3.40156709108717, residual 0.07109191823966954)\n")
+    for command in (["compute"], ["rank", "--by", "cs"]):
+        code, out, err = run(capsys, command + [g6_file, "--max-iterations", "3"])
+        assert (code, out, err) == (1, "", message)
+
+
+def test_earlier_measure_error_wins_over_later_convergence_error(tmp_path, capsys):
+    gini_error = "error: gini is undefined for an edgeless graph (mean degree 0)\n"
+    g6_file = write_lines(tmp_path, "edgeless_first.g6", ["B?", A6_G6])
+    code, out, err = run(capsys, ["compute", g6_file, "--max-iterations", "3"])
+    assert (code, out, err) == (1, "", gini_error)
+    g6_file = write_lines(tmp_path, "edgeless_last.g6", [A6_G6, "B?"])
+    code, out, err = run(capsys, ["compute", g6_file, "--max-iterations", "3"])
+    assert code == 1 and not out and err.startswith("error: power iteration did not converge")
+
+
 def test_unread_measures_are_never_computed(tmp_path, capsys, monkeypatch):
     def not_asked_for(*args):
         raise AssertionError("computed a measure that was not asked for")
 
-    for name in ("_power_lambda1", "is_connected", "_rho"):
+    monkeypatch.setattr("graphirr.spectral._power_batch", not_asked_for)
+    for name in ("is_connected", "_rho"):
         monkeypatch.setattr(f"graphirr.measures.{name}", not_asked_for)
     g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
     assert run(capsys, ["rank", g6_file, "--by", "ira"])[0] == 0

@@ -5,6 +5,7 @@ import math
 import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphirr import (
@@ -88,6 +89,17 @@ def test_measures_accept_plain_iterables():
     assert irr_t([1, 2, 2, 1]) == 4
     assert n0((3, 1, 1, 1)) == 3
     assert ira([2, 2, 2]) == 0.0
+    assert irr_t(np.array([3, 1])) == 2  # numpy integers are integers
+
+
+def test_measures_reject_non_integer_degrees():
+    # these were truncated or parsed, so they returned 2, 1 and 2
+    with pytest.raises(ValueError, match="integers"):
+        irr_t([2.9, 2.1, 1])
+    with pytest.raises(ValueError, match="integers"):
+        n0([2.9, 2.1, 1])
+    with pytest.raises(ValueError, match="integers"):
+        irr_t(["3", "1"])
 
 
 def test_nk_spectrum_properties():

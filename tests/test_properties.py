@@ -35,6 +35,26 @@ def test_graph6_round_trip(g):
     assert parse_graph6(emit_graph6(g)) == g
 
 
+@st.composite
+def orders_and_masks(draw):
+    n = draw(st.integers(1, 62))
+    return n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+
+
+def graph6_of_mask(n, mask):
+    """graph6 text written straight from the pair bits: six to a byte, first pair highest."""
+    groups = [sum(((mask >> (6 * i + t)) & 1) << (5 - t) for t in range(6))
+              for i in range(-(-n * (n - 1) // 12))]
+    return chr(63 + n) + "".join(chr(63 + v) for v in groups)
+
+
+@given(orders_and_masks())
+@settings(max_examples=300, deadline=None)
+def test_graph6_decode_matches_from_pair_mask(case):
+    n, mask = case
+    assert parse_graph6(graph6_of_mask(n, mask)) == Graph.from_pair_mask(n, mask)
+
+
 @given(graphs())
 @settings(deadline=None)
 def test_pair_counts_partition_all_pairs(g):

@@ -8,13 +8,16 @@ import pytest
 from graphirr import (
     ConvergenceError,
     Graph,
+    SpectralResult,
     compute_all,
     cs_index,
     lambda1,
     randic,
     rho,
 )
-from graphirr.generators import antiregular, complete, cycle, gnp, path, star
+from graphirr.generators import antiregular, complete, complete_split, cycle, gnp, path, star
+from graphirr.graphs import adjacency_stack
+from graphirr.spectral import Lambda1Batch, _power_batch
 
 
 def eigvalsh_lambda1(g):
@@ -127,3 +130,81 @@ def test_rho_nonnegative_on_connected_samples():
             continue
         count += 1
         assert rho(g) >= -1e-12
+
+
+def stack_of(graphs):
+    n = graphs[0].n
+    return adjacency_stack(graphs, np.empty((len(graphs), n, n)))
+
+
+def mixed_graphs():
+    """Connected, disconnected, bipartite and regular graphs, n = 1 and n = 2 included."""
+    yield complete(1)
+    yield from (complete(2), Graph(2))
+    yield from (path(3), Graph(3), Graph(3, [(0, 1)]), complete(3))
+    for n in (5, 8):
+        yield from (path(n), cycle(n), star(n), complete(n), antiregular(n), complete_split(n, 2),
+                    Graph(n, [(0, 1), (2, 3)]), Graph(n, [(i, i + 1) for i in range(n - 3)]))
+        yield from (gnp(n, 0.4, seed=seed) for seed in range(6))
+    yield Graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])  # two triangles: tied lambda1
+    yield Graph(8, [(i, j) for i in range(4) for j in range(4, 8)])  # K_{4,4}
+
+
+def test_power_batch_matches_dense_solver_on_mixed_stacks():
+    by_order = {}
+    for g in mixed_graphs():
+        by_order.setdefault(g.n, []).append(g)
+    for n, group in by_order.items():
+        expected = [float(np.linalg.eigvalsh(g.adjacency_matrix())[-1]) for g in group]
+        for g, outcome, lam in zip(group, _power_batch(stack_of(group), 1e-10, 100_000), expected):
+            assert isinstance(outcome, SpectralResult), g
+            assert outcome.lambda1 == pytest.approx(lam, abs=1e-9), g
+            assert outcome.residual <= 1e-10
+
+
+def test_batched_iterations_and_residuals_are_each_graphs_own():
+    graphs = list(mixed_graphs())
+    batch = Lambda1Batch(graphs)
+    for g in graphs:
+        alone = _power_batch(stack_of([g]), 1e-10, 100_000)[0]
+        assert batch.result(g) == alone, g  # lambda1, iterations and residual, exactly
+    counts = {batch.result(g).iterations for g in graphs}
+    assert len(counts) > 5  # graphs leave the active set at different iterations
+
+
+def test_failed_graph_carries_its_own_convergence_state():
+    # regular graphs converge at iteration 2; at that cap the others fail, each with its own state
+    graphs = [complete(4), star(6), cycle(6), antiregular(6)]
+    batch = Lambda1Batch(graphs, max_iterations=2)
+    for g, degree in ((graphs[0], 3), (graphs[2], 2)):
+        result = batch.result(g)
+        assert result.iterations == 2 and result.lambda1 == pytest.approx(degree, abs=1e-12)
+    errors = []
+    for g in (graphs[1], graphs[3]):
+        with pytest.raises(ConvergenceError) as info:
+            batch.result(g)
+        alone = _power_batch(stack_of([g]), 1e-10, 2)[0]
+        assert isinstance(alone, ConvergenceError)
+        err = info.value
+        assert (str(err), err.estimate, err.iterations, err.residual) == (
+            str(alone), alone.estimate, 2, alone.residual)
+        errors.append(err)
+    assert errors[0].estimate != errors[1].estimate
+    assert errors[0].residual != errors[1].residual
+
+
+def test_batch_runs_once_and_only_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr("graphirr.spectral._power_batch",
+                        lambda stack, *settings: calls.append(stack.shape) or
+                        _power_batch(stack, *settings))
+    graphs = [path(4), cycle(5), star(4), complete(5)]
+    batch = Lambda1Batch(graphs)
+    assert not calls
+    batch.result(graphs[3])
+    assert sorted(calls) == [(2, 4, 4), (2, 5, 5)]  # one stack per order
+    for g in graphs:
+        batch.result(g)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="not one of the batch's graphs"):
+        batch.result(star(5))
