@@ -60,12 +60,10 @@ class Graph:
     @classmethod
     def from_pair_bits(cls, n: int, bits: np.ndarray) -> "Graph":
         """Build a graph from one 0/1 uint8 flag per pair of pair_order(n); as from_pair_mask."""
-        _check_order(n)
+        g = cls(n)  # checks n before anything is sized by it
         lower = np.zeros((n, n), np.uint8)
         lower[np.tri(n, k=-1, dtype=bool)] = bits  # row j, column i < j: row-major is pair order
         rows = np.packbits(lower | lower.T, axis=1, bitorder="little")
-        g = cls.__new__(cls)
-        g.n = n
         g._adj = tuple(int.from_bytes(row, "little") for row in rows)
         return g
 

@@ -104,6 +104,16 @@ def emit_graph6(g: Graph) -> str:
     """Serialize g as a graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
-    bits = "".join("1" if g.has_edge(i, j) else "0" for i, j in pair_order(g.n))
-    bits += "0" * (-len(bits) % 6)
-    return chr(63 + g.n) + "".join(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
+    out = [chr(63 + g.n)]
+    group = 0
+    width = 0
+    for i, j in pair_order(g.n):
+        group = (group << 1) | int(g.has_edge(i, j))
+        width += 1
+        if width == 6:
+            out.append(chr(63 + group))
+            group = 0
+            width = 0
+    if width:
+        out.append(chr(63 + (group << (6 - width))))
+    return "".join(out)

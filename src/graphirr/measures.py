@@ -396,8 +396,11 @@ def compute_all(
 ) -> MeasureReport:
     """The MeasureReport of g: each measure is computed when first read, so
     an undefined one raises only when read and an unread cs costs nothing.
-    With a ``batch`` holding g, cs comes from it, under its settings.
+    With a ``batch`` holding g, cs comes from it under the batch's settings,
+    and settings other than the defaults given as well raise ValueError.
     """
     if batch is None:
         batch = Lambda1Batch([g], spectral_tolerance, max_iterations)
+    elif (spectral_tolerance, max_iterations) != (DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS):
+        raise ValueError("power-iteration settings go to the batch, not to compute_all with it")
     return MeasureReport(g, batch)

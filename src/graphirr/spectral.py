@@ -27,6 +27,7 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
+_BLOCK = 256  # graphs per stack, so the stack's memory is bounded whatever the input's size
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +70,8 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     outcomes: list = [None] * count
     for iteration in range(1, max_iterations + 1):
         y = np.matmul(stack, x[:, :, None])[:, :, 0]
-        rayleigh = np.vecdot(x, y)
+        # batched matmul gives each row the BLAS dot of a 1-D x @ y, and numpy 1.22 has it
+        rayleigh = np.matmul(x[:, None], y[:, :, None])[:, 0, 0]
         residual = np.abs(y - rayleigh[:, None] * x).max(axis=1)
         done = residual <= tolerance  # seldom true, so the Rayleigh delta is tested only then
         if done.any():
@@ -90,7 +92,7 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
             stack, count = stack[:live], live
             y, rayleigh, residual, active = y[order], rayleigh[order], residual[order], active[order]
         prev = rayleigh
-        x = y / np.sqrt(np.vecdot(y, y))[:, None]
+        x = y / np.sqrt(np.matmul(y[:, None], y[:, :, None]))[:, 0]
     for k, position in enumerate(active):
         estimate, last = float(rayleigh[k]) - 1.0, float(residual[k])
         outcomes[position] = ConvergenceError(
@@ -102,9 +104,10 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
 class Lambda1Batch:
     """lambda1 of each of a list of graphs, all run together at the first ``result`` read.
 
-    The run takes one stack per vertex count in turn; each graph keeps its
-    SpectralResult or the ConvergenceError that every read of it raises.  A
-    disconnected graph gets the largest lambda1 over its components.
+    The run takes the graphs of one vertex count in turn, in stacks of at
+    most _BLOCK graphs; each graph keeps its SpectralResult or the
+    ConvergenceError that every read of it raises.  A disconnected graph gets
+    the largest lambda1 over its components.
     """
 
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
@@ -119,12 +122,15 @@ class Lambda1Batch:
             by_order: dict[int, list[Graph]] = {}
             for h in self.graphs:
                 by_order.setdefault(h.n, []).append(h)
-            # one buffer, sized for the largest stack, holds each stack in turn
-            buffer = np.empty(max(len(group) * n * n for n, group in by_order.items()))
+            # one buffer, sized for the largest block, holds each block's stack in turn
+            sizes = (min(len(group), _BLOCK) * n * n for n, group in by_order.items())
+            buffer = np.empty(max(sizes, default=0))
             outcomes = {}
             for n, group in by_order.items():
-                stack = adjacency_stack(group, buffer[:len(group) * n * n].reshape(-1, n, n))
-                outcomes.update(zip(group, _power_batch(stack, *self.settings)))
+                for start in range(0, len(group), _BLOCK):
+                    block = group[start:start + _BLOCK]
+                    stack = adjacency_stack(block, buffer[:len(block) * n * n].reshape(-1, n, n))
+                    outcomes.update(zip(block, _power_batch(stack, *self.settings)))
             self._outcomes = outcomes
         if g not in self._outcomes:
             raise ValueError(f"{g!r} is not one of the batch's graphs")

@@ -78,6 +78,21 @@ def test_power_iteration_settings_checked_for_compute_all():
     assert (r.irr_t, r.rho) == (4, pytest.approx(rho(path(4))))
 
 
+def test_compute_all_rejects_settings_beside_a_batch():
+    g = path(4)
+    for settings in ({"spectral_tolerance": 1e-6}, {"max_iterations": 5}):
+        with pytest.raises(ValueError, match="settings go to the batch"):
+            compute_all(g, batch=Lambda1Batch([g]), **settings)
+
+
+def test_power_iteration_runs_without_numpy_2_functions(monkeypatch):
+    # pyproject allows numpy >= 1.22, which has none of these
+    for name in ("vecdot", "matvec", "vecmat"):
+        monkeypatch.delattr(np, name, raising=False)
+    assert lambda1(cycle(5)).lambda1 == pytest.approx(2.0, abs=1e-9)
+    assert compute_all(star(5)).cs == pytest.approx(2.0 - 8 / 5, abs=1e-9)
+
+
 def test_lambda1_single_vertex():
     assert lambda1(complete(1)).lambda1 == pytest.approx(0.0, abs=1e-12)
     assert lambda1(complete(2)).lambda1 == pytest.approx(1.0, abs=1e-10)
@@ -208,3 +223,16 @@ def test_batch_runs_once_and_only_when_read(monkeypatch):
     assert len(calls) == 2
     with pytest.raises(ValueError, match="not one of the batch's graphs"):
         batch.result(star(5))
+
+
+def test_batch_stacks_hold_at_most_one_block(monkeypatch):
+    calls = []
+    monkeypatch.setattr("graphirr.spectral._power_batch",
+                        lambda stack, *settings: calls.append(stack.shape) or
+                        _power_batch(stack, *settings))
+    monkeypatch.setattr("graphirr.spectral._BLOCK", 2)
+    graphs = [path(4), cycle(4), star(4), complete(4), Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])]
+    batch = Lambda1Batch(graphs)
+    for g in graphs:
+        assert batch.result(g) == _power_batch(stack_of([g]), 1e-10, 100_000)[0], g
+    assert calls == [(2, 4, 4), (2, 4, 4), (1, 4, 4)]
