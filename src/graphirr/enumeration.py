@@ -103,30 +103,12 @@ class _Chunk:
     universal_cnt: np.ndarray  # int16, vertices of degree n-1
 
     @functools.cached_property
-    def albertson(self) -> np.ndarray:
-        """int32, sum of |d_i - d_j| over edges."""
-        return self._edge_diff_sum(1)
-
-    @functools.cached_property
-    def sigma(self) -> np.ndarray:
-        """int32, sum of (d_i - d_j)^2 over edges."""
-        return self._edge_diff_sum(2)
-
-    @functools.cached_property
     def pairwise_irrt(self) -> np.ndarray:
         """int16, sum of |d_i - d_j| over all vertex pairs, from deg alone (not from nk)."""
         deg = self.deg.view(np.int8)
         total = np.zeros(self.size, np.int16)
         for i, j in pair_order(deg.shape[1]):
             total += np.abs(deg[:, i] - deg[:, j])
-        return total
-
-    def _edge_diff_sum(self, power: int) -> np.ndarray:
-        masks = np.arange(self.start, self.start + self.size, dtype=np.int64)
-        deg = self.deg.astype(np.int32)
-        total = np.zeros(self.size, np.int32)
-        for k, (i, j) in enumerate(pair_order(deg.shape[1])):
-            total += ((masks >> k) & 1).astype(np.int32) * np.abs(deg[:, i] - deg[:, j]) ** power
         return total
 
 
@@ -344,8 +326,8 @@ class _PropBounds(_Claim):
     def update(self, chunk):
         n = self.n
         pairs_total = math.comb(n, 2)
-        ira_f = n * (n - 1) / (2.0 * np.maximum(chunk.n0, 1)) - 1.0
-        irb_f = 1.0 - 2.0 * chunk.n0 / (n * (n - 1))
+        ira_f = _ira(n, np.maximum(chunk.n0, 1))
+        irb_f = _irb(n, chunk.n0)
         self.tally(
             chunk.connected,
             # bound checks in exact integers: 1 <= n0 <= C(n,2)
@@ -611,16 +593,17 @@ DEFAULT_TABLE_ROWS = (
      "sigma": 44, "n0": 4, "var": 1.889, "s": 6.667, "gini": 0.271, "cs": 0.510, "rho": 0.433},
 )
 
-_ROW_TOL = {"var": 5e-4, "s": 5e-4, "gini": 5e-4, "cs": 1e-3, "rho": 1e-3}
+_ROW_TOL = {"albertson": 0, "sigma": 0, "var": 5e-4, "s": 5e-4, "gini": 5e-4, "cs": 1e-3, "rho": 1e-3}
 
 
 class _TableRows(_Claim):
     """Every reference row is realized by a connected 6-vertex graph.
 
-    The scan keeps the masks that match a row's integer columns exactly; the
-    float columns (tolerances in _ROW_TOL) are isomorphism invariants, so they
-    are checked once per isomorphism class.  A row's witness is the first
-    mask of its first matching class.
+    The scan keeps the masks that match a row's degree columns (m, irr_t,
+    degset_minus_1, n0) exactly; the edge sums (exactly) and the float
+    columns (within _ROW_TOL) are isomorphism invariants, so they are checked
+    once per isomorphism class, on its compute_all report.  A row's witness
+    is the first mask of its first matching class.
     """
 
     claim_id = "table_rows"
@@ -634,7 +617,7 @@ class _TableRows(_Claim):
     def update(self, chunk):
         self.tally(chunk.connected)
         columns = {"m": chunk.m, "irr_t": chunk.irrt, "degset_minus_1": chunk.degset - 1,
-                   "albertson": chunk.albertson, "sigma": chunk.sigma, "n0": chunk.n0}
+                   "n0": chunk.n0}
         for row, masks in zip(self.rows, self.row_masks):
             sel = chunk.connected.copy()
             for key, values in columns.items():
@@ -647,7 +630,7 @@ class _TableRows(_Claim):
         for row, masks in zip(self.rows, self.row_masks):
             classes = _iso_classes(self.n, masks)
             matching = [mask for mask in classes
-                        if _floats_match(row, compute_all(Graph.from_pair_mask(self.n, mask)))]
+                        if _report_matches(row, compute_all(Graph.from_pair_mask(self.n, mask)))]
             self.violations += int(not matching)
             witnesses.extend(_g6(self.n, matching[:1]))
             row_details.append({
@@ -660,7 +643,7 @@ class _TableRows(_Claim):
         return self._report(tuple(witnesses), {"rows": row_details})
 
 
-def _floats_match(row: dict, report) -> bool:
+def _report_matches(row: dict, report) -> bool:
     return all(abs(report.value(key) - row[key]) <= tol for key, tol in _ROW_TOL.items())
 
 

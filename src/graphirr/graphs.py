@@ -67,21 +67,10 @@ class Graph:
         g._adj = tuple(int.from_bytes(row, "little") for row in rows)
         return g
 
-    def pair_mask(self) -> int:
-        """Inverse of from_pair_mask."""
-        mask = 0
-        for k, (i, j) in enumerate(pair_order(self.n)):
-            if (self._adj[i] >> j) & 1:
-                mask |= 1 << k
-        return mask
-
     @property
     def m(self) -> int:
         """Number of edges."""
         return sum(a.bit_count() for a in self._adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degrees in vertex order (not sorted)."""

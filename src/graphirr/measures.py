@@ -61,11 +61,12 @@ def _quantum(decimals: int) -> Decimal:
     return Decimal(1).scaleb(-decimals)
 
 
+# 309 integer digits (the largest finite double), 15 places and a carry: 325 digits.
+_ROUNDING = Context(prec=325, rounding=ROUND_HALF_UP)
+
+
 def _quantize(x: float, decimals: int) -> Decimal:
-    value = Decimal(repr(float(x)))
-    # room for every integer digit, the kept places and a carry out of rounding
-    digits = max(value.adjusted() + 1, 0) + decimals + 1
-    return value.quantize(_quantum(decimals), context=Context(prec=digits, rounding=ROUND_HALF_UP))
+    return Decimal(repr(float(x))).quantize(_quantum(decimals), context=_ROUNDING)
 
 
 def round_half_away(x: float, decimals: int = 3) -> float:
@@ -102,7 +103,7 @@ class _Degrees:
 
     Built from a Graph or an iterable of non-negative ints.  Each measure is
     computed when first read and kept; n0 (so also ira and irb) raises
-    ValueError for n < 2 and gini for an edgeless graph, when read.
+    ValueError for n < 2, ira for n0 = 0 and gini for m = 0, when read.
     """
 
     def __init__(self, source):
@@ -162,6 +163,8 @@ class _Degrees:
 
     @cached_property
     def ira(self) -> float:
+        if self.n0 == 0:
+            raise ValueError("ira is undefined when no two degrees are equal (n0 = 0)")
         return _ira(self.n, self.n0)
 
     @cached_property

@@ -19,6 +19,7 @@ from graphirr import (
     is_connected,
     is_isomorphic_to,
     n0,
+    pair_order,
     parse_graph6,
     verify_claim,
 )
@@ -328,6 +329,36 @@ def test_table_rows_unsatisfiable_row_fails(monkeypatch, capsys):
     assert "claim table_rows at n=6: FAILED" in capsys.readouterr().out
 
 
+def test_table_rows_check_edge_sums_per_class(monkeypatch):
+    # the degree columns of row 0 select one class, whose albertson is 16 and
+    # sigma 40: the edge sums are checked on each class's report
+    rows = ({**DEFAULT_TABLE_ROWS[0], "label": "albertson off", "albertson": 17},
+            {**DEFAULT_TABLE_ROWS[0], "label": "sigma off", "sigma": 41})
+    monkeypatch.setattr(enumeration, "DEFAULT_TABLE_ROWS", rows)
+    report = verify_claim("table_rows", 6)
+    assert report.violations == 2
+    assert report.details["rows"] == [
+        {"label": label, "matched": False, "candidate_classes": 1,
+         "matching_classes": 0, "witness": None}
+        for label in ("albertson off", "sigma off")
+    ]
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("_ira", lambda n, n0_value: n * (n - 1) / (2 * n0_value)),  # the "- 1" dropped
+    ("_irb", lambda n, n0_value: 2 * n0_value / (n * (n - 1))),  # the complement
+], ids=["ira", "irb"])
+def test_prop_bounds_checks_the_shipped_formulas(monkeypatch, name, wrong):
+    # prop_bounds must bound the ira/irb that graphirr ships, not a copy of them
+    claim = enumeration._PropBounds(5)
+    enumeration._fold(5, (claim,))
+    assert claim.violations == 0
+    monkeypatch.setattr(enumeration, name, wrong)
+    claim = enumeration._PropBounds(5)
+    enumeration._fold(5, (claim,))
+    assert claim.violations > 0
+
+
 def test_identities_catch_corrupted_pair_counts():
     # move one pair from degree difference 1 to 2 wherever there is one: the
     # pair total stays C(n,2), and irrt, weighted from nk as the scan does,
@@ -344,6 +375,17 @@ def test_identities_catch_corrupted_pair_counts():
         assert claim.violations == int((chunk.connected & shifted).sum())
 
 
+def chunk_albertson(n, chunk):
+    """Sum of |d_i - d_j| over the edges of each graph in the chunk, from its
+    degrees and its pair bits."""
+    masks = np.arange(chunk.start, chunk.start + chunk.size, dtype=np.int64)
+    deg = chunk.deg.astype(np.int32)
+    total = np.zeros(chunk.size, np.int32)
+    for k, (i, j) in enumerate(pair_order(n)):
+        total += ((masks >> k) & 1).astype(np.int32) * np.abs(deg[:, i] - deg[:, j])
+    return total
+
+
 def test_max_albertson_graphs_are_complete_split():
     # empirical observation at small n, not a theorem this package asserts:
     # every n-vertex graph maximizing the Albertson measure is a complete
@@ -354,13 +396,13 @@ def test_max_albertson_graphs_are_complete_split():
         best = -1
         masks = []
         for chunk in _scan_chunks(n):
-            chunk_best = int(chunk.albertson.max())
+            albertson = chunk_albertson(n, chunk)
+            chunk_best = int(albertson.max())
             if chunk_best > best:
                 best = chunk_best
                 masks = []
             if chunk_best == best:
-                masks.extend(int(chunk.start + i)
-                             for i in np.nonzero(chunk.albertson == best)[0])
+                masks.extend(int(chunk.start + i) for i in np.nonzero(albertson == best)[0])
         targets = [complete_split(n, k) for k in range(1, n)]
         for rep_mask in _iso_classes(n, masks):
             g = Graph.from_pair_mask(n, rep_mask)
@@ -369,7 +411,7 @@ def test_max_albertson_graphs_are_complete_split():
 
 
 SCAN_FIELDS = ("connected", "m", "deg", "dmax", "dmin", "degset", "n0", "irrt",
-               "pairwise_irrt", "nk", "albertson", "sigma", "nmax_cnt", "universal_cnt")
+               "pairwise_irrt", "nk", "nmax_cnt", "universal_cnt")
 
 
 def oracle_scan_fields(n, mask):
@@ -378,7 +420,6 @@ def oracle_scan_fields(n, mask):
     degrees = g.degrees()
     ds = degree_sequence(g)
     pair_diffs = [abs(degrees[i] - degrees[j]) for i, j in itertools.combinations(range(n), 2)]
-    edge_diffs = [abs(degrees[u] - degrees[v]) for u, v in g.edges()]
     return {
         "connected": is_connected(g),
         "m": g.m,
@@ -390,8 +431,6 @@ def oracle_scan_fields(n, mask):
         "irrt": sum(pair_diffs),
         "pairwise_irrt": sum(pair_diffs),
         "nk": [pair_diffs.count(k) for k in range(n)],
-        "albertson": sum(edge_diffs),
-        "sigma": sum(d * d for d in edge_diffs),
         "nmax_cnt": ds.count(ds[0]),
         "universal_cnt": ds.count(n - 1),
     }
@@ -420,6 +459,34 @@ def test_scan_fields_match_per_graph_oracle_on_n7_sample():
         if index in picked:
             assert_chunk_matches_oracle(7, chunk, rng.choice(chunk.size, size=400, replace=False))
     assert starts == [k << 18 for k in range(8)]
+
+
+def connected_degree_sequences(n):
+    """Non-increasing degree sequences of connected n-vertex graphs, without
+    the scan: graphical (Erdos-Gallai), minimum >= 1 and an even sum of at
+    least 2(n-1) (Hakimi)."""
+    found = set()
+    for seq in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
+        total = sum(seq)
+        if total % 2 or total < 2 * (n - 1):
+            continue
+        if all(sum(seq[:k]) <= k * (k - 1) + sum(min(d, k) for d in seq[k:])
+               for k in range(1, n + 1)):
+            found.add(seq)
+    return found
+
+
+def test_scan_sees_every_connected_degree_sequence():
+    for n, count in zip(range(3, 8), (2, 6, 19, 68, 236)):
+        place = n ** np.arange(n - 1, -1, -1)  # each sorted sequence as one base-n number
+        seen = set()
+        for chunk in _scan_chunks(n):
+            ordered = -np.sort(-chunk.deg[chunk.connected].astype(np.int64), axis=1)
+            seen.update(np.unique(ordered @ place).tolist())
+        seen = {tuple(key // n ** k % n for k in range(n - 1, -1, -1)) for key in seen}
+        expected = connected_degree_sequences(n)
+        assert len(expected) == count
+        assert seen == expected, f"n={n}"
 
 
 def test_connected_counts_match_graph_atlas():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import statistics
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +199,12 @@ def test_large_values_keep_15_decimals():
     assert format_value(1e300, 15) == "1" + "0" * 300 + "." + "0" * 15
     assert round_half_away(1e300, 15) == 1e300
     assert format_value(9.9995, 3) == "10.000"  # rounding carries into a new digit
+    # the largest finite double: 309 integer digits, all 15 places kept
+    digits = "17976931348623157" + "0" * 292 + "." + "0" * 15
+    assert format_value(sys.float_info.max, 15) == digits
+    assert format_value(-sys.float_info.max, 15) == "-" + digits
+    assert round_half_away(sys.float_info.max, 15) == sys.float_info.max
+    assert round_half_away(-sys.float_info.max, 15) == -sys.float_info.max
 
 
 def test_decimals_outside_0_to_15_rejected():
@@ -281,6 +288,15 @@ def test_exact_fraction_values_p6_and_k6_minus_e():
         assert 1 - Fraction(2 * nv, 30) == Fraction(8, 15)
         assert ira(degree_sequence(g)) == pytest.approx(8 / 7, abs=1e-15)
         assert irb(degree_sequence(g)) == pytest.approx(8 / 15, abs=1e-15)
+
+
+def test_ira_of_all_distinct_degrees_is_value_error():
+    # no graph on n >= 2 vertices has n0 = 0, but a bare degree list can
+    for degrees in ([3, 1], [2, 1, 0]):
+        with pytest.raises(ValueError, match=r"^ira is undefined when no two degrees are equal"):
+            ira(degrees)
+        assert n0(degrees) == 0
+        assert irb(degrees) == 1.0
 
 
 def test_ira_irb_strictly_decrease_in_n0():
