@@ -158,17 +158,20 @@ def _json_value(value, decimals: int):
     return round_half_away(value, decimals) if isinstance(value, float) else value
 
 
-def _cmd_compute(args) -> int:
-    measures = _parse_names(args.measures, "measure", MEASURE_NAMES, CSV_COLUMNS)
+def _reports(args):
+    """Check --decimals, read the input and return (label, report) pairs sharing one Lambda1Batch."""
     _quantum(args.decimals)  # reject a bad --decimals before reading input
     graphs = _read_graphs(args.paths, args.format)
+    batch = Lambda1Batch([g for _, g in graphs], args.tolerance, args.max_iterations)
+    return ((label, compute_all(g, batch=batch)) for label, g in graphs)
+
+
+def _cmd_compute(args) -> int:
+    measures = _parse_names(args.measures, "measure", MEASURE_NAMES, CSV_COLUMNS)
     unread = () if args.spectral else SPECTRAL_MEASURES
     # every value is read before the first line prints, so an error leaves stdout empty
-    batch = Lambda1Batch([g for _, g in graphs], args.tolerance, args.max_iterations)
-    results = []
-    for label, g in graphs:
-        report = compute_all(g, batch=batch)  # power iteration runs for all at the first cs
-        results.append((label, [None if m in unread else report.value(m) for m in measures]))
+    results = [(label, [None if m in unread else report.value(m) for m in measures])
+               for label, report in _reports(args)]
     if args.output == "csv":
         print(",".join(measures))
         for _, values in results:
@@ -187,12 +190,9 @@ def _cmd_compute(args) -> int:
 def _cmd_rank(args) -> int:
     if args.by not in MEASURE_NAMES:
         raise ValueError(f"unknown measure {args.by!r}; choices: {', '.join(MEASURE_NAMES)}")
-    _quantum(args.decimals)
-    graphs = _read_graphs(args.paths, args.format)
-    batch = Lambda1Batch([g for _, g in graphs], args.tolerance, args.max_iterations)
     scored = []
-    for label, g in graphs:
-        value = compute_all(g, batch=batch).value(args.by)
+    for label, report in _reports(args):
+        value = report.value(args.by)
         if value is None:
             raise ValueError(f"measure {args.by} is undefined for input {label}")
         scored.append((label, value))

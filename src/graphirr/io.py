@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .graphs import Graph, pair_order
+from .graphs import Graph
 
 __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "emit_graph6"]
 
@@ -104,16 +104,7 @@ def emit_graph6(g: Graph) -> str:
     """Serialize g as a graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
-    out = [chr(63 + g.n)]
-    group = 0
-    width = 0
-    for i, j in pair_order(g.n):
-        group = (group << 1) | int(g.has_edge(i, j))
-        width += 1
-        if width == 6:
-            out.append(chr(63 + group))
-            group = 0
-            width = 0
-    if width:
-        out.append(chr(63 + (group << (6 - width))))
-    return "".join(out)
+    # column j's pairs (i, j), i < j, are row j's bits below j, lowest i first
+    bits = "".join(f"{g.neighbor_mask(j) & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)  # zero-pad the last 6-bit group
+    return chr(63 + g.n) + "".join([chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6)])

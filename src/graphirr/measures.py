@@ -312,7 +312,7 @@ def cs_index(
     """Spectral irregularity lambda1 - 2m/n of a connected graph; zero exactly on regular graphs."""
     if not is_connected(g):
         raise ValueError("lambda1 requires a connected graph")
-    return compute_all(g, tolerance, max_iterations=max_iterations).cs
+    return compute_all(g, batch=Lambda1Batch([g], tolerance, max_iterations)).cs
 
 
 def randic(g: Graph) -> float:
@@ -390,20 +390,12 @@ class MeasureReport(_Degrees):
         return is_connected(self.graph)
 
 
-def compute_all(
-    g: Graph,
-    spectral_tolerance: float = DEFAULT_TOLERANCE,
-    *,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    batch: Lambda1Batch | None = None,
-) -> MeasureReport:
+def compute_all(g: Graph, *, batch: Lambda1Batch | None = None) -> MeasureReport:
     """The MeasureReport of g: each measure is computed when first read, so
     an undefined one raises only when read and an unread cs costs nothing.
-    With a ``batch`` holding g, cs comes from it under the batch's settings,
-    and settings other than the defaults given as well raise ValueError.
+    With a ``batch`` holding g, cs comes from it under the batch's settings;
+    without one, from a batch of g alone at the default settings.
     """
     if batch is None:
-        batch = Lambda1Batch([g], spectral_tolerance, max_iterations)
-    elif (spectral_tolerance, max_iterations) != (DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS):
-        raise ValueError("power-iteration settings go to the batch, not to compute_all with it")
+        batch = Lambda1Batch([g])
     return MeasureReport(g, batch)

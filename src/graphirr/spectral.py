@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,29 +115,30 @@ class Lambda1Batch:
                  max_iterations: int = DEFAULT_MAX_ITERATIONS):
         self.graphs = graphs
         self.settings = (tolerance, max_iterations)
-        self._outcomes: dict[Graph, SpectralResult | ConvergenceError] | None = None
+
+    @cached_property
+    def _outcomes(self) -> dict[Graph, SpectralResult | ConvergenceError]:
+        by_order: dict[int, list[Graph]] = {}
+        for h in self.graphs:
+            by_order.setdefault(h.n, []).append(h)
+        # one buffer, sized for the largest block, holds each block's stack in turn
+        sizes = (min(len(group), _BLOCK) * n * n for n, group in by_order.items())
+        buffer = np.empty(max(sizes, default=0))
+        outcomes = {}
+        for n, group in by_order.items():
+            for start in range(0, len(group), _BLOCK):
+                block = group[start:start + _BLOCK]
+                stack = adjacency_stack(block, buffer[:len(block) * n * n].reshape(-1, n, n))
+                outcomes.update(zip(block, _power_batch(stack, *self.settings)))
+        return outcomes
 
     def result(self, g: Graph) -> SpectralResult:
         """The SpectralResult of g, one of the batch's graphs."""
-        if self._outcomes is None:
-            by_order: dict[int, list[Graph]] = {}
-            for h in self.graphs:
-                by_order.setdefault(h.n, []).append(h)
-            # one buffer, sized for the largest block, holds each block's stack in turn
-            sizes = (min(len(group), _BLOCK) * n * n for n, group in by_order.items())
-            buffer = np.empty(max(sizes, default=0))
-            outcomes = {}
-            for n, group in by_order.items():
-                for start in range(0, len(group), _BLOCK):
-                    block = group[start:start + _BLOCK]
-                    stack = adjacency_stack(block, buffer[:len(block) * n * n].reshape(-1, n, n))
-                    outcomes.update(zip(block, _power_batch(stack, *self.settings)))
-            self._outcomes = outcomes
         if g not in self._outcomes:
             raise ValueError(f"{g!r} is not one of the batch's graphs")
         outcome = self._outcomes[g]
         if isinstance(outcome, ConvergenceError):
-            raise outcome
+            raise outcome.with_traceback(None)  # a fresh traceback, not one grown on every read
         return outcome
 
 

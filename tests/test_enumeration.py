@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -476,17 +477,62 @@ def connected_degree_sequences(n):
     return found
 
 
+def scanned_degree_sequences(n):
+    """Non-increasing degree sequences of the connected graphs the scan sees;
+    each sorted row is keyed as one base-n number, which fits int32 up to n = 8."""
+    place = (n ** np.arange(n - 1, -1, -1)).astype(np.int32)
+    seen = set()
+    for chunk in _scan_chunks(n):
+        ordered = -np.sort(-chunk.deg[chunk.connected].astype(np.int32), axis=1)
+        seen.update(np.unique(ordered @ place).tolist())
+    return {tuple(key // n ** k % n for k in range(n - 1, -1, -1)) for key in seen}
+
+
 def test_scan_sees_every_connected_degree_sequence():
     for n, count in zip(range(3, 8), (2, 6, 19, 68, 236)):
-        place = n ** np.arange(n - 1, -1, -1)  # each sorted sequence as one base-n number
-        seen = set()
-        for chunk in _scan_chunks(n):
-            ordered = -np.sort(-chunk.deg[chunk.connected].astype(np.int64), axis=1)
-            seen.update(np.unique(ordered @ place).tolist())
-        seen = {tuple(key // n ** k % n for k in range(n - 1, -1, -1)) for key in seen}
         expected = connected_degree_sequences(n)
         assert len(expected) == count
-        assert seen == expected, f"n={n}"
+        assert scanned_degree_sequences(n) == expected, f"n={n}"
+
+
+@pytest.mark.slow
+def test_scan_sees_every_connected_degree_sequence_at_n8():
+    expected = connected_degree_sequences(8)
+    assert len(expected) == 863
+    assert scanned_degree_sequences(8) == expected
+
+
+def equal_pairs(seq):
+    """n0 of a degree sequence, counted pair by pair."""
+    return sum(x == y for x, y in itertools.combinations(seq, 2))
+
+
+def test_degree_determined_details_match_the_degree_sequence_oracle():
+    for n, top_irr_t, deleted_n0 in zip(range(3, 8), (2, 6, 14, 26, 44), (1, 2, 4, 7, 11)):
+        sequences = connected_degree_sequences(n)
+        irrt = verify_claim("irrt_not_unique", n).details
+        assert irrt["max_irr_t"] == top_irr_t == max(
+            sum(abs(x - y) for x, y in itertools.combinations(seq, 2)) for seq in sequences)
+        # g - uv for a connected k-regular g has degrees k^(n-2) (k-1)^2
+        deleted = {equal_pairs(seq) for seq in sequences
+                   if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2}
+        assert deleted == {deleted_n0} == {math.comb(n - 2, 2) + 1}
+        edge_deleted = verify_claim("cor_edge_deleted", n).details
+        assert edge_deleted["n0_after_deletion"] == deleted_n0
+        pairs = math.comb(n, 2)
+        assert edge_deleted["ira_after_deletion"] == pytest.approx(
+            float(Fraction(pairs, deleted_n0) - 1), abs=1e-12)
+        assert edge_deleted["irb_after_deletion"] == pytest.approx(
+            float(1 - Fraction(deleted_n0, pairs)), abs=1e-12)
+        # bidegreed: a maximum-degree vertices, so n0 = C(a, 2) + C(n - a, 2)
+        by_count = {}
+        for seq in sequences:
+            if len(set(seq)) == 2:
+                by_count.setdefault(seq.count(seq[0]), set()).add(equal_pairs(seq))
+        expected = {a: math.comb(a, 2) + math.comb(n - a, 2) for a in by_count}
+        assert by_count == {a: {value} for a, value in expected.items()}
+        assert verify_claim("prop_bidegreed", n).details["n0_by_max_degree_count"] == {
+            str(a): value for a, value in expected.items()}
 
 
 def test_connected_counts_match_graph_atlas():

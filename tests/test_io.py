@@ -12,7 +12,7 @@ from graphirr import (
     parse_edgelist,
     parse_graph6,
 )
-from graphirr.generators import complete, path, star
+from graphirr.generators import complete, gnp, path, star
 
 
 def test_parse_graph6_known_strings():
@@ -64,6 +64,16 @@ def test_graph6_length_must_be_exact():
 def test_graph6_padding_bits_lenient():
     # 'w' and '~' share the three adjacency bits for n=3, differ in padding
     assert parse_graph6("B~") == parse_graph6("Bw")
+
+
+def test_emit_graph6_matches_networkx_for_every_order():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 63):
+        g = gnp(n, 0.3, seed=n)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        assert emit_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip(), n
 
 
 def test_emit_graph6_rejects_large_n():

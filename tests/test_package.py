@@ -1,5 +1,6 @@
 """The package's public surface: graphirr.__all__ is the union of the module lists."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -52,6 +53,44 @@ def test_deleted_names_are_gone():
         assert name not in graphirr.__all__
         assert not hasattr(graphirr, name)
         assert not any(hasattr(module, name) for module in MODULES)
+
+
+def private_definitions(tree):
+    """(name, node) for each module-level _-prefixed name and each _-prefixed
+    non-dunder method of a module-level class."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if private(name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and private(item.name))
+
+
+def test_no_private_name_is_left_unreferenced():
+    # a simplification must not leave a private helper behind
+    trees = {path: ast.parse(path.read_text()) for path in Path(graphirr.__file__).parent.glob("*.py")}
+    references = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+                  for path, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Attribute)]
+    orphans = []
+    for path, tree in trees.items():
+        for name, node in private_definitions(tree):
+            own_lines = range(node.lineno, node.end_lineno + 1)
+            if not any(used == name and (where != path or line not in own_lines)
+                       for where, line, used in references):
+                orphans.append(f"{path.name}:{node.lineno} {name}")
+    assert orphans == []
 
 
 def test_readme_quick_start_runs(capsys):

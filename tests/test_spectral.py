@@ -66,23 +66,16 @@ def test_power_iteration_settings_checked_for_compute_all():
     disconnected = Graph(4, [(0, 1), (2, 3)])
     for g in (path(4), disconnected):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            compute_all(g, -1.0).cs
+            compute_all(g, batch=Lambda1Batch([g], -1.0)).cs
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            compute_all(g, float("nan")).cs
+            compute_all(g, batch=Lambda1Batch([g], float("nan"))).cs
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
-            compute_all(g, max_iterations=0).cs
+            compute_all(g, batch=Lambda1Batch([g], max_iterations=0)).cs
     with pytest.raises(ValueError, match="tolerance must be positive"):
         cs_index(path(4), tolerance=0.0)
     # the settings only matter to power iteration, which runs at the first cs read
-    r = compute_all(path(4), -1.0, max_iterations=0)
+    r = compute_all(path(4), batch=Lambda1Batch([path(4)], -1.0, 0))
     assert (r.irr_t, r.rho) == (4, pytest.approx(rho(path(4))))
-
-
-def test_compute_all_rejects_settings_beside_a_batch():
-    g = path(4)
-    for settings in ({"spectral_tolerance": 1e-6}, {"max_iterations": 5}):
-        with pytest.raises(ValueError, match="settings go to the batch"):
-            compute_all(g, batch=Lambda1Batch([g]), **settings)
 
 
 def test_power_iteration_runs_without_numpy_2_functions(monkeypatch):
@@ -206,6 +199,24 @@ def test_failed_graph_carries_its_own_convergence_state():
         errors.append(err)
     assert errors[0].estimate != errors[1].estimate
     assert errors[0].residual != errors[1].residual
+
+
+def test_stored_convergence_error_keeps_its_traceback_on_every_read():
+    g = star(6)
+    batch = Lambda1Batch([g], max_iterations=1)
+    seen = []
+    for _ in range(3):
+        with pytest.raises(ConvergenceError) as info:
+            batch.result(g)
+        err = info.value
+        depth = 0
+        tb = err.__traceback__
+        while tb is not None:
+            depth, tb = depth + 1, tb.tb_next
+        seen.append((depth, str(err), err.estimate, err.iterations, err.residual))
+    assert seen[0][1].startswith("power iteration did not converge in 1 iterations")
+    assert seen[0][3] == 1
+    assert seen == [seen[0]] * 3  # traceback length, message and state, read after read
 
 
 def test_batch_runs_once_and_only_when_read(monkeypatch):
