@@ -1,11 +1,14 @@
 """Exhaustive labeled-graph enumeration and verification of extremal degree claims.
 
 Every labeled n-vertex graph corresponds to one bitmask over pair_order(n),
-so the search space of size 2^C(n,2) is walked in ascending bitmask order.
-The walk is split into contiguous bitmask ranges; each range is reduced to
-per-graph invariant arrays with numpy, and range results are folded in range
-order, so single runs are deterministic down to witness order.  One walk per
-n feeds every claim.
+so the search space of size 2^C(n,2) is walked in ascending bitmask order,
+one contiguous range at a time.  Every claim speaks about the degree
+multiset of a connected graph, so the walk reduces to a class table: the
+number of connected labeled graphs in each degree class (863 classes at
+n = 8).  Each claim is decided on it, from the invariants measures._Degrees
+gives each class, weighted by the labeled counts.  The walk keeps masks, in
+mask order, only for witnesses, so runs are deterministic down to witness
+order.  One walk per n feeds every claim.
 
 All claims are isomorphism-invariant, so checking every labeled graph is
 sound; isomorphism tests are only used against specific targets (the
@@ -16,16 +19,17 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .generators import antiregular
 from .graphs import Graph, pair_order
 from .io import emit_graph6
-from .measures import _ira, _irb, compute_all, n0 as _n0
+from .measures import _Degrees, _ira, _irb, compute_all, gini_sequence, n0 as _n0, nk_spectrum
 
 __all__ = [
     "VerificationReport",
@@ -86,30 +90,20 @@ class VerificationReport:
 
 @dataclass
 class _Chunk:
-    """Per-graph invariants for one contiguous bitmask range."""
+    """Per-graph arrays for one contiguous bitmask range."""
 
     start: int
-    size: int
     connected: np.ndarray   # bool
-    m: np.ndarray           # int32
     deg: np.ndarray         # (size, n) uint8, per-vertex degrees
-    dmax: np.ndarray        # uint8
-    dmin: np.ndarray        # uint8
-    degset: np.ndarray      # int16, number of distinct degree values
-    n0: np.ndarray          # int32, equal-degree pairs
-    irrt: np.ndarray        # int32, total irregularity as sum of k * nk[k]
-    nk: np.ndarray          # (size, n) int32, pair counts per degree difference
-    nmax_cnt: np.ndarray    # int16, vertices of maximum degree
-    universal_cnt: np.ndarray  # int16, vertices of degree n-1
+    key: np.ndarray         # int32, the slot (_key) of the graph's degree multiset
 
-    @functools.cached_property
-    def pairwise_irrt(self) -> np.ndarray:
-        """int16, sum of |d_i - d_j| over all vertex pairs, from deg alone (not from nk)."""
-        deg = self.deg.view(np.int8)
-        total = np.zeros(self.size, np.int16)
-        for i, j in pair_order(deg.shape[1]):
-            total += np.abs(deg[:, i] - deg[:, j])
-        return total
+
+def _key(n: int, degrees) -> int:
+    """The slot of a multiset of n degrees, each at least 1: its counts c_2 .. c_{n-1}
+    as the digits of a base-(n + 1) number, so slots lie below (n + 1)^(n - 2).
+    c_1 follows from the sum of the counts being n.  Slot 0, all degrees 1,
+    belongs to no connected graph with n >= 3."""
+    return sum((n + 1) ** (d - 2) for d in degrees if d >= 2)
 
 
 @functools.cache
@@ -135,18 +129,19 @@ def _pair_tables(n: int, high: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan_chunks(n: int) -> Iterator[_Chunk]:
-    """Reduce every adjacency bitmask to invariant arrays, one contiguous range at a time.
+    """Reduce every adjacency bitmask to its connectivity, degrees and class
+    slot, one contiguous range at a time.
 
     Within a range only the low pair bits vary, so its degrees and neighbour
     masks are the low-pair tables plus the range's column of the high-pair
-    tables.  Every degree field comes from the per-graph degree histogram c:
-    n0 = sum C(c_d, 2) and nk[k] = sum c_d * c_{d+k}.
+    tables.  The slot sums each vertex's weight (n + 1)^(d - 2), which is
+    _key of the degrees without building their histogram.
     """
     deg_lo, nbr_lo = _pair_tables(n, high=False)
     deg_hi, nbr_hi = _pair_tables(n, high=True)
     size = deg_lo.shape[1]
     full_reach = np.uint8((1 << n) - 1)
-    diff_weights = np.arange(n, dtype=np.int32)
+    weights = np.array([_key(n, (d,)) for d in range(n)], np.int32)
 
     for high in range(deg_hi.shape[1]):
         deg = deg_lo + deg_hi[:, high:high + 1]
@@ -158,34 +153,80 @@ def _scan_chunks(n: int) -> Iterator[_Chunk]:
             for v in range(n):
                 reach |= nbr[v] * ((reach >> v) & 1)
 
-        # c[d] = number of vertices of degree d
-        c = np.stack([(deg == d).sum(axis=0, dtype=np.int8) for d in range(n)])
-        dmax = deg.max(axis=0)
-        # every sum fits in int8: at most C(8, 2) = 28 pairs
-        nk = np.empty((n, size), np.int32)
-        nk[0] = (c * (c - 1)).sum(axis=0, dtype=np.int8) // 2
-        for k in range(1, n):
-            nk[k] = (c[:-k] * c[k:]).sum(axis=0, dtype=np.int8)
-
         yield _Chunk(
             start=high * size,
-            size=size,
             connected=reach == full_reach,
-            m=deg.sum(axis=0, dtype=np.int32) // 2,
             deg=deg.T,
-            dmax=dmax,
-            dmin=deg.min(axis=0),
-            degset=(c > 0).sum(axis=0, dtype=np.int16),
-            n0=nk[0],
-            irrt=diff_weights @ nk,
-            nk=nk.T,
-            nmax_cnt=(deg == dmax).sum(axis=0, dtype=np.int16),
-            universal_cnt=c[n - 1].astype(np.int16),
+            key=weights[deg].sum(axis=0, dtype=np.int32),
         )
 
 
-def _masks_where(chunk: _Chunk, cond: np.ndarray) -> list[int]:
-    return [int(chunk.start + i) for i in np.nonzero(cond)[0]]
+class _ClassTable:
+    """The walk over every n-vertex graph, reduced to what the claims read.
+
+    A degree class is its non-increasing degree tuple.  counts holds the
+    labeled count of every connected class, in ascending slot order; masks,
+    the ascending masks of each class that ``wanted`` accepts; irrt_masks,
+    those of the connected graphs of maximal irr_t; deletions, per
+    edge-deleted class k^(n-2) (k-1)^2, its graphs whose two degree-(k-1)
+    vertices are not adjacent.  Disconnected graphs count in slot 0.
+    """
+
+    def __init__(self, n: int, wanted: Callable[[_Degrees], bool]):
+        # every non-increasing list of n degrees in 1..n-1 but all ones: the
+        # candidates for a connected degree class (3,002 lists at n = 8)
+        candidates = {_key(n, degrees): degrees
+                      for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
+                      if degrees[0] > 1}
+        slots = (n + 1) ** (n - 2)
+        # per-slot lookups: the witness classes, irr_t for the running
+        # maximum, and k - 1 on the edge-deleted classes
+        witness = np.zeros(slots, bool)
+        irrt = np.full(slots, -1, np.int16)
+        low = np.zeros(slots, np.uint8)
+        for slot, degrees in candidates.items():
+            d = _Degrees(degrees)
+            witness[slot] = wanted(d)
+            irrt[slot] = d.irr_t
+        for k in range(2, n):
+            low[_key(n, (k,) * (n - 2) + (k - 1,) * 2)] = k - 1
+
+        counts = np.zeros(slots, np.int64)
+        deletions = np.zeros(slots, np.int64)
+        self.n = n
+        self.masks: dict[tuple[int, ...], list[int]] = {}
+        self.irrt_masks: list[int] = []
+        best = 0
+        for chunk in _scan_chunks(n):
+            slot = np.where(chunk.connected, chunk.key, 0)
+            chunk_counts = np.bincount(slot, minlength=slots)
+            counts += chunk_counts
+
+            hit = np.flatnonzero(witness[slot])
+            for s in np.unique(slot[hit]).tolist():
+                kept = chunk.start + hit[slot[hit] == s]
+                self.masks.setdefault(candidates[s], []).extend(kept.tolist())
+
+            chunk_best = int(irrt[np.flatnonzero(chunk_counts)].max())
+            if chunk_best > best:
+                best, self.irrt_masks = chunk_best, []
+            if chunk_best == best:
+                self.irrt_masks.extend((chunk.start + np.flatnonzero(irrt[slot] == best)).tolist())
+
+            # pair bit of the two degree-(k-1) vertices i < j: they must not be adjacent
+            idx = np.flatnonzero(low[slot])
+            i, j = np.nonzero(chunk.deg[idx] == low[slot[idx], None])[1].reshape(-1, 2).T
+            idx = idx[(((chunk.start + idx) >> (j * (j - 1) // 2 + i)) & 1) == 0]
+            deletions += np.bincount(slot[idx], minlength=slots)
+
+        self.counts = {candidates[s]: int(counts[s]) for s in np.flatnonzero(counts).tolist() if s}
+        self.deletions = {candidates[s]: int(deletions[s]) for s in np.flatnonzero(deletions).tolist()}
+
+
+def _masks(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> list[int]:
+    """The kept masks of the table's classes that ``accepts`` takes, merged into ascending order."""
+    return sorted(itertools.chain.from_iterable(
+        table.masks.get(degrees, ()) for degrees in table.counts if accepts(_Degrees(degrees))))
 
 
 def _g6(n: int, masks) -> tuple[str, ...]:
@@ -242,31 +283,29 @@ def _iso_classes(n: int, masks: list[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Claim verifiers.  Each checks one extremal statement exhaustively over all
-# connected labeled n-vertex graphs: update() folds in one chunk, in mask
-# order, and finish() returns the VerificationReport.
+# connected labeled n-vertex graphs, on the class table of their scan:
+# decide() reads each class it covers once and weights it by its labeled
+# count, and returns the VerificationReport.
 # ---------------------------------------------------------------------------
 
 
 class _Extremes:
     """The connected graphs at both ends of ira and irb: how many are regular
     (value 0), and which have n0 = 1 (maximal).  The maximizers are checked against
-    antiregular(n) once, for every claim that characterizes them."""
+    antiregular(n) once, for every claim that characterizes them, and encoded
+    once, as the witnesses of every claim that lists them."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.regular_count = 0
-        self.max_masks: list[int] = []
-
-    def update(self, chunk: _Chunk) -> None:
-        self.regular_count += int((chunk.connected & (chunk.dmax == chunk.dmin)).sum())
-        self.max_masks.extend(_masks_where(chunk, chunk.connected & (chunk.n0 == 1)))
-
-    def check(self) -> None:
-        """Also encodes the maximizers once, as the witnesses of every claim that lists them."""
-        target = antiregular(self.n)
+    def __init__(self, table: _ClassTable):
+        n = table.n
+        target = antiregular(n)
         self.target_bad = int(_n0(target) != 1)
-        graphs = [Graph.from_pair_mask(self.n, mask) for mask in self.max_masks]
-        self.not_antiregular = sum(1 for g in graphs if not is_isomorphic_to(g, target))
+        classes = [(_Degrees(degrees), count) for degrees, count in table.counts.items()]
+        self.regular_count = sum(count for d, count in classes if d.max_degree == d.min_degree)
+        self.max_count = sum(count for d, count in classes if d.n0 == 1)
+        graphs = [Graph.from_pair_mask(n, mask) for mask in _masks(table, lambda d: d.n0 == 1)]
+        # the n0 = 1 graphs not shown isomorphic to the target, so also every
+        # graph of a class whose masks were not kept
+        self.not_antiregular = self.max_count - sum(1 for g in graphs if is_isomorphic_to(g, target))
         self.max_g6 = tuple(emit_graph6(g) for g in graphs)
 
 
@@ -279,13 +318,29 @@ class _Claim:
         self.checked = 0
         self.violations = 0
 
-    def tally(self, population: np.ndarray, *bad: np.ndarray) -> None:
-        """Count the population as checked, and each bad condition inside it as violations."""
-        self.checked += int(population.sum())
-        for cond in bad:
-            self.violations += int((population & cond).sum())
+    def covers(self, d: _Degrees) -> bool:
+        """Whether the claim speaks about the graphs of this degree class."""
+        return True
 
-    def finish(self, extremes: _Extremes) -> VerificationReport:
+    def bad(self, d: _Degrees) -> int:
+        """How many of the claim's conditions a covered class breaks."""
+        return 0
+
+    def classes(self, counts: dict) -> Iterator[tuple[_Degrees, int]]:
+        """Each covered class of a class -> count map, with its count."""
+        for degrees, count in counts.items():
+            d = _Degrees(degrees)
+            if self.covers(d):
+                yield d, count
+
+    def decide(self, table: _ClassTable, extremes: _Extremes | None) -> VerificationReport:
+        """Count every covered graph as checked, and once per broken condition as a violation."""
+        for d, count in self.classes(table.counts):
+            self.checked += count
+            self.violations += count * self.bad(d)
+        return self.finish(table, extremes)
+
+    def finish(self, table: _ClassTable, extremes: _Extremes | None) -> VerificationReport:
         return self._report()
 
     def _report(self, witnesses=(), details=None) -> VerificationReport:
@@ -299,19 +354,33 @@ class _Claim:
         )
 
 
+def _nonregular(d: _Degrees) -> bool:
+    return d.max_degree != d.min_degree
+
+
+def _single_universal_bidegreed(d: _Degrees) -> bool:
+    return d.degree_set_size == 2 and d.multiplicities[d.n - 1] == 1
+
+
+def _pairwise_irrt(d: _Degrees) -> int:
+    """Sum of |d_i - d_j| over all pairs of the degree list, apart from nk_spectrum
+    and the rank form."""
+    return sum(abs(a - b) for a, b in itertools.combinations(d.degrees, 2))
+
+
 class _LemmaN0(_Claim):
     """n0 >= 1 always; n0 = 1 exactly on antiregular graphs (= degree set of size n-1)."""
 
     claim_id = "lemma_n0"
     summary = "n0 >= 1; n0 = 1 exactly on antiregular graphs"
 
-    def update(self, chunk):
-        self.tally(chunk.connected, chunk.n0 < 1, (chunk.n0 == 1) != (chunk.degset == self.n - 1))
+    def bad(self, d):
+        return (d.n0 < 1) + ((d.n0 == 1) != (d.degree_set_size == self.n - 1))
 
-    def finish(self, extremes):
+    def finish(self, table, extremes):
         self.violations += extremes.target_bad + extremes.not_antiregular
         return self._report(extremes.max_g6, {
-            "extremal_labeled_count": len(extremes.max_masks),
+            "extremal_labeled_count": extremes.max_count,
             "extremal_not_antiregular": extremes.not_antiregular,
         })
 
@@ -323,29 +392,24 @@ class _PropBounds(_Claim):
     claim_id = "prop_bounds"
     summary = "ira/irb bounds with regular and antiregular equality cases"
 
-    def update(self, chunk):
+    def bad(self, d):
         n = self.n
         pairs_total = math.comb(n, 2)
-        ira_f = _ira(n, np.maximum(chunk.n0, 1))
-        irb_f = _irb(n, chunk.n0)
-        self.tally(
-            chunk.connected,
+        ira_f = _ira(n, max(d.n0, 1))
+        irb_f = _irb(n, d.n0)
+        return (
             # bound checks in exact integers: 1 <= n0 <= C(n,2)
-            (chunk.n0 < 1) | (chunk.n0 > pairs_total),
+            (d.n0 < 1 or d.n0 > pairs_total)
             # float values must sit inside the stated interval
-            (ira_f < 0) | (ira_f > pairs_total - 1) | (irb_f < 0) | (irb_f > 1 - 2 / (n * (n - 1))),
+            + (ira_f < 0 or ira_f > pairs_total - 1 or irb_f < 0 or irb_f > 1 - 2 / (n * (n - 1)))
             # lower equality (value 0) exactly on regular graphs
-            (chunk.dmax == chunk.dmin) != (chunk.n0 == pairs_total),
+            + ((d.max_degree == d.min_degree) != (d.n0 == pairs_total))
         )
 
-    def finish(self, extremes):
+    def finish(self, table, extremes):
         self.violations += extremes.target_bad + extremes.not_antiregular
         return self._report(details={"lower_equality_count": extremes.regular_count,
-                                     "upper_equality_count": len(extremes.max_masks)})
-
-
-def _single_universal_bidegreed(chunk: _Chunk) -> np.ndarray:
-    return (chunk.degset == 2) & (chunk.universal_cnt == 1)
+                                     "upper_equality_count": extremes.max_count})
 
 
 class _LemmaDelta(_Claim):
@@ -355,20 +419,21 @@ class _LemmaDelta(_Claim):
     claim_id = "lemma_delta"
     summary = "n0 <= n(n-1)/2 - max degree on nonregular graphs, with equality case"
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.equality_masks: list[int] = []
+    covers = staticmethod(_nonregular)
 
-    def update(self, chunk):
-        nonreg = chunk.connected & (chunk.dmax != chunk.dmin)
-        bound = math.comb(self.n, 2) - chunk.dmax.astype(np.int32)
-        eq = chunk.n0 == bound
-        self.tally(nonreg, chunk.n0 > bound, eq != _single_universal_bidegreed(chunk))
-        self.equality_masks.extend(_masks_where(chunk, nonreg & eq))
+    def _bound(self, d):
+        return math.comb(self.n, 2) - d.max_degree
 
-    def finish(self, extremes):
-        return self._report(_g6(self.n, self.equality_masks),
-                            {"equality_labeled_count": len(self.equality_masks)})
+    def bad(self, d):
+        return (d.n0 > self._bound(d)) + ((d.n0 == self._bound(d)) != _single_universal_bidegreed(d))
+
+    def wants(self, d):
+        """Whether the scan keeps the masks of the class: the equality classes."""
+        return _nonregular(d) and d.n0 == self._bound(d)
+
+    def finish(self, table, extremes):
+        return self._report(_g6(self.n, _masks(table, self.wants)), {"equality_labeled_count": sum(
+            count for d, count in self.classes(table.counts) if self.wants(d))})
 
 
 class _PropLower(_Claim):
@@ -383,53 +448,47 @@ class _PropLower(_Claim):
     claim_id = "prop_lower"
     summary = "ira/irb lower bounds on nonregular graphs, with equality case"
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.equality_count = 0
+    covers = staticmethod(_nonregular)
 
-    def update(self, chunk):
+    def _gaps(self, d):
+        """lhs - rhs of the ira inequality and of the irb inequality."""
         p_total = self.n * (self.n - 1)
-        nonreg = chunk.connected & (chunk.dmax != chunk.dmin)
-        n0v = chunk.n0.astype(np.int64)
-        delta = chunk.dmax.astype(np.int64)
-        lhs_ira = (p_total - 2 * n0v) * (p_total - 2 * delta)
-        rhs_ira = 4 * delta * n0v
-        lhs_irb = p_total - 2 * n0v
-        rhs_irb = 2 * delta
-        eq = (lhs_ira == rhs_ira) & (lhs_irb == rhs_irb)
-        mixed = (lhs_ira == rhs_ira) != (lhs_irb == rhs_irb)
-        self.tally(nonreg, (lhs_ira < rhs_ira) | (lhs_irb < rhs_irb),
-                   mixed | (eq != _single_universal_bidegreed(chunk)))
-        self.equality_count += int((nonreg & eq).sum())
+        delta = d.max_degree
+        return ((p_total - 2 * d.n0) * (p_total - 2 * delta) - 4 * delta * d.n0,
+                p_total - 2 * d.n0 - 2 * delta)
 
-    def finish(self, extremes):
-        return self._report(details={"equality_labeled_count": self.equality_count})
+    def bad(self, d):
+        ira_gap, irb_gap = self._gaps(d)
+        mixed = (ira_gap == 0) != (irb_gap == 0)
+        equality = ira_gap == irb_gap == 0
+        return (ira_gap < 0 or irb_gap < 0) + (mixed or equality != _single_universal_bidegreed(d))
+
+    def finish(self, table, extremes):
+        return self._report(details={"equality_labeled_count": sum(
+            count for d, count in self.classes(table.counts) if self._gaps(d) == (0, 0))})
 
 
 class _PropBidegreed(_Claim):
     """Bidegreed graphs that share the count of maximum-degree vertices (or whose
     minimum-degree count equals the other's maximum-degree count) share n0 and
-    hence ira and irb."""
+    hence ira and irb.
+
+    Each group of classes with one maximum-degree count is compared with its
+    first class in table order, the one of lowest slot.
+    """
 
     claim_id = "prop_bidegreed"
     summary = "bidegreed graphs with matching degree-class sizes share ira/irb"
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.first_n0: dict[int, int] = {}
+    def covers(self, d):
+        return d.degree_set_size == 2
 
-    def update(self, chunk):
-        idx = np.nonzero(chunk.connected & (chunk.degset == 2))[0]
-        self.checked += len(idx)
-        group = chunk.nmax_cnt[idx]
-        n0v = chunk.n0[idx]
-        for a in np.unique(group):
-            vals = n0v[group == a]
-            first = self.first_n0.setdefault(int(a), int(vals[0]))
-            self.violations += int((vals != first).sum())
-
-    def finish(self, extremes):
-        first_n0 = self.first_n0
+    def decide(self, table, extremes):
+        first_n0: dict[int, int] = {}
+        for d, count in self.classes(table.counts):
+            first = first_n0.setdefault(d.multiplicities[d.max_degree], d.n0)
+            self.checked += count
+            self.violations += count * (d.n0 != first)
         # cross condition: a maximum-degree count of a matches a minimum-degree
         # count of a, i.e. the group with maximum-degree count n - a
         for a in sorted(first_n0):
@@ -445,37 +504,30 @@ class _CorEdgeDeleted(_Claim):
     """Deleting any edge from any connected regular graph (keeping the result
     connected) always lands on the same n0, hence the same ira and irb.  Each
     such g - uv is exactly a connected graph with degrees k^(n-2) (k-1)^2 whose
-    two degree-(k-1) vertices u, v are not adjacent: adding uv back gives g."""
+    two degree-(k-1) vertices u, v are not adjacent: adding uv back gives g.
+
+    The scan counts those graphs per class.  The n0 of the first class in
+    table order, the one of lowest slot, is the reference; a class whose n0
+    differs counts all its graphs as violations.
+    """
 
     claim_id = "cor_edge_deleted"
     summary = "edge-deleted regular graphs all share ira/irb at fixed n"
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.expected: int | None = None
-        self.witness_masks: list[int] = []
-
-    def update(self, chunk):
-        idx = np.nonzero(chunk.connected & (chunk.degset == 2) & (chunk.nmax_cnt == self.n - 2)
-                         & (chunk.dmin + 1 == chunk.dmax))[0]
-        # pair bit of the two degree-(k-1) vertices i < j: they must not be adjacent
-        i, j = np.nonzero(chunk.deg[idx] == chunk.dmin[idx, None])[1].reshape(-1, 2).T
-        idx = idx[(((chunk.start + idx) >> (j * (j - 1) // 2 + i)) & 1) == 0]
-        n0v = chunk.n0[idx]
-        if self.expected is None and len(n0v):
-            self.expected = int(n0v[0])
-        bad = idx[n0v != self.expected]
-        self.checked += len(idx)
-        self.violations += len(bad)
-        self.witness_masks.extend((chunk.start + bad).tolist())
-
-    def finish(self, extremes):
+    def decide(self, table, extremes):
+        n = self.n
+        expected = None
+        for d, count in self.classes(table.deletions):
+            if expected is None:
+                expected = d.n0
+            self.checked += count
+            self.violations += count * (d.n0 != expected)
         details = {"regular_graphs": extremes.regular_count, "deletions_checked": self.checked}
-        if self.expected is not None:
-            details.update(n0_after_deletion=self.expected,
-                           ira_after_deletion=_ira(self.n, self.expected),
-                           irb_after_deletion=_irb(self.n, self.expected))
-        return self._report(_g6(self.n, self.witness_masks), details)
+        if expected is not None:
+            details.update(n0_after_deletion=expected,
+                           ira_after_deletion=_ira(n, expected),
+                           irb_after_deletion=_irb(n, expected))
+        return self._report(details=details)
 
 
 class _Problem1(_Claim):
@@ -485,54 +537,42 @@ class _Problem1(_Claim):
     claim_id = "problem1_ira_irb"
     summary = "ira/irb minimal exactly on regular, maximal exactly on antiregular"
 
-    def update(self, chunk):
+    def bad(self, d):
         # minimum (ira = irb = 0) is equivalent to n0 = C(n,2)
-        regular = chunk.dmax == chunk.dmin
-        self.tally(chunk.connected, regular != (chunk.n0 == math.comb(self.n, 2)))
+        return (d.max_degree == d.min_degree) != (d.n0 == math.comb(self.n, 2))
 
-    def finish(self, extremes):
+    def finish(self, table, extremes):
         # the minimum and the maximum must actually be attained
-        self.violations += int(not extremes.regular_count) + int(not extremes.max_masks)
+        self.violations += int(not extremes.regular_count) + int(not extremes.max_count)
         self.violations += extremes.target_bad + extremes.not_antiregular
         return self._report(extremes.max_g6, {
             "minimizer_labeled_count": extremes.regular_count,
-            "maximizer_labeled_count": len(extremes.max_masks),
+            "maximizer_labeled_count": extremes.max_count,
         })
 
 
 class _IrrtNotUnique(_Claim):
-    """Probe, not an assertion: compute all connected graphs attaining the maximum
-    total irregularity and report the maximizers that are not antiregular."""
+    """Probe: compute all connected graphs attaining the maximum total
+    irregularity and report the maximizers that are not antiregular.  Its one
+    check is that the scan kept every maximizer the class table counts."""
 
     claim_id = "irrt_not_unique"
     summary = "probe: maximizers of total irregularity beyond the antiregular graph"
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.best = -1
-        self.max_masks: list[int] = []
-
-    def update(self, chunk):
-        conn = chunk.connected
-        self.tally(conn)
-        chunk_best = int(np.where(conn, chunk.irrt, -1).max())
-        if chunk_best > self.best:
-            self.best = chunk_best
-            self.max_masks = []
-        if chunk_best == self.best:
-            self.max_masks.extend(_masks_where(chunk, conn & (chunk.irrt == self.best)))
-
-    def finish(self, extremes):
+    def finish(self, table, extremes):
         n = self.n
-        classes = _iso_classes(n, self.max_masks)
+        best = max(d.irr_t for d, _ in self.classes(table.counts))
+        count = sum(count for d, count in self.classes(table.counts) if d.irr_t == best)
+        self.violations += abs(count - len(table.irrt_masks))
+        classes = _iso_classes(n, table.irrt_masks)
         target = antiregular(n)
         non_anti_reps = [
             mask for mask in classes
             if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target)
         ]
         return self._report(_g6(n, non_anti_reps), {
-            "max_irr_t": self.best,
-            "maximizer_labeled_count": len(self.max_masks),
+            "max_irr_t": best,
+            "maximizer_labeled_count": count,
             "maximizer_class_count": len(classes),
             "includes_antiregular": len(non_anti_reps) < len(classes),
             "non_antiregular_class_count": len(non_anti_reps),
@@ -546,37 +586,27 @@ class _Eq2Identity(_Claim):
     claim_id = "eq2_identity"
     summary = "pair counts sum to C(n,2) and weight-sum to irr_t"
 
-    def update(self, chunk):
-        totals = chunk.nk.sum(axis=1)
-        weighted = chunk.nk @ np.arange(self.n, dtype=np.int32)
-        self.tally(chunk.connected,
-                   (totals != math.comb(self.n, 2)) | (weighted != chunk.pairwise_irrt))
+    def bad(self, d):
+        spectrum = nk_spectrum(d.degrees)
+        return (spectrum.total_pairs != math.comb(self.n, 2)
+                or spectrum.weighted_sum != _pairwise_irrt(d))
 
 
 class _Sec3Identities(_Claim):
     """The three total-irregularity forms (pairwise, weighted by the pair counts
-    nk, ranked) agree exactly and the two Gini forms agree to 1e-12 relative."""
+    nk, ranked) agree exactly and the two Gini forms (irr_t/(2mn), ranked)
+    agree to 1e-12 relative."""
 
     claim_id = "sec3_identities"
     summary = "total-irregularity and Gini rewrite identities"
 
-    def update(self, chunk):
-        n = self.n
-        # coefficient (n + 1 - 2i) for 1-based rank i on degrees sorted non-increasing
-        rank_coef = (n + 1 - 2 * np.arange(1, n + 1)).astype(np.int64)
-        gini_coef = (2 * np.arange(1, n + 1) - 1).astype(np.int64)
-        sorted_desc = -np.sort(-chunk.deg.astype(np.int64), axis=1)
-        form_pairwise = chunk.pairwise_irrt.astype(np.int64)
-        form_weighted = chunk.irrt  # nk weighted by the degree difference
-        form_ranked = sorted_desc @ rank_coef
-        int_bad = (form_pairwise != form_weighted) | (form_pairwise != form_ranked)
-        two_mn = (2 * chunk.m.astype(np.float64) * n)
-        denom = np.where(two_mn > 0, two_mn, 1.0)
-        z_ratio = form_pairwise / denom
-        z_ranked = 1.0 - (sorted_desc @ gini_coef) / denom
-        scale = np.maximum(1.0, np.maximum(np.abs(z_ratio), np.abs(z_ranked)))
-        float_bad = np.abs(z_ratio - z_ranked) > 1e-12 * scale
-        self.tally(chunk.connected, int_bad | float_bad)
+    def bad(self, d):
+        form_pairwise = _pairwise_irrt(d)
+        int_bad = form_pairwise != nk_spectrum(d.degrees).weighted_sum or form_pairwise != d.irr_t
+        z_ratio = form_pairwise / (2 * d.m * self.n)
+        z_ranked = gini_sequence(d.degrees)
+        scale = max(1.0, abs(z_ratio), abs(z_ranked))
+        return int_bad or abs(z_ratio - z_ranked) > 1e-12 * scale
 
 
 # Measure profiles of four pairwise non-isomorphic connected 6-vertex graphs
@@ -599,11 +629,12 @@ _ROW_TOL = {"albertson": 0, "sigma": 0, "var": 5e-4, "s": 5e-4, "gini": 5e-4, "c
 class _TableRows(_Claim):
     """Every reference row is realized by a connected 6-vertex graph.
 
-    The scan keeps the masks that match a row's degree columns (m, irr_t,
-    degset_minus_1, n0) exactly; the edge sums (exactly) and the float
-    columns (within _ROW_TOL) are isomorphism invariants, so they are checked
-    once per isomorphism class, on its compute_all report.  A row's witness
-    is the first mask of its first matching class.
+    A row's candidates are the graphs of the degree classes that match its
+    degree columns (m, irr_t, degset_minus_1, n0) exactly; the scan keeps
+    their masks.  The edge sums (exactly) and the float columns (within
+    _ROW_TOL) are isomorphism invariants, so they are checked once per
+    isomorphism class, on its compute_all report.  A row's witness is the
+    first mask of its first matching class.
     """
 
     claim_id = "table_rows"
@@ -612,23 +643,16 @@ class _TableRows(_Claim):
     def __init__(self, n):
         super().__init__(n)
         self.rows = DEFAULT_TABLE_ROWS
-        self.row_masks: list[list[int]] = [[] for _ in self.rows]
 
-    def update(self, chunk):
-        self.tally(chunk.connected)
-        columns = {"m": chunk.m, "irr_t": chunk.irrt, "degset_minus_1": chunk.degset - 1,
-                   "n0": chunk.n0}
-        for row, masks in zip(self.rows, self.row_masks):
-            sel = chunk.connected.copy()
-            for key, values in columns.items():
-                sel &= values == row[key]
-            masks.extend(_masks_where(chunk, sel))
+    def wants(self, d):
+        """Whether the scan keeps the masks of the class: a candidate of some row."""
+        return any(_row_candidate(row, d) for row in self.rows)
 
-    def finish(self, extremes):
+    def finish(self, table, extremes):
         witnesses: list[str] = []
         row_details = []
-        for row, masks in zip(self.rows, self.row_masks):
-            classes = _iso_classes(self.n, masks)
+        for row in self.rows:
+            classes = _iso_classes(self.n, _masks(table, functools.partial(_row_candidate, row)))
             matching = [mask for mask in classes
                         if _report_matches(row, compute_all(Graph.from_pair_mask(self.n, mask)))]
             self.violations += int(not matching)
@@ -641,6 +665,10 @@ class _TableRows(_Claim):
                 "witness": witnesses[-1] if matching else None,
             })
         return self._report(tuple(witnesses), {"rows": row_details})
+
+
+def _row_candidate(row: dict, d: _Degrees) -> bool:
+    return all(d.value(key) == row[key] for key in ("m", "irr_t", "degset_minus_1", "n0"))
 
 
 def _report_matches(row: dict, report) -> bool:
@@ -661,21 +689,14 @@ CLAIM_SUMMARIES = {claim_id: _CLAIMS[claim_id].summary for claim_id in CLAIM_IDS
 _MAX_ORDER = max(claim_type.orders[-1] for claim_type in _CLAIMS.values())
 
 
-def _fold(n: int, reducers) -> None:
-    """Feed every chunk of the n-vertex scan, in mask order, to each reducer."""
-    for chunk in _scan_chunks(n):
-        for reducer in reducers:
-            reducer.update(chunk)
-
-
 @functools.cache
 def _verify_all(n: int) -> dict[str, VerificationReport]:
     """Every claim of CLAIM_IDS at n from one scan; memoised, so callers get copies."""
-    extremes = _Extremes(n)
-    claims = [_CLAIMS[claim_id](n) for claim_id in CLAIM_IDS]
-    _fold(n, (extremes, *claims))
-    extremes.check()
-    return {claim.claim_id: claim.finish(extremes) for claim in claims}
+    claims = {claim_id: _CLAIMS[claim_id](n) for claim_id in CLAIM_IDS}
+    # the witness classes: the maximizers of ira/irb (n0 = 1) and the lemma_delta equality classes
+    table = _ClassTable(n, lambda d: d.n0 == 1 or claims["lemma_delta"].wants(d))
+    extremes = _Extremes(table)
+    return {claim_id: claim.decide(table, extremes) for claim_id, claim in claims.items()}
 
 
 def _check_request(claim_id: str, n: int) -> None:
@@ -700,6 +721,5 @@ def verify_claim(claim_id: str, n: int) -> VerificationReport:
     _check_request(claim_id, n)
     if claim_id in CLAIM_IDS:
         return copy.deepcopy(_verify_all(n)[claim_id])
-    reducer = _CLAIMS[claim_id](n)
-    _fold(n, (reducer,))
-    return reducer.finish(None)
+    claim = _CLAIMS[claim_id](n)
+    return claim.decide(_ClassTable(n, claim.wants), None)

@@ -311,7 +311,7 @@ def cs_index(
 ) -> float:
     """Spectral irregularity lambda1 - 2m/n of a connected graph; zero exactly on regular graphs."""
     if not is_connected(g):
-        raise ValueError("lambda1 requires a connected graph")
+        raise ValueError("cs_index requires a connected graph")
     return compute_all(g, batch=Lambda1Batch([g], tolerance, max_iterations)).cs
 
 

@@ -20,6 +20,7 @@ from graphirr import (
     is_connected,
     is_isomorphic_to,
     n0,
+    nk_spectrum,
     pair_order,
     parse_graph6,
     verify_claim,
@@ -29,29 +30,38 @@ from graphirr.enumeration import _scan_chunks
 from graphirr.generators import antiregular, complete, complete_split, cycle, path, star
 
 
-def oracle_connected_count(n):
-    """Brute force over all edge subsets with union-find, no package code."""
+def oracle_class_counts(n):
+    """Connected labeled graphs per non-increasing degree list, over all edge
+    subsets with union-find, no package code."""
     vertices = list(range(n))
     all_pairs = list(itertools.combinations(vertices, 2))
-    count = 0
-    for r in range(len(all_pairs) + 1):
-        for subset in itertools.combinations(all_pairs, r):
-            parent = vertices[:]
+    counts = {}
+    for bits in range(1 << len(all_pairs)):
+        parent = vertices[:]
+        degrees = [0] * n
 
-            def find(x):
-                while parent[x] != x:
-                    x = parent[x]
-                return x
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
 
-            for u, v in subset:
+        for k, (u, v) in enumerate(all_pairs):
+            if bits >> k & 1:
                 parent[find(u)] = find(v)
-            if len({find(v) for v in vertices}) == 1:
-                count += 1
-    return count
+                degrees[u] += 1
+                degrees[v] += 1
+        if len({find(v) for v in vertices}) == 1:
+            seq = tuple(sorted(degrees, reverse=True))
+            counts[seq] = counts.get(seq, 0) + 1
+    return counts
+
+
+def oracle_connected_count(n):
+    return sum(oracle_class_counts(n).values())
 
 
 def count_enumerated(n, connected_only=True):
-    return sum(int(chunk.connected.sum()) if connected_only else chunk.size
+    return sum(int(chunk.connected.sum()) if connected_only else len(chunk.connected)
                for chunk in _scan_chunks(n))
 
 
@@ -75,7 +85,7 @@ def test_enumerate_yields_ascending_masks_and_reports():
     # the chunks tile the masks 0 .. 2^C(n,2) - 1 in ascending order; their
     # per-graph fields are checked in test_scan_fields_match_per_graph_oracle_*
     for n in (3, 4, 6):
-        spans = [(chunk.start, chunk.size) for chunk in _scan_chunks(n)]
+        spans = [(chunk.start, len(chunk.connected)) for chunk in _scan_chunks(n)]
         assert spans[0][0] == 0
         assert all(start + size == nxt for (start, size), (nxt, _) in zip(spans, spans[1:]))
         assert sum(size for _, size in spans) == 2 ** math.comb(n, 2)
@@ -204,7 +214,7 @@ def edge_deleted_reference(n):
     """cor_edge_deleted the slow way: delete every edge of every connected
     regular graph, keep the connected results and compare their n0."""
     regular_masks = [chunk.start + int(i) for chunk in _scan_chunks(n)
-                     for i in np.nonzero(chunk.connected & (chunk.dmax == chunk.dmin))[0]]
+                     for i in np.nonzero(chunk.connected & (chunk.deg.max(axis=1) == chunk.deg.min(axis=1)))[0]]
     checked = violations = 0
     expected = None
     witnesses = []
@@ -345,43 +355,176 @@ def test_table_rows_check_edge_sums_per_class(monkeypatch):
     ]
 
 
+def equal_pairs(seq):
+    """n0 of a degree sequence, counted pair by pair."""
+    return sum(x == y for x, y in itertools.combinations(seq, 2))
+
+
+def scanned_table(n):
+    """The class table of the n-vertex scan, keeping the witness masks --claims all keeps."""
+    equality = enumeration._LemmaDelta(n)
+    return enumeration._ClassTable(n, lambda d: d.n0 == 1 or equality.wants(d))
+
+
+def decide(claim_id, table):
+    """claim_id's report on a class table, its extremes read off the same table."""
+    claim = enumeration._CLAIMS[claim_id](table.n)
+    return claim.decide(table, enumeration._Extremes(table))
+
+
+def non_antiregular_n0_1(n):
+    """A degree list with one equal pair that is not the antiregular graph's."""
+    anti = degree_sequence(antiregular(n))
+    return next(seq for seq in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
+                if equal_pairs(seq) == 1 and seq != anti)
+
+
+# One breaking row per claim condition, injected into the n = 5 class table
+# with count 1.  Rows no graph has are the point: the claims hold on every real
+# degree class, so only an injected row can show that a condition still bites.
+BREAKING_ROWS = [
+    ("lemma_n0", non_antiregular_n0_1(5)),          # n0 = 1 off the antiregular graph
+    ("lemma_n0", (4, 3, 2, 1, 0)),                  # n0 = 0 < 1
+    ("lemma_n0", (4, 4, 3, 3, 2, 1)),               # n - 1 degree values, but n0 = 2
+    ("prop_bounds", non_antiregular_n0_1(5)),       # upper equality off the antiregular graph
+    ("prop_bounds", (4, 3, 2, 1, 0)),               # n0 = 0 < 1, so irb = 1 > 1 - 2/20
+    ("prop_bounds", (2, 2, 2, 2, 2, 1)),            # nonregular, yet n0 = C(5,2)
+    ("problem1_ira_irb", non_antiregular_n0_1(5)),  # a maximizer that is not antiregular
+    ("problem1_ira_irb", (2, 2, 2, 2, 2, 1)),       # a nonregular minimizer
+    ("lemma_delta", (2, 1, 1, 1, 1, 1)),            # n0 = 10 > C(5,2) - 2
+    ("lemma_delta", (4, 4, 4, 4, 3)),               # n0 = C(5,2) - 4 but four universal vertices
+    ("prop_lower", (2, 1, 1, 1, 1, 1)),             # irb below its bound
+    ("prop_lower", (4, 4, 4, 4, 3)),                # equality off the single-universal pattern
+    ("prop_bidegreed", (3, 3, 1, 1, 1, 1)),         # two of maximum degree, but n0 = 1 + 6
+    ("irrt_not_unique", (4, 4, 1, 1, 1)),           # irr_t 18 above every kept maximizer
+    ("eq2_identity", (2, 2, 2, 2, 2, 2)),           # C(6,2) pairs, not C(5,2)
+    ("sec3_identities", (4, 3, 3, 3, 2)),           # odd degree sum: irr_t/(2mn) with m = 7
+]
+
+
+@pytest.mark.parametrize("claim_id, row", BREAKING_ROWS,
+                         ids=[f"{claim_id}-{''.join(map(str, row))}" for claim_id, row in BREAKING_ROWS])
+def test_each_claim_fails_on_an_injected_breaking_row(claim_id, row):
+    table = scanned_table(5)
+    assert decide(claim_id, table).violations == 0
+    assert row not in table.counts
+    table.counts[row] = 1
+    assert decide(claim_id, table).violations > 0
+
+
+def test_prop_bidegreed_compares_each_group_with_its_first_class():
+    # a group's reference is its first class in table order, the lowest slot
+    # on a scanned table, so a row appended to the table is the one that differs
+    table = scanned_table(5)
+    table.counts[(3, 3, 1, 1, 1, 1)] = 1
+    report = decide("prop_bidegreed", table)
+    assert report.details["n0_by_max_degree_count"]["2"] == math.comb(2, 2) + math.comb(3, 2)
+    assert report.violations == 1
+
+
+@pytest.mark.parametrize("extreme", [lambda seq: len(set(seq)) == 1, lambda seq: equal_pairs(seq) == 1],
+                         ids=["minimum", "maximum"])
+def test_problem1_fails_when_an_extreme_is_not_attained(extreme):
+    table = scanned_table(5)
+    for seq in [seq for seq in table.counts if extreme(seq)]:
+        del table.counts[seq]
+    assert decide("problem1_ira_irb", table).violations == 1
+
+
+def test_prop_bidegreed_checks_the_cross_condition():
+    # group 1 (one vertex of maximum degree) replaced by a row whose n0 is not
+    # the n0 of group 4, its complement
+    table = scanned_table(5)
+    for seq in [seq for seq in table.counts if len(set(seq)) == 2 and seq.count(seq[0]) == 1]:
+        del table.counts[seq]
+    table.counts[(4, 1, 1, 1, 1, 1)] = 1
+    report = decide("prop_bidegreed", table)
+    by_count = report.details["n0_by_max_degree_count"]
+    assert (by_count["1"], by_count["4"]) == (math.comb(5, 2), math.comb(4, 2))
+    assert report.violations == 2
+
+
+def test_cor_edge_deleted_fails_on_an_injected_deletion_class():
+    # a deletion class whose n0 differs from the first class's: its graphs
+    # are the violations
+    table = scanned_table(5)
+    assert decide("cor_edge_deleted", table).violations == 0
+    table.deletions[(4, 4, 3, 3, 2)] = 2
+    assert decide("cor_edge_deleted", table).violations == 2
+
+
 @pytest.mark.parametrize("name, wrong", [
     ("_ira", lambda n, n0_value: n * (n - 1) / (2 * n0_value)),  # the "- 1" dropped
     ("_irb", lambda n, n0_value: 2 * n0_value / (n * (n - 1))),  # the complement
 ], ids=["ira", "irb"])
 def test_prop_bounds_checks_the_shipped_formulas(monkeypatch, name, wrong):
     # prop_bounds must bound the ira/irb that graphirr ships, not a copy of them
-    claim = enumeration._PropBounds(5)
-    enumeration._fold(5, (claim,))
-    assert claim.violations == 0
+    table = scanned_table(5)
+    assert decide("prop_bounds", table).violations == 0
     monkeypatch.setattr(enumeration, name, wrong)
-    claim = enumeration._PropBounds(5)
-    enumeration._fold(5, (claim,))
-    assert claim.violations > 0
+    assert decide("prop_bounds", table).violations > 0
 
 
-def test_identities_catch_corrupted_pair_counts():
+def test_identities_catch_corrupted_pair_counts(monkeypatch):
     # move one pair from degree difference 1 to 2 wherever there is one: the
-    # pair total stays C(n,2), and irrt, weighted from nk as the scan does,
-    # moves with it, so only an independent pairwise sum can tell
-    chunk = next(_scan_chunks(5))
-    nk = chunk.nk.copy()
-    shifted = nk[:, 1] > 0
-    nk[shifted, 1] -= 1
-    nk[shifted, 2] += 1
-    bad = dataclasses.replace(chunk, nk=nk, irrt=nk @ np.arange(5, dtype=np.int32))
-    for claim_type in (enumeration._Eq2Identity, enumeration._Sec3Identities):
-        claim = claim_type(5)
-        claim.update(bad)
-        assert claim.violations == int((chunk.connected & shifted).sum())
+    # pair total stays C(n,2), but the weighted sum moves, so only the
+    # independent pairwise and rank forms can tell
+    def shifted(degrees):
+        spectrum = nk_spectrum(degrees)
+        counts = dict(spectrum.counts)
+        if counts.get(1):
+            counts[1] -= 1
+            counts[2] = counts.get(2, 0) + 1
+        return dataclasses.replace(spectrum, counts=counts)
+
+    table = scanned_table(5)
+    monkeypatch.setattr(enumeration, "nk_spectrum", shifted)
+    for claim_id in ("eq2_identity", "sec3_identities"):
+        assert decide(claim_id, table).violations == sum(
+            count for seq, count in table.counts.items()
+            if any(abs(x - y) == 1 for x, y in itertools.combinations(seq, 2)))
+
+
+def test_sec3_identities_compare_the_rank_form(monkeypatch):
+    # a rank form off by one on every class: the pairwise form cannot agree
+    table = scanned_table(5)
+    rank_form = enumeration._Degrees.irr_t
+    monkeypatch.setattr(enumeration._Degrees, "irr_t", property(lambda d: rank_form.func(d) + 1))
+    report = decide("sec3_identities", table)
+    assert report.violations == report.graphs_checked == 728
+
+
+def test_class_counts_match_brute_force_realizations():
+    for n in range(3, 7):
+        table = scanned_table(n)
+        assert table.counts == oracle_class_counts(n), f"n={n}"
+        # in ascending slot order
+        keys = [enumeration._key(n, seq) for seq in table.counts]
+        assert keys == sorted(keys)
+
+
+def test_class_counts_sum_to_oeis():
+    # OEIS A001187: connected labeled graphs on n vertices
+    for n, count in zip(range(3, 8), (4, 38, 728, 26_704, 1_866_256)):
+        assert sum(scanned_table(n).counts.values()) == count
+
+
+def test_slot_key_is_collision_free():
+    # distinct lists of n degrees in 1..n-1 get distinct slots below
+    # (n + 1)^(n - 2), and only all ones gets slot 0, the disconnected graphs'
+    for n in range(3, 9):
+        lists = list(itertools.combinations_with_replacement(range(n - 1, 0, -1), n))
+        slots = {enumeration._key(n, seq): seq for seq in lists}
+        assert len(slots) == len(lists)
+        assert slots[0] == (1,) * n and max(slots) < (n + 1) ** (n - 2)
 
 
 def chunk_albertson(n, chunk):
     """Sum of |d_i - d_j| over the edges of each graph in the chunk, from its
     degrees and its pair bits."""
-    masks = np.arange(chunk.start, chunk.start + chunk.size, dtype=np.int64)
+    masks = np.arange(chunk.start, chunk.start + len(chunk.connected), dtype=np.int64)
     deg = chunk.deg.astype(np.int32)
-    total = np.zeros(chunk.size, np.int32)
+    total = np.zeros(len(chunk.connected), np.int32)
     for k, (i, j) in enumerate(pair_order(n)):
         total += ((masks >> k) & 1).astype(np.int32) * np.abs(deg[:, i] - deg[:, j])
     return total
@@ -411,29 +554,18 @@ def test_max_albertson_graphs_are_complete_split():
                 f"n={n}: maximizer {rep_mask} is not a complete split graph"
 
 
-SCAN_FIELDS = ("connected", "m", "deg", "dmax", "dmin", "degset", "n0", "irrt",
-               "pairwise_irrt", "nk", "nmax_cnt", "universal_cnt")
+SCAN_FIELDS = ("connected", "deg", "key")
 
 
 def oracle_scan_fields(n, mask):
     """Every scan field of one graph, from the graph itself one vertex pair at a time."""
     g = Graph.from_pair_mask(n, mask)
-    degrees = g.degrees()
-    ds = degree_sequence(g)
-    pair_diffs = [abs(degrees[i] - degrees[j]) for i, j in itertools.combinations(range(n), 2)]
+    degrees = list(g.degrees())
     return {
         "connected": is_connected(g),
-        "m": g.m,
-        "deg": list(degrees),
-        "dmax": ds[0],
-        "dmin": ds[-1],
-        "degset": len(set(ds)),
-        "n0": pair_diffs.count(0),
-        "irrt": sum(pair_diffs),
-        "pairwise_irrt": sum(pair_diffs),
-        "nk": [pair_diffs.count(k) for k in range(n)],
-        "nmax_cnt": ds.count(ds[0]),
-        "universal_cnt": ds.count(n - 1),
+        "deg": degrees,
+        # the histogram c_2 .. c_{n-1} as base-(n + 1) digits, whatever the connectivity
+        "key": sum(degrees.count(d) * (n + 1) ** (d - 2) for d in range(2, n)),
     }
 
 
@@ -447,8 +579,8 @@ def assert_chunk_matches_oracle(n, chunk, indices):
 def test_scan_fields_match_per_graph_oracle_up_to_n5():
     for n in (3, 4, 5):
         chunks = list(_scan_chunks(n))
-        assert [(c.start, c.size) for c in chunks] == [(0, 2 ** math.comb(n, 2))]
-        assert_chunk_matches_oracle(n, chunks[0], range(chunks[0].size))
+        assert [(c.start, len(c.connected)) for c in chunks] == [(0, 2 ** math.comb(n, 2))]
+        assert_chunk_matches_oracle(n, chunks[0], range(len(chunks[0].connected)))
 
 
 def test_scan_fields_match_per_graph_oracle_on_n7_sample():
@@ -458,7 +590,7 @@ def test_scan_fields_match_per_graph_oracle_on_n7_sample():
     for index, chunk in enumerate(_scan_chunks(7)):
         starts.append(chunk.start)
         if index in picked:
-            assert_chunk_matches_oracle(7, chunk, rng.choice(chunk.size, size=400, replace=False))
+            assert_chunk_matches_oracle(7, chunk, rng.choice(len(chunk.connected), size=400, replace=False))
     assert starts == [k << 18 for k in range(8)]
 
 
@@ -500,11 +632,6 @@ def test_scan_sees_every_connected_degree_sequence_at_n8():
     expected = connected_degree_sequences(8)
     assert len(expected) == 863
     assert scanned_degree_sequences(8) == expected
-
-
-def equal_pairs(seq):
-    """n0 of a degree sequence, counted pair by pair."""
-    return sum(x == y for x, y in itertools.combinations(seq, 2))
 
 
 def test_degree_determined_details_match_the_degree_sequence_oracle():
@@ -561,5 +688,7 @@ def test_every_claim_passes_at_n8():
 
 @pytest.mark.slow
 def test_connected_count_n8_matches_oeis():
-    # OEIS A001187: connected labeled graphs on 8 vertices
-    assert sum(int(chunk.connected.sum()) for chunk in _scan_chunks(8)) == 251_548_592
+    # OEIS A001187: connected labeled graphs on 8 vertices, in 863 degree classes
+    table = scanned_table(8)
+    assert len(table.counts) == 863
+    assert sum(table.counts.values()) == 251_548_592

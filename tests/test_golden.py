@@ -11,6 +11,7 @@ count, rounded value and ordering; regenerating them from the current code
 would make this test vacuous.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,12 @@ def test_compute_edgeless_error_matches_golden(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.encode() == (GOLDEN / "compute_edgeless.err").read_bytes()
+
+
+@pytest.mark.slow
+def test_verify_n8_json_matches_digest(capsys):
+    # 770 kB of JSON, so pinned by its sha256: the digest of the output of the
+    # code that decided every claim graph by graph, one reducer per claim
+    assert cli.main(["verify", "--claims", "all", "--n", "8", "--output", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ab73284493331cc2e9bd1220031b729d876c09f87fd9718af6ece6c729f49d30"

@@ -105,6 +105,13 @@ def test_cs_index_zero_on_regular():
         assert cs_index(g) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_disconnected_input_errors_name_the_function_called():
+    disconnected = Graph(4, [(0, 1), (2, 3)])
+    for fn in (cs_index, lambda1):
+        with pytest.raises(ValueError, match=f"^{fn.__name__} requires a connected graph$"):
+            fn(disconnected)
+
+
 def test_cs_index_star():
     # lambda1 = sqrt(5), mean degree 10/6
     assert cs_index(star(6)) == pytest.approx(math.sqrt(5) - 10 / 6, abs=1e-9)
