@@ -11,8 +11,9 @@ mask order, only for witnesses, so runs are deterministic down to witness
 order.  One walk per n feeds every claim.
 
 All claims are isomorphism-invariant, so checking every labeled graph is
-sound; isomorphism tests are only used against specific targets (the
-antiregular graph) and to deduplicate small witness sets.
+sound.  Where a claim names isomorphism classes (the ira/irb and irr_t
+maximizers, the table_rows candidates), a graph's n!/|Aut| labelings settle
+each degree class from its first masks.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ class _ClassTable:
 
     A degree class is its non-increasing degree tuple.  counts holds the
     labeled count of every connected class, in ascending slot order; masks,
-    the ascending masks of each class that ``wanted`` accepts; irrt_masks,
-    those of the connected graphs of maximal irr_t; deletions, per
+    the ascending masks of each class that ``wanted`` accepts; deletions, per
     edge-deleted class k^(n-2) (k-1)^2, its graphs whose two degree-(k-1)
     vertices are not adjacent.  Disconnected graphs count in slot 0.
     """
@@ -179,15 +179,11 @@ class _ClassTable:
                       for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
                       if degrees[0] > 1}
         slots = (n + 1) ** (n - 2)
-        # per-slot lookups: the witness classes, irr_t for the running
-        # maximum, and k - 1 on the edge-deleted classes
+        # per-slot lookups: the witness classes, and k - 1 on the edge-deleted classes
         witness = np.zeros(slots, bool)
-        irrt = np.full(slots, -1, np.int16)
         low = np.zeros(slots, np.uint8)
         for slot, degrees in candidates.items():
-            d = _Degrees(degrees)
-            witness[slot] = wanted(d)
-            irrt[slot] = d.irr_t
+            witness[slot] = wanted(_Degrees(degrees))
         for k in range(2, n):
             low[_key(n, (k,) * (n - 2) + (k - 1,) * 2)] = k - 1
 
@@ -195,23 +191,14 @@ class _ClassTable:
         deletions = np.zeros(slots, np.int64)
         self.n = n
         self.masks: dict[tuple[int, ...], list[int]] = {}
-        self.irrt_masks: list[int] = []
-        best = 0
         for chunk in _scan_chunks(n):
             slot = np.where(chunk.connected, chunk.key, 0)
-            chunk_counts = np.bincount(slot, minlength=slots)
-            counts += chunk_counts
+            counts += np.bincount(slot, minlength=slots)
 
             hit = np.flatnonzero(witness[slot])
             for s in np.unique(slot[hit]).tolist():
                 kept = chunk.start + hit[slot[hit] == s]
                 self.masks.setdefault(candidates[s], []).extend(kept.tolist())
-
-            chunk_best = int(irrt[np.flatnonzero(chunk_counts)].max())
-            if chunk_best > best:
-                best, self.irrt_masks = chunk_best, []
-            if chunk_best == best:
-                self.irrt_masks.extend((chunk.start + np.flatnonzero(irrt[slot] == best)).tolist())
 
             # pair bit of the two degree-(k-1) vertices i < j: they must not be adjacent
             idx = np.flatnonzero(low[slot])
@@ -223,34 +210,30 @@ class _ClassTable:
         self.deletions = {candidates[s]: int(deletions[s]) for s in np.flatnonzero(deletions).tolist()}
 
 
-def _masks(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> list[int]:
-    """The kept masks of the table's classes that ``accepts`` takes, merged into ascending order."""
-    return sorted(itertools.chain.from_iterable(
+def _witnesses(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> tuple[str, ...]:
+    """The graph6 strings of the kept masks of the table's classes that ``accepts``
+    takes, merged into ascending mask order."""
+    masks = sorted(itertools.chain.from_iterable(
         table.masks.get(degrees, ()) for degrees in table.counts if accepts(_Degrees(degrees))))
+    return tuple(emit_graph6(Graph.from_pair_mask(table.n, mask)) for mask in masks)
 
 
-def _g6(n: int, masks) -> tuple[str, ...]:
-    return tuple(emit_graph6(Graph.from_pair_mask(n, mask)) for mask in masks)
-
-
-def is_isomorphic_to(g: Graph, h: Graph) -> bool:
-    """Degree-partition-restricted search for an edge-preserving vertex bijection."""
-    if g.n != h.n:
-        raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
+def _isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
+    """Every edge-preserving vertex bijection from g onto h, as the image of each
+    vertex, by a search that maps each vertex only to vertices of its degree."""
     n = g.n
-    if g.m != h.m:
-        return False
     dg, dh = g.degrees(), h.degrees()
-    if sorted(dg) != sorted(dh):
-        return False
+    if g.m != h.m or sorted(dg) != sorted(dh):
+        return
     candidates = [[w for w in range(n) if dh[w] == dg[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     mapping = [-1] * n
     used = [False] * n
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int) -> Iterator[tuple[int, ...]]:
         if idx == n:
-            return True
+            yield tuple(mapping)
+            return
         v = order[idx]
         for w in candidates[v]:
             if used[w]:
@@ -259,26 +242,53 @@ def is_isomorphic_to(g: Graph, h: Graph) -> bool:
                 continue
             mapping[v] = w
             used[w] = True
-            if extend(idx + 1):
-                return True
-            mapping[v] = -1
+            yield from extend(idx + 1)
             used[w] = False
-        return False
 
-    return extend(0)
+    yield from extend(0)
 
 
-def _iso_classes(n: int, masks: list[int]) -> list[int]:
-    """One representative per isomorphism class among the bitmasks: the first
-    member seen, so ascending masks give each class's smallest mask."""
-    reps: list[tuple[int, Graph, tuple[int, ...]]] = []
-    for mask in masks:
-        g = Graph.from_pair_mask(n, mask)
-        key = tuple(sorted(g.degrees()))
-        if not any(rep_key == key and is_isomorphic_to(g, rep_graph)
-                   for _, rep_graph, rep_key in reps):
-            reps.append((mask, g, key))
-    return [mask for mask, _, _ in reps]
+def is_isomorphic_to(g: Graph, h: Graph) -> bool:
+    """Whether some edge-preserving vertex bijection maps g onto h."""
+    if g.n != h.n:
+        raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
+    return any(True for _ in _isomorphisms(g, h))
+
+
+def _automorphism_count(g: Graph) -> int:
+    """|Aut(g)|, the number of isomorphisms of g onto itself."""
+    return sum(1 for _ in _isomorphisms(g, g))
+
+
+def _iso_classes(table: _ClassTable, accepts: Callable[[_Degrees], bool]
+                 ) -> tuple[list[tuple[int, Graph, int]], int]:
+    """The isomorphism classes in the table's classes that ``accepts`` takes, as
+    (smallest mask, graph, labeled count) in mask order, and the number of their
+    graphs that the kept masks, or those labeled counts, leave unaccounted for.
+
+    A graph has n!/|Aut| labelings (orbit-stabilizer), so the walk over each
+    degree class's ascending masks stops once the isomorphism classes found
+    hold the degree class's count.
+    """
+    n = table.n
+    found: list[tuple[int, Graph, int]] = []
+    unaccounted = 0
+    for degrees, count in table.counts.items():
+        if not accepts(_Degrees(degrees)):
+            continue
+        masks = table.masks.get(degrees, [])
+        reps: list[tuple[int, Graph, int]] = []
+        labeled = 0
+        for mask in masks:
+            if labeled >= count:
+                break
+            g = Graph.from_pair_mask(n, mask)
+            if not any(is_isomorphic_to(g, rep) for _, rep, _ in reps):
+                reps.append((mask, g, math.factorial(n) // _automorphism_count(g)))
+                labeled += reps[-1][2]
+        found += reps
+        unaccounted += max(abs(count - len(masks)), abs(count - labeled))
+    return sorted(found, key=lambda rep: rep[0]), unaccounted
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +299,17 @@ def _iso_classes(n: int, masks: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _maximal(d: _Degrees) -> bool:
+    """Whether the class maximizes ira and irb: n0 = 1."""
+    return d.n0 == 1
+
+
 class _Extremes:
     """The connected graphs at both ends of ira and irb: how many are regular
-    (value 0), and which have n0 = 1 (maximal).  The maximizers are checked against
-    antiregular(n) once, for every claim that characterizes them, and encoded
-    once, as the witnesses of every claim that lists them."""
+    (value 0), and which have n0 = 1 (maximal).  Their isomorphism classes are
+    checked against antiregular(n) once, for every claim that characterizes
+    them, and they are encoded once, as the witnesses of every claim that lists
+    them."""
 
     def __init__(self, table: _ClassTable):
         n = table.n
@@ -301,12 +317,13 @@ class _Extremes:
         self.target_bad = int(_n0(target) != 1)
         classes = [(_Degrees(degrees), count) for degrees, count in table.counts.items()]
         self.regular_count = sum(count for d, count in classes if d.max_degree == d.min_degree)
-        self.max_count = sum(count for d, count in classes if d.n0 == 1)
-        graphs = [Graph.from_pair_mask(n, mask) for mask in _masks(table, lambda d: d.n0 == 1)]
+        self.max_count = sum(count for d, count in classes if _maximal(d))
         # the n0 = 1 graphs not shown isomorphic to the target, so also every
-        # graph of a class whose masks were not kept
-        self.not_antiregular = self.max_count - sum(1 for g in graphs if is_isomorphic_to(g, target))
-        self.max_g6 = tuple(emit_graph6(g) for g in graphs)
+        # graph the kept masks do not account for
+        found, unaccounted = _iso_classes(table, _maximal)
+        self.not_antiregular = unaccounted + sum(
+            labeled for _, g, labeled in found if not is_isomorphic_to(g, target))
+        self.max_g6 = _witnesses(table, _maximal)
 
 
 class _Claim:
@@ -325,6 +342,10 @@ class _Claim:
     def bad(self, d: _Degrees) -> int:
         """How many of the claim's conditions a covered class breaks."""
         return 0
+
+    def wants(self, d: _Degrees) -> bool:
+        """Whether the scan keeps the masks of the class, for its graphs to be named."""
+        return False
 
     def classes(self, counts: dict) -> Iterator[tuple[_Degrees, int]]:
         """Each covered class of a class -> count map, with its count."""
@@ -374,6 +395,8 @@ class _LemmaN0(_Claim):
     claim_id = "lemma_n0"
     summary = "n0 >= 1; n0 = 1 exactly on antiregular graphs"
 
+    wants = staticmethod(_maximal)
+
     def bad(self, d):
         return (d.n0 < 1) + ((d.n0 == 1) != (d.degree_set_size == self.n - 1))
 
@@ -391,6 +414,8 @@ class _PropBounds(_Claim):
 
     claim_id = "prop_bounds"
     summary = "ira/irb bounds with regular and antiregular equality cases"
+
+    wants = staticmethod(_maximal)
 
     def bad(self, d):
         n = self.n
@@ -432,7 +457,7 @@ class _LemmaDelta(_Claim):
         return _nonregular(d) and d.n0 == self._bound(d)
 
     def finish(self, table, extremes):
-        return self._report(_g6(self.n, _masks(table, self.wants)), {"equality_labeled_count": sum(
+        return self._report(_witnesses(table, self.wants), {"equality_labeled_count": sum(
             count for d, count in self.classes(table.counts) if self.wants(d))})
 
 
@@ -537,6 +562,8 @@ class _Problem1(_Claim):
     claim_id = "problem1_ira_irb"
     summary = "ira/irb minimal exactly on regular, maximal exactly on antiregular"
 
+    wants = staticmethod(_maximal)
+
     def bad(self, d):
         # minimum (ira = irb = 0) is equivalent to n0 = C(n,2)
         return (d.max_degree == d.min_degree) != (d.n0 == math.comb(self.n, 2))
@@ -554,23 +581,28 @@ class _Problem1(_Claim):
 class _IrrtNotUnique(_Claim):
     """Probe: compute all connected graphs attaining the maximum total
     irregularity and report the maximizers that are not antiregular.  Its one
-    check is that the scan kept every maximizer the class table counts."""
+    check is that the kept masks account for every maximizer the table counts.
+    The scan keeps the masks of the classes whose irr_t reaches that of the
+    connected graph antiregular(n), so those of every maximizing class."""
 
     claim_id = "irrt_not_unique"
     summary = "probe: maximizers of total irregularity beyond the antiregular graph"
 
+    def __init__(self, n):
+        super().__init__(n)
+        self.target = antiregular(n)
+        self.floor = _Degrees(self.target).irr_t
+
+    def wants(self, d):
+        return d.irr_t >= self.floor
+
     def finish(self, table, extremes):
-        n = self.n
         best = max(d.irr_t for d, _ in self.classes(table.counts))
         count = sum(count for d, count in self.classes(table.counts) if d.irr_t == best)
-        self.violations += abs(count - len(table.irrt_masks))
-        classes = _iso_classes(n, table.irrt_masks)
-        target = antiregular(n)
-        non_anti_reps = [
-            mask for mask in classes
-            if not is_isomorphic_to(Graph.from_pair_mask(n, mask), target)
-        ]
-        return self._report(_g6(n, non_anti_reps), {
+        classes, unaccounted = _iso_classes(table, lambda d: d.irr_t == best)
+        self.violations += unaccounted
+        non_anti_reps = [g for _, g, _ in classes if not is_isomorphic_to(g, self.target)]
+        return self._report(tuple(emit_graph6(g) for g in non_anti_reps), {
             "max_irr_t": best,
             "maximizer_labeled_count": count,
             "maximizer_class_count": len(classes),
@@ -634,29 +666,25 @@ class _TableRows(_Claim):
     their masks.  The edge sums (exactly) and the float columns (within
     _ROW_TOL) are isomorphism invariants, so they are checked once per
     isomorphism class, on its compute_all report.  A row's witness is the
-    first mask of its first matching class.
+    smallest mask of its first matching class.  Candidates the kept masks do
+    not account for count as violations.
     """
 
     claim_id = "table_rows"
     orders = range(6, 7)  # the rows describe 6-vertex graphs
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.rows = DEFAULT_TABLE_ROWS
-
     def wants(self, d):
         """Whether the scan keeps the masks of the class: a candidate of some row."""
-        return any(_row_candidate(row, d) for row in self.rows)
+        return any(_row_candidate(row, d) for row in DEFAULT_TABLE_ROWS)
 
     def finish(self, table, extremes):
         witnesses: list[str] = []
         row_details = []
-        for row in self.rows:
-            classes = _iso_classes(self.n, _masks(table, functools.partial(_row_candidate, row)))
-            matching = [mask for mask in classes
-                        if _report_matches(row, compute_all(Graph.from_pair_mask(self.n, mask)))]
-            self.violations += int(not matching)
-            witnesses.extend(_g6(self.n, matching[:1]))
+        for row in DEFAULT_TABLE_ROWS:
+            classes, unaccounted = _iso_classes(table, functools.partial(_row_candidate, row))
+            matching = [g for _, g, _ in classes if _report_matches(row, compute_all(g))]
+            self.violations += int(not matching) + unaccounted
+            witnesses.extend(emit_graph6(g) for g in matching[:1])
             row_details.append({
                 "label": row["label"],
                 "matched": bool(matching),
@@ -689,14 +717,19 @@ CLAIM_SUMMARIES = {claim_id: _CLAIMS[claim_id].summary for claim_id in CLAIM_IDS
 _MAX_ORDER = max(claim_type.orders[-1] for claim_type in _CLAIMS.values())
 
 
+def _scan_table(n: int, claim_ids: tuple[str, ...] = CLAIM_IDS) -> _ClassTable:
+    """The class table of the n-vertex scan, keeping the masks of every class
+    that one of the claims wants."""
+    claims = [_CLAIMS[claim_id](n) for claim_id in claim_ids]
+    return _ClassTable(n, lambda d: any(claim.wants(d) for claim in claims))
+
+
 @functools.cache
 def _verify_all(n: int) -> dict[str, VerificationReport]:
     """Every claim of CLAIM_IDS at n from one scan; memoised, so callers get copies."""
-    claims = {claim_id: _CLAIMS[claim_id](n) for claim_id in CLAIM_IDS}
-    # the witness classes: the maximizers of ira/irb (n0 = 1) and the lemma_delta equality classes
-    table = _ClassTable(n, lambda d: d.n0 == 1 or claims["lemma_delta"].wants(d))
+    table = _scan_table(n)
     extremes = _Extremes(table)
-    return {claim_id: claim.decide(table, extremes) for claim_id, claim in claims.items()}
+    return {claim_id: _CLAIMS[claim_id](n).decide(table, extremes) for claim_id in CLAIM_IDS}
 
 
 def _check_request(claim_id: str, n: int) -> None:
@@ -715,11 +748,10 @@ def verify_claim(claim_id: str, n: int) -> VerificationReport:
     n = 6: the search for graphs realizing DEFAULT_TABLE_ROWS.  The first
     call at a given n scans once for all of CLAIM_IDS and keeps the reports;
     each call returns its own copy.  table_rows runs its own scan, never
-    part of _verify_all: the isomorphism grouping of its candidates costs
-    more than the scan, and --claims all does not ask for it.
+    part of _verify_all: --claims all does not ask for it, so that scan keeps
+    no masks for it.
     """
     _check_request(claim_id, n)
     if claim_id in CLAIM_IDS:
         return copy.deepcopy(_verify_all(n)[claim_id])
-    claim = _CLAIMS[claim_id](n)
-    return claim.decide(_ClassTable(n, claim.wants), None)
+    return _CLAIMS[claim_id](n).decide(_scan_table(n, (claim_id,)), None)

@@ -1,9 +1,11 @@
 """Exhaustive enumeration, isomorphism, claim verification, table matching."""
 
+import bisect
 import dataclasses
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +175,17 @@ def test_verify_claim_results_share_no_state():
     object.__setattr__(replaced, "witnesses", ())
     for claim_id, snapshot in snapshots.items():
         assert json.dumps(verify_claim(claim_id, 5).to_dict()) == snapshot
+
+
+def test_isomorphism_is_settled_per_degree_class(monkeypatch):
+    # a degree class is settled from its first masks: a handful of isomorphism
+    # tests per n, not one per labeled witness (1,264 over n = 3..6 before)
+    calls = []
+    original = enumeration.is_isomorphic_to
+    monkeypatch.setattr(enumeration, "is_isomorphic_to", lambda g, h: calls.append(g.n) or original(g, h))
+    for n in range(3, 7):
+        enumeration._verify_all.__wrapped__(n)
+    assert 0 < len(calls) <= 50
 
 
 def test_lemma_n0_witness_counts():
@@ -361,9 +374,8 @@ def equal_pairs(seq):
 
 
 def scanned_table(n):
-    """The class table of the n-vertex scan, keeping the witness masks --claims all keeps."""
-    equality = enumeration._LemmaDelta(n)
-    return enumeration._ClassTable(n, lambda d: d.n0 == 1 or equality.wants(d))
+    """The class table of the n-vertex scan, built as --claims all builds it."""
+    return enumeration._scan_table(n)
 
 
 def decide(claim_id, table):
@@ -453,6 +465,49 @@ def test_cor_edge_deleted_fails_on_an_injected_deletion_class():
     assert decide("cor_edge_deleted", table).violations == 2
 
 
+def replace_first_mask(table, anti):
+    """The antiregular class's smallest mask swapped for the smallest of
+    (4, 2, 2, 1, 1), which is smaller still: as many masks as graphs, but
+    their labelings do not add up."""
+    table.masks[anti][0] = table.masks[(4, 2, 2, 1, 1)][0]
+    assert table.masks[anti] == sorted(table.masks[anti])
+
+
+# Edits to the kept masks of the antiregular class at n = 5, which maximizes
+# ira, irb and irr_t: each leaves masks that no longer add up to the class's
+# labeled count.  The foreign masks come from the other irr_t maximizer class,
+# (4, 2, 2, 1, 1), in ascending place.
+WITNESS_EDITS = {
+    "non-first-mask-dropped": lambda table, anti: table.masks[anti].pop(1),
+    "class-dropped": lambda table, anti: table.masks.pop(anti),
+    "foreign-mask-added": lambda table, anti: bisect.insort(table.masks[anti],
+                                                           table.masks[(4, 2, 2, 1, 1)][-1]),
+    "first-mask-replaced": replace_first_mask,
+}
+
+
+@pytest.mark.parametrize("claim_id", ["lemma_n0", "problem1_ira_irb", "irrt_not_unique"])
+@pytest.mark.parametrize("edit", WITNESS_EDITS.values(), ids=WITNESS_EDITS.keys())
+def test_witness_claims_fail_when_the_kept_masks_do_not_add_up(edit, claim_id):
+    # isomorphism is settled from a class's first masks, so the counts of its
+    # masks and of their labelings are what show a missing or foreign one
+    table = scanned_table(5)
+    anti = degree_sequence(antiregular(5))
+    assert decide(claim_id, table).violations == 0
+    edit(table, anti)
+    assert decide(claim_id, table).violations > 0
+
+
+def test_maximizers_are_compared_with_the_antiregular_graph():
+    # the n0 = 1 class made to hold another graph's labelings in full: masks and
+    # labelings add up, so only the comparison with antiregular(5) can tell
+    table = scanned_table(5)
+    anti, other = degree_sequence(antiregular(5)), (4, 2, 2, 1, 1)
+    table.masks[anti], table.counts[anti] = table.masks[other], table.counts[other]
+    for claim_id in ("lemma_n0", "prop_bounds", "problem1_ira_irb"):
+        assert decide(claim_id, table).violations == table.counts[other] == 30
+
+
 @pytest.mark.parametrize("name, wrong", [
     ("_ira", lambda n, n0_value: n * (n - 1) / (2 * n0_value)),  # the "- 1" dropped
     ("_irb", lambda n, n0_value: 2 * n0_value / (n * (n - 1))),  # the complement
@@ -534,8 +589,6 @@ def test_max_albertson_graphs_are_complete_split():
     # empirical observation at small n, not a theorem this package asserts:
     # every n-vertex graph maximizing the Albertson measure is a complete
     # split graph (a clique fully joined to an independent set)
-    from graphirr.enumeration import _iso_classes, _scan_chunks
-
     for n in range(3, 8):
         best = -1
         masks = []
@@ -548,8 +601,13 @@ def test_max_albertson_graphs_are_complete_split():
             if chunk_best == best:
                 masks.extend(int(chunk.start + i) for i in np.nonzero(albertson == best)[0])
         targets = [complete_split(n, k) for k in range(1, n)]
-        for rep_mask in _iso_classes(n, masks):
-            g = Graph.from_pair_mask(n, rep_mask)
+        # one representative per isomorphism class, the smallest mask
+        reps = {}
+        for mask in masks:
+            g = Graph.from_pair_mask(n, mask)
+            if not any(is_isomorphic_to(g, rep) for rep in reps.values()):
+                reps[mask] = g
+        for rep_mask, g in reps.items():
             assert any(is_isomorphic_to(g, t) for t in targets), \
                 f"n={n}: maximizer {rep_mask} is not a complete split graph"
 
@@ -662,8 +720,47 @@ def test_degree_determined_details_match_the_degree_sequence_oracle():
             str(a): value for a, value in expected.items()}
 
 
+def degree_sequence_table(n):
+    """A class table that counts every connected degree sequence once, in slot
+    order, with its edge-deleted classes and no kept masks."""
+    sequences = sorted(connected_degree_sequences(n), key=lambda seq: enumeration._key(n, seq))
+    deleted = [seq for seq in sequences if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2]
+    return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1), masks={},
+                                 deletions=dict.fromkeys(deleted, 1))
+
+
+@pytest.mark.parametrize("n", [9, 10, pytest.param(11, marks=pytest.mark.slow),
+                               pytest.param(12, marks=pytest.mark.slow)])
+def test_degree_conditions_hold_on_every_connected_degree_sequence(n):
+    """Every claim's degree conditions on each connected degree sequence
+    (Erdos-Gallai 1960, Hakimi 1962), beyond the orders the scan reaches.
+
+    That only the antiregular graph maximizes ira and irb is a statement up to
+    isomorphism, and no graph is built here, so it rests on a theorem: the
+    antiregular degree sequence is a threshold sequence, and a threshold
+    sequence has exactly one realization up to isomorphism (Chvatal & Hammer
+    1977).  The antiregular sequence being the only one with n0 = 1 then
+    leaves the antiregular graph as the only maximizer.
+    """
+    table = degree_sequence_table(n)
+    # one profile per sequence, so the claims share its cached invariants
+    profiles = [enumeration._Degrees(seq) for seq in table.counts]
+    for claim_id in CLAIM_IDS:
+        claim = enumeration._CLAIMS[claim_id](n)
+        assert sum(claim.bad(d) for d in profiles if claim.covers(d)) == 0, claim_id
+    # the two claims that compare classes with each other
+    extremes = enumeration._Extremes(table)
+    for claim_id in ("prop_bidegreed", "cor_edge_deleted"):
+        assert enumeration._CLAIMS[claim_id](n).decide(table, extremes).violations == 0, claim_id
+    anti = degree_sequence(antiregular(n))
+    assert [seq for seq in table.counts if equal_pairs(seq) == 1] == [anti]
+    irr_t = {seq: sum(abs(x - y) for x, y in itertools.combinations(seq, 2)) for seq in table.counts}
+    assert max(irr_t.values()) == irr_t[anti]
+
+
 def test_connected_counts_match_graph_atlas():
-    # labeled connected graphs = sum over unlabeled connected classes of n!/|Aut|
+    # labeled connected graphs = sum over unlabeled connected classes of n!/|Aut|,
+    # with |Aut| from networkx and, for each class, the same from graphirr
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -672,6 +769,8 @@ def test_connected_counts_match_graph_atlas():
         n = g.number_of_nodes()
         if n in labeled and nx.is_connected(g):
             automorphisms = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+            assert enumeration._automorphism_count(Graph(n, g.edges())) == automorphisms, \
+                sorted(g.edges())
             labeled[n] += math.factorial(n) // automorphisms
     assert labeled == {3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
     for n, count in labeled.items():
