@@ -29,7 +29,7 @@ import numpy as np
 
 from .generators import antiregular
 from .graphs import Graph, pair_order
-from .io import emit_graph6
+from .io import _emit_graph6_rows, emit_graph6
 from .measures import _Degrees, _ira, _irb, compute_all, gini_sequence, n0 as _n0, nk_spectrum
 
 __all__ = [
@@ -95,8 +95,13 @@ class _Chunk:
 
     start: int
     connected: np.ndarray   # bool
-    deg: np.ndarray         # (size, n) uint8, per-vertex degrees
     key: np.ndarray         # int32, the slot (_key) of the graph's degree multiset
+    deg_hi: np.ndarray      # (n, 1) uint8, each vertex's degree over the range's high pairs
+
+    @functools.cached_property
+    def deg(self) -> np.ndarray:
+        """(size, n) uint8 per-vertex degrees, built when first read."""
+        return (_pair_tables(len(self.deg_hi), high=False)[0] + self.deg_hi).T
 
 
 def _key(n: int, degrees) -> int:
@@ -129,23 +134,33 @@ def _pair_tables(n: int, high: bool) -> tuple[np.ndarray, np.ndarray]:
     return deg, nbr
 
 
+@functools.cache
+def _power_table(n: int) -> np.ndarray:
+    """(n + 1)^d, as int32, for each degree d of the low-pair degree table."""
+    power = _pair_tables(n, high=False)[0].astype(np.int32)
+    np.power(n + 1, power, out=power)
+    power.flags.writeable = False
+    return power
+
+
 def _scan_chunks(n: int) -> Iterator[_Chunk]:
     """Reduce every adjacency bitmask to its connectivity, degrees and class
     slot, one contiguous range at a time.
 
     Within a range only the low pair bits vary, so its degrees and neighbour
     masks are the low-pair tables plus the range's column of the high-pair
-    tables.  The slot sums each vertex's weight (n + 1)^(d - 2), which is
-    _key of the degrees without building their histogram.
+    tables.  The slot is the sum of (n + 1)^d over the vertices, each term the
+    power table's entry times (n + 1)^h for the vertex's high-pair degree h,
+    floor-divided by (n + 1)^2: the degrees 0 and 1 contribute
+    c_0 + c_1 (n + 1) < (n + 1)^2, so the quotient is _key of the degrees, and
+    the sum, at most n (n + 1)^(n - 1), fits int32 for n <= 8.
     """
-    deg_lo, nbr_lo = _pair_tables(n, high=False)
+    power_lo, nbr_lo = _power_table(n), _pair_tables(n, high=False)[1]
     deg_hi, nbr_hi = _pair_tables(n, high=True)
-    size = deg_lo.shape[1]
+    size = nbr_lo.shape[1]
     full_reach = np.uint8((1 << n) - 1)
-    weights = np.array([_key(n, (d,)) for d in range(n)], np.int32)
 
     for high in range(deg_hi.shape[1]):
-        deg = deg_lo + deg_hi[:, high:high + 1]
         nbr = nbr_lo | nbr_hi[:, high:high + 1]
 
         # reach from vertex 0 in a fixed n-1 rounds of frontier growth
@@ -154,11 +169,17 @@ def _scan_chunks(n: int) -> Iterator[_Chunk]:
             for v in range(n):
                 reach |= nbr[v] * ((reach >> v) & 1)
 
+        scale = (n + 1) ** deg_hi[:, high].astype(np.int32)
+        key = power_lo[0] * scale[0]
+        for v in range(1, n):
+            key += power_lo[v] * scale[v]
+        key //= (n + 1) ** 2
+
         yield _Chunk(
             start=high * size,
             connected=reach == full_reach,
-            deg=deg.T,
-            key=weights[deg].sum(axis=0, dtype=np.int32),
+            key=key,
+            deg_hi=deg_hi[:, high:high + 1],
         )
 
 
@@ -169,53 +190,69 @@ class _ClassTable:
     labeled count of every connected class, in ascending slot order; masks,
     the ascending masks of each class that ``wanted`` accepts; deletions, per
     edge-deleted class k^(n-2) (k-1)^2, its graphs whose two degree-(k-1)
-    vertices are not adjacent.  Disconnected graphs count in slot 0.
+    vertices are not adjacent.  Disconnected graphs count in slot 0.  Each
+    class's measures are built once per table, by profile().
     """
 
     def __init__(self, n: int, wanted: Callable[[_Degrees], bool]):
+        self.n = n
+        self._profiles: dict[tuple[int, ...], _Degrees] = {}
         # every non-increasing list of n degrees in 1..n-1 but all ones: the
         # candidates for a connected degree class (3,002 lists at n = 8)
         candidates = {_key(n, degrees): degrees
                       for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
                       if degrees[0] > 1}
         slots = (n + 1) ** (n - 2)
-        # per-slot lookups: the witness classes, and k - 1 on the edge-deleted classes
-        witness = np.zeros(slots, bool)
-        low = np.zeros(slots, np.uint8)
+        # one lookup per slot: bit 0 marks a witness class, the bits above hold
+        # k - 1 on the edge-deleted class k^(n-2) (k-1)^2
+        lookup = np.zeros(slots, np.uint8)
         for slot, degrees in candidates.items():
-            witness[slot] = wanted(_Degrees(degrees))
+            lookup[slot] = wanted(self.profile(degrees))
         for k in range(2, n):
-            low[_key(n, (k,) * (n - 2) + (k - 1,) * 2)] = k - 1
+            lookup[_key(n, (k,) * (n - 2) + (k - 1,) * 2)] |= (k - 1) << 1
+        deg_lo = _pair_tables(n, high=False)[0]
 
         counts = np.zeros(slots, np.int64)
-        deletions = np.zeros(slots, np.int64)
-        self.n = n
+        deletions = np.zeros(n, np.int64)  # indexed by k - 1
         self.masks: dict[tuple[int, ...], list[int]] = {}
         for chunk in _scan_chunks(n):
             slot = np.where(chunk.connected, chunk.key, 0)
             counts += np.bincount(slot, minlength=slots)
+            flags = lookup[slot]
 
-            hit = np.flatnonzero(witness[slot])
+            hit = np.flatnonzero(flags & 1)
             for s in np.unique(slot[hit]).tolist():
                 kept = chunk.start + hit[slot[hit] == s]
                 self.masks.setdefault(candidates[s], []).extend(kept.tolist())
 
             # pair bit of the two degree-(k-1) vertices i < j: they must not be adjacent
-            idx = np.flatnonzero(low[slot])
-            i, j = np.nonzero(chunk.deg[idx] == low[slot[idx], None])[1].reshape(-1, 2).T
-            idx = idx[(((chunk.start + idx) >> (j * (j - 1) // 2 + i)) & 1) == 0]
-            deletions += np.bincount(slot[idx], minlength=slots)
+            idx = np.flatnonzero(flags > 1)
+            low = flags[idx] >> 1
+            deg = deg_lo[:, idx] + chunk.deg_hi
+            i, j = np.nonzero(deg.T == low[:, None])[1].reshape(-1, 2).T
+            apart = (((chunk.start + idx) >> (j * (j - 1) // 2 + i)) & 1) == 0
+            deletions += np.bincount(low[apart], minlength=n)
 
         self.counts = {candidates[s]: int(counts[s]) for s in np.flatnonzero(counts).tolist() if s}
-        self.deletions = {candidates[s]: int(deletions[s]) for s in np.flatnonzero(deletions).tolist()}
+        # in ascending k, so in ascending slot order
+        self.deletions = {(k,) * (n - 2) + (k - 1,) * 2: int(deletions[k - 1])
+                          for k in range(2, n) if deletions[k - 1]}
+
+    def profile(self, degrees: tuple[int, ...]) -> _Degrees:
+        """The measures of one degree class, the same object on every read."""
+        if degrees not in self._profiles:
+            self._profiles[degrees] = _Degrees(degrees)
+        return self._profiles[degrees]
 
 
 def _witnesses(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> tuple[str, ...]:
     """The graph6 strings of the kept masks of the table's classes that ``accepts``
     takes, merged into ascending mask order."""
     masks = sorted(itertools.chain.from_iterable(
-        table.masks.get(degrees, ()) for degrees in table.counts if accepts(_Degrees(degrees))))
-    return tuple(emit_graph6(Graph.from_pair_mask(table.n, mask)) for mask in masks)
+        table.masks.get(degrees, ()) for degrees in table.counts if accepts(table.profile(degrees))))
+    # bit k of a mask is pair k of pair_order(n), so the bits are the graph6 payload
+    bits = (np.array(masks, np.int64)[:, None] >> np.arange(math.comb(table.n, 2))) & 1
+    return tuple(_emit_graph6_rows(table.n, bits.astype(np.uint8)))
 
 
 def _isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
@@ -274,7 +311,7 @@ def _iso_classes(table: _ClassTable, accepts: Callable[[_Degrees], bool]
     found: list[tuple[int, Graph, int]] = []
     unaccounted = 0
     for degrees, count in table.counts.items():
-        if not accepts(_Degrees(degrees)):
+        if not accepts(table.profile(degrees)):
             continue
         masks = table.masks.get(degrees, [])
         reps: list[tuple[int, Graph, int]] = []
@@ -315,7 +352,7 @@ class _Extremes:
         n = table.n
         target = antiregular(n)
         self.target_bad = int(_n0(target) != 1)
-        classes = [(_Degrees(degrees), count) for degrees, count in table.counts.items()]
+        classes = [(table.profile(degrees), count) for degrees, count in table.counts.items()]
         self.regular_count = sum(count for d, count in classes if d.max_degree == d.min_degree)
         self.max_count = sum(count for d, count in classes if _maximal(d))
         # the n0 = 1 graphs not shown isomorphic to the target, so also every
@@ -347,16 +384,16 @@ class _Claim:
         """Whether the scan keeps the masks of the class, for its graphs to be named."""
         return False
 
-    def classes(self, counts: dict) -> Iterator[tuple[_Degrees, int]]:
-        """Each covered class of a class -> count map, with its count."""
+    def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_Degrees, int]]:
+        """Each covered class of one of the table's class -> count maps, with its count."""
         for degrees, count in counts.items():
-            d = _Degrees(degrees)
+            d = table.profile(degrees)
             if self.covers(d):
                 yield d, count
 
     def decide(self, table: _ClassTable, extremes: _Extremes | None) -> VerificationReport:
         """Count every covered graph as checked, and once per broken condition as a violation."""
-        for d, count in self.classes(table.counts):
+        for d, count in self.classes(table, table.counts):
             self.checked += count
             self.violations += count * self.bad(d)
         return self.finish(table, extremes)
@@ -458,7 +495,7 @@ class _LemmaDelta(_Claim):
 
     def finish(self, table, extremes):
         return self._report(_witnesses(table, self.wants), {"equality_labeled_count": sum(
-            count for d, count in self.classes(table.counts) if self.wants(d))})
+            count for d, count in self.classes(table, table.counts) if self.wants(d))})
 
 
 class _PropLower(_Claim):
@@ -490,7 +527,7 @@ class _PropLower(_Claim):
 
     def finish(self, table, extremes):
         return self._report(details={"equality_labeled_count": sum(
-            count for d, count in self.classes(table.counts) if self._gaps(d) == (0, 0))})
+            count for d, count in self.classes(table, table.counts) if self._gaps(d) == (0, 0))})
 
 
 class _PropBidegreed(_Claim):
@@ -510,7 +547,7 @@ class _PropBidegreed(_Claim):
 
     def decide(self, table, extremes):
         first_n0: dict[int, int] = {}
-        for d, count in self.classes(table.counts):
+        for d, count in self.classes(table, table.counts):
             first = first_n0.setdefault(d.multiplicities[d.max_degree], d.n0)
             self.checked += count
             self.violations += count * (d.n0 != first)
@@ -542,7 +579,7 @@ class _CorEdgeDeleted(_Claim):
     def decide(self, table, extremes):
         n = self.n
         expected = None
-        for d, count in self.classes(table.deletions):
+        for d, count in self.classes(table, table.deletions):
             if expected is None:
                 expected = d.n0
             self.checked += count
@@ -597,8 +634,8 @@ class _IrrtNotUnique(_Claim):
         return d.irr_t >= self.floor
 
     def finish(self, table, extremes):
-        best = max(d.irr_t for d, _ in self.classes(table.counts))
-        count = sum(count for d, count in self.classes(table.counts) if d.irr_t == best)
+        best = max(d.irr_t for d, _ in self.classes(table, table.counts))
+        count = sum(count for d, count in self.classes(table, table.counts) if d.irr_t == best)
         classes, unaccounted = _iso_classes(table, lambda d: d.irr_t == best)
         self.violations += unaccounted
         non_anti_reps = [g for _, g, _ in classes if not is_isomorphic_to(g, self.target)]

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, adjacency_stack
 
 __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "emit_graph6"]
 
@@ -104,7 +104,20 @@ def emit_graph6(g: Graph) -> str:
     """Serialize g as a graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
-    # column j's pairs (i, j), i < j, are row j's bits below j, lowest i first
-    bits = "".join(f"{g.neighbor_mask(j) & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)  # zero-pad the last 6-bit group
-    return chr(63 + g.n) + "".join([chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6)])
+    adjacency = adjacency_stack([g], np.empty((1, g.n, g.n), np.uint8))
+    # row j's columns i < j, read row by row, are the pairs in pair order
+    return _emit_graph6_rows(g.n, adjacency[:, np.tri(g.n, k=-1, dtype=bool)])[0]
+
+
+def _emit_graph6_rows(n: int, bits: np.ndarray) -> list[str]:
+    """The graph6 strings of graphs on n <= GRAPH6_MAX_N vertices, one per row of
+    ``bits``: (B, C(n,2)) 0/1 uint8 flags over pair_order(n).  parse_graph6's
+    decode run backwards."""
+    rows, pairs = bits.shape
+    groups = -(-pairs // 6)
+    padded = np.zeros((rows, 6 * groups), np.uint8)  # zero-pad the last 6-bit group
+    padded[:, :pairs] = bits
+    # each 6-bit group, big-endian, into the low bits of its byte
+    text = np.full((rows, 1 + groups), 63 + n, np.uint8)
+    text[:, 1:] = (np.packbits(padded.reshape(rows, groups, 6), axis=2)[:, :, 0] >> 2) + 63
+    return text.view(f"S{1 + groups}").ravel().astype(str).tolist()

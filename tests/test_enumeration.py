@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -574,6 +575,27 @@ def test_slot_key_is_collision_free():
         assert slots[0] == (1,) * n and max(slots) < (n + 1) ** (n - 2)
 
 
+def test_slot_key_is_the_power_sum_quotient():
+    # the scan's slot: the sum of (n + 1)^d over the degrees, floor-divided by
+    # (n + 1)^2, is _key for every multiset of degrees in 0..n-1, and the sum
+    # fits int32
+    for n in range(3, 9):
+        sums = {}
+        for seq in itertools.combinations_with_replacement(range(n), n):
+            sums[seq] = sum((n + 1) ** d for d in seq)
+            assert sums[seq] // (n + 1) ** 2 == enumeration._key(n, seq), seq
+        assert max(sums.values()) == n * (n + 1) ** (n - 1) < 2 ** 31
+
+
+def test_witnesses_encode_each_kept_mask():
+    # one batch over the mask bits gives what each mask's graph encodes to
+    table = scanned_table(6)
+    masks = sorted(itertools.chain.from_iterable(table.masks.values()))
+    assert len(masks) > 500
+    assert enumeration._witnesses(table, lambda d: True) == tuple(
+        emit_graph6(Graph.from_pair_mask(6, mask)) for mask in masks)
+
+
 def chunk_albertson(n, chunk):
     """Sum of |d_i - d_j| over the edges of each graph in the chunk, from its
     degrees and its pair bits."""
@@ -722,11 +744,13 @@ def test_degree_determined_details_match_the_degree_sequence_oracle():
 
 def degree_sequence_table(n):
     """A class table that counts every connected degree sequence once, in slot
-    order, with its edge-deleted classes and no kept masks."""
+    order, with its edge-deleted classes, no kept masks and one profile per
+    sequence."""
     sequences = sorted(connected_degree_sequences(n), key=lambda seq: enumeration._key(n, seq))
     deleted = [seq for seq in sequences if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2]
     return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1), masks={},
-                                 deletions=dict.fromkeys(deleted, 1))
+                                 deletions=dict.fromkeys(deleted, 1),
+                                 profile=functools.cache(enumeration._Degrees))
 
 
 @pytest.mark.parametrize("n", [9, 10, pytest.param(11, marks=pytest.mark.slow),

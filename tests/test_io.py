@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from graphirr import (
@@ -9,10 +10,12 @@ from graphirr import (
     Graph,
     emit_edgelist,
     emit_graph6,
+    pair_order,
     parse_edgelist,
     parse_graph6,
 )
 from graphirr.generators import complete, gnp, path, star
+from graphirr.io import _emit_graph6_rows
 
 
 def test_parse_graph6_known_strings():
@@ -74,6 +77,30 @@ def test_emit_graph6_matches_networkx_for_every_order():
         h.add_nodes_from(range(n))
         h.add_edges_from(g.edges())
         assert emit_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip(), n
+
+
+def pair_bit_rows(n, masks):
+    """One row of 0/1 pair flags over pair_order(n) per mask, bit k being pair k."""
+    return ((np.array(masks, np.int64)[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(np.uint8)
+
+
+def networkx_graph6(nx, n, mask):
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pair for k, pair in enumerate(pair_order(n)) if mask >> k & 1)
+    return nx.to_graph6_bytes(h, header=False).decode().strip()
+
+
+def test_graph6_row_encoder_matches_networkx():
+    # every mask up to n = 5, and seeded samples at n = 6..8; at n = 8 the 28
+    # pair bits leave two pad bits in the last 6-bit group
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2019)
+    for n in range(1, 9):
+        pairs = n * (n - 1) // 2
+        masks = list(range(1 << pairs)) if n <= 5 else rng.integers(0, 1 << pairs, 500).tolist()
+        assert _emit_graph6_rows(n, pair_bit_rows(n, masks)) == [
+            networkx_graph6(nx, n, mask) for mask in masks], n
 
 
 def test_emit_graph6_rejects_large_n():
