@@ -189,9 +189,10 @@ class _ClassTable:
     A degree class is its non-increasing degree tuple.  counts holds the
     labeled count of every connected class, in ascending slot order; masks,
     the ascending masks of each class that ``wanted`` accepts; deletions, per
-    edge-deleted class k^(n-2) (k-1)^2, its graphs whose two degree-(k-1)
-    vertices are not adjacent.  Disconnected graphs count in slot 0.  Each
-    class's measures are built once per table, by profile().
+    edge-deleted class k^(n-2) (k-1)^2, the number of (g, e) pairs of a
+    connected k-regular graph g and an edge e of g.  Disconnected graphs
+    count in slot 0.  Each class's measures are built once per table, by
+    profile().
     """
 
     def __init__(self, n: int, wanted: Callable[[_Degrees], bool]):
@@ -202,41 +203,28 @@ class _ClassTable:
         candidates = {_key(n, degrees): degrees
                       for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
                       if degrees[0] > 1}
+        kept = np.array(sorted(slot for slot, degrees in candidates.items()
+                               if wanted(self.profile(degrees))), np.int64)
         slots = (n + 1) ** (n - 2)
-        # one lookup per slot: bit 0 marks a witness class, the bits above hold
-        # k - 1 on the edge-deleted class k^(n-2) (k-1)^2
-        lookup = np.zeros(slots, np.uint8)
-        for slot, degrees in candidates.items():
-            lookup[slot] = wanted(self.profile(degrees))
-        for k in range(2, n):
-            lookup[_key(n, (k,) * (n - 2) + (k - 1,) * 2)] |= (k - 1) << 1
-        deg_lo = _pair_tables(n, high=False)[0]
 
         counts = np.zeros(slots, np.int64)
-        deletions = np.zeros(n, np.int64)  # indexed by k - 1
         self.masks: dict[tuple[int, ...], list[int]] = {}
         for chunk in _scan_chunks(n):
             slot = np.where(chunk.connected, chunk.key, 0)
-            counts += np.bincount(slot, minlength=slots)
-            flags = lookup[slot]
-
-            hit = np.flatnonzero(flags & 1)
-            for s in np.unique(slot[hit]).tolist():
-                kept = chunk.start + hit[slot[hit] == s]
-                self.masks.setdefault(candidates[s], []).extend(kept.tolist())
-
-            # pair bit of the two degree-(k-1) vertices i < j: they must not be adjacent
-            idx = np.flatnonzero(flags > 1)
-            low = flags[idx] >> 1
-            deg = deg_lo[:, idx] + chunk.deg_hi
-            i, j = np.nonzero(deg.T == low[:, None])[1].reshape(-1, 2).T
-            apart = (((chunk.start + idx) >> (j * (j - 1) // 2 + i)) & 1) == 0
-            deletions += np.bincount(low[apart], minlength=n)
+            tally = np.bincount(slot, minlength=slots)
+            counts += tally
+            for s in kept[tally[kept] > 0].tolist():
+                masks = chunk.start + np.flatnonzero(slot == s)
+                self.masks.setdefault(candidates[s], []).extend(masks.tolist())
 
         self.counts = {candidates[s]: int(counts[s]) for s in np.flatnonzero(counts).tolist() if s}
-        # in ascending k, so in ascending slot order
-        self.deletions = {(k,) * (n - 2) + (k - 1,) * 2: int(deletions[k - 1])
-                          for k in range(2, n) if deletions[k - 1]}
+        # A connected k-regular graph on n <= 9 vertices has no bridge: for
+        # even k every degree is even, and for odd k each side of a bridge
+        # holds an odd number of vertices, at least k + 2 of them, so
+        # n >= 2k + 4 >= 10.  So each of its nk/2 edges is one connected
+        # deletion.  In ascending k, so in ascending slot order.
+        self.deletions = {(k,) * (n - 2) + (k - 1,) * 2: n * k // 2 * self.counts[(k,) * n]
+                          for k in range(2, n) if (k,) * n in self.counts}
 
     def profile(self, degrees: tuple[int, ...]) -> _Degrees:
         """The measures of one degree class, the same object on every read."""
@@ -565,12 +553,16 @@ class _PropBidegreed(_Claim):
 class _CorEdgeDeleted(_Claim):
     """Deleting any edge from any connected regular graph (keeping the result
     connected) always lands on the same n0, hence the same ira and irb.  Each
-    such g - uv is exactly a connected graph with degrees k^(n-2) (k-1)^2 whose
-    two degree-(k-1) vertices u, v are not adjacent: adding uv back gives g.
+    deletion g - uv from a connected k-regular graph g has degrees
+    k^(n-2) (k-1)^2.
 
-    The scan counts those graphs per class.  The n0 of the first class in
-    table order, the one of lowest slot, is the reference; a class whose n0
-    differs counts all its graphs as violations.
+    A connected k-regular graph on n <= 9 vertices has no bridge: for even k
+    every degree is even, and for odd k each side of a bridge holds an odd
+    number of vertices, at least k + 2 of them.  So every one of its nk/2
+    deletions stays connected, and the table counts them per class from the
+    regular classes.  The n0 of the first class in table order, the one of
+    lowest slot, is the reference; a class whose n0 differs counts all its
+    deletions as violations.
     """
 
     claim_id = "cor_edge_deleted"
@@ -656,7 +648,7 @@ class _Eq2Identity(_Claim):
     summary = "pair counts sum to C(n,2) and weight-sum to irr_t"
 
     def bad(self, d):
-        spectrum = nk_spectrum(d.degrees)
+        spectrum = nk_spectrum(d)
         return (spectrum.total_pairs != math.comb(self.n, 2)
                 or spectrum.weighted_sum != _pairwise_irrt(d))
 
@@ -671,7 +663,7 @@ class _Sec3Identities(_Claim):
 
     def bad(self, d):
         form_pairwise = _pairwise_irrt(d)
-        int_bad = form_pairwise != nk_spectrum(d.degrees).weighted_sum or form_pairwise != d.irr_t
+        int_bad = form_pairwise != nk_spectrum(d).weighted_sum or form_pairwise != d.irr_t
         z_ratio = form_pairwise / (2 * d.m * self.n)
         z_ranked = gini_sequence(d.degrees)
         scale = max(1.0, abs(z_ratio), abs(z_ranked))

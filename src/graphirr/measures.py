@@ -20,8 +20,6 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cached_property
 from itertools import combinations
 
-import numpy as np
-
 from .graphs import Graph, degree_sequence, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
@@ -223,9 +221,10 @@ def nk_spectrum(d) -> NkSpectrum:
     """Degree-difference pair counts over all C(n, 2) unordered vertex pairs, k ascending.
 
     Built from the degree multiplicities c: N_0 = n0 and N_k = sum of c_a * c_b
-    over the degree values a > b with a - b = k.
+    over the degree values a > b with a - b = k.  A _Degrees is read as is.
     """
-    d = _Degrees(d)
+    if not isinstance(d, _Degrees):
+        d = _Degrees(d)
     if d.n < 2:
         raise ValueError(f"nk_spectrum needs n >= 2 (no pairs for n={d.n})")
     hist = d.multiplicities
@@ -358,16 +357,11 @@ class MeasureReport(_Degrees):
 
     @cached_property
     def _edge_sums(self) -> tuple[int, int, float]:
-        """albertson, sigma and the Randic index from one walk over the edges.
-
-        The Randic terms are summed one by one in edge order by Python's sum, not
-        pairwise as np.sum would, so rho keeps its rounding.
-        """
-        edges = np.array(self.graph.edges(), dtype=np.intp).reshape(-1, 2)
-        deg = np.array(self.graph.degrees())
-        du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
-        diffs = np.abs(du - dv)
-        return int(diffs.sum()), int((diffs * diffs).sum()), sum((1.0 / np.sqrt(du * dv)).tolist())
+        """albertson, sigma and the Randic index from one walk over the edges."""
+        deg = self.graph.degrees()
+        ends = [(deg[u], deg[v]) for u, v in self.graph.edges()]
+        return (sum(abs(a - b) for a, b in ends), sum((a - b) ** 2 for a, b in ends),
+                sum(1.0 / math.sqrt(a * b) for a, b in ends))
 
     @property
     def albertson(self) -> int:

@@ -413,6 +413,23 @@ def test_verify_bad_n_spec_names_the_part(capsys, spec):
     assert err == f"error: bad vertex counts {bad_part!r}; expected N or A-B\n"
 
 
+@pytest.mark.parametrize("argv, lines, message", [
+    (["rank", "{input}", "--by", "rho"], ["A_"], "measure rho is undefined for input A_"),
+    (["verify", "--claims", ",", "--n", "3"], None, "empty claim selection"),
+    (["verify", "--n", ","], None, "no vertex counts in ','"),
+    (["compute", "{input}"], ["", "  ", ""], "no input graphs"),
+    (["compute", "{input}"], ["?"], "graph6 vertex count must be >= 1"),
+    (["generate", "--family", "complete", "--n", "0"], None, "complete needs n >= 1, got n=0"),
+    (["generate", "--family", "complete_minus_edge", "--n", "1"], None,
+     "complete_minus_edge needs n >= 2, got n=1"),
+])
+def test_bad_input_gives_one_line_error(tmp_path, capsys, argv, lines, message):
+    if lines is not None:
+        g6_file = write_lines(tmp_path, "input.g6", lines)
+        argv = [arg.replace("{input}", g6_file) for arg in argv]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["compute"])[0] == 1  # missing path

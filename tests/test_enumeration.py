@@ -272,6 +272,20 @@ def test_edge_deleted_count_at_n8():
     assert details["n0_after_deletion"] == math.comb(6, 2) + 1
 
 
+def test_connected_regular_graphs_have_no_bridge():
+    """The lemma cor_edge_deleted's count rests on: every edge of a connected
+    regular graph on n <= 9 vertices is one connected deletion.  The atlas
+    covers n <= 7; the claim must not reach past n = 9, where the smallest
+    cubic graph with a bridge (n = 10) would be overcounted."""
+    nx = pytest.importorskip("networkx")
+    regular = [g for g in nx.graph_atlas_g()
+               if g.number_of_nodes() >= 3 and nx.is_connected(g)
+               and len({d for _, d in g.degree()}) == 1]
+    assert len(regular) == 14  # 1, 2, 2, 5 and 4 at n = 3..7
+    assert not any(nx.has_bridges(g) for g in regular)
+    assert enumeration._CLAIMS["cor_edge_deleted"].orders[-1] <= 9
+
+
 def test_irrt_probe_finds_multiple_classes_at_n6():
     report = verify_claim("irrt_not_unique", 6)
     assert report.passed  # a probe never fails

@@ -92,6 +92,13 @@ def test_pair_mask_round_trip():
             assert g.edges() == [(i, j)]
 
 
+def test_pair_mask_out_of_range_is_value_error():
+    # C(3, 2) = 3 pairs, so the masks are 0..7
+    for mask in (-1, 8):
+        with pytest.raises(ValueError, match=f"mask {mask} out of range for n=3"):
+            Graph.from_pair_mask(3, mask)
+
+
 def test_vertex_count_beyond_maxsize_is_value_error():
     # a list of that many vertices cannot even be sized, so this must be
     # refused before any allocation
