@@ -96,12 +96,6 @@ class _Chunk:
     start: int
     connected: np.ndarray   # bool
     key: np.ndarray         # int32, the slot (_key) of the graph's degree multiset
-    deg_hi: np.ndarray      # (n, 1) uint8, each vertex's degree over the range's high pairs
-
-    @functools.cached_property
-    def deg(self) -> np.ndarray:
-        """(size, n) uint8 per-vertex degrees, built when first read."""
-        return (_pair_tables(len(self.deg_hi), high=False)[0] + self.deg_hi).T
 
 
 def _key(n: int, degrees) -> int:
@@ -175,12 +169,7 @@ def _scan_chunks(n: int) -> Iterator[_Chunk]:
             key += power_lo[v] * scale[v]
         key //= (n + 1) ** 2
 
-        yield _Chunk(
-            start=high * size,
-            connected=reach == full_reach,
-            key=key,
-            deg_hi=deg_hi[:, high:high + 1],
-        )
+        yield _Chunk(start=high * size, connected=reach == full_reach, key=key)
 
 
 class _ClassTable:

@@ -58,13 +58,10 @@ class Graph:
         return cls(n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
 
     @classmethod
-    def from_pair_bits(cls, n: int, bits: np.ndarray) -> "Graph":
-        """Build a graph from one 0/1 uint8 flag per pair of pair_order(n); as from_pair_mask."""
+    def _from_masks(cls, n: int, masks: list[int]) -> "Graph":
+        """Build a graph from its n neighbour masks, taken as given."""
         g = cls(n)  # checks n before anything is sized by it
-        lower = np.zeros((n, n), np.uint8)
-        lower[np.tri(n, k=-1, dtype=bool)] = bits  # row j, column i < j: row-major is pair order
-        rows = np.packbits(lower | lower.T, axis=1, bitorder="little")
-        g._adj = tuple(int.from_bytes(row, "little") for row in rows)
+        g._adj = tuple(masks)
         return g
 
     @property

@@ -10,6 +10,7 @@ group emitted as one byte offset by 63 and zero-padded at the end.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "em
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
+_GRAPH6_BYTES = bytes(range(63, 127))
 
 
 class FormatError(ValueError):
@@ -79,25 +81,36 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise FormatError("graph6 string contains non-ASCII characters") from None
-    raw = np.frombuffer(data, np.uint8)
-    outside = np.flatnonzero((raw < 63) | (raw > 126))
-    if outside.size:
-        pos = int(outside[0])
+    if data.translate(None, _GRAPH6_BYTES):
+        pos = next(i for i, byte in enumerate(data) if byte not in _GRAPH6_BYTES)
         raise FormatError(f"byte {data[pos]} at position {pos} outside graph6 range [63, 126]")
     if data[0] == 126:
         raise FormatError(f"multi-byte vertex counts (n > {GRAPH6_MAX_N}) are not supported")
     n = data[0] - 63
     if n < 1:
         raise FormatError("graph6 vertex count must be >= 1")
-    npairs = n * (n - 1) // 2
-    expected = (npairs + 5) // 6
+    expected = (n * (n - 1) // 2 + 5) // 6
     if len(data) - 1 != expected:
         raise FormatError(
             f"graph6 bit field for n={n} needs {expected} bytes, got {len(data) - 1}"
         )
-    # each 6-bit group sits in the low bits of its byte, big-endian: drop the top two
-    bits = np.unpackbits(raw[1:] - 63).reshape(-1, 8)[:, 2:]
-    return Graph.from_pair_bits(n, bits.ravel()[:npairs])
+    bits = np.unpackbits(np.frombuffer(data, np.uint8) - 63)
+    rows = np.packbits(bits[_gather_table(n)], axis=1, bitorder="little")
+    return Graph._from_masks(n, rows.view("<u8")[:, 0].tolist())
+
+
+@functools.cache
+def _gather_table(n: int) -> np.ndarray:
+    """(n, 64) positions in a graph6 string's unpacked bits, header included:
+    entry (v, u) is pair {u, v}'s bit, so row v packs into v's neighbour mask.
+    Pair k is unpacked bit 2 + k % 6 of byte 1 + k // 6.  Entries with u = v or
+    u >= n are 0, the header's top bit, clear because the header minus 63 is n."""
+    v, u = np.indices((n, 64))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    k = hi * (hi - 1) // 2 + lo
+    table = np.where((u != v) & (u < n), 8 + 8 * (k // 6) + 2 + k % 6, 0)
+    table.flags.writeable = False
+    return table
 
 
 def emit_graph6(g: Graph) -> str:
@@ -111,8 +124,8 @@ def emit_graph6(g: Graph) -> str:
 
 def _emit_graph6_rows(n: int, bits: np.ndarray) -> list[str]:
     """The graph6 strings of graphs on n <= GRAPH6_MAX_N vertices, one per row of
-    ``bits``: (B, C(n,2)) 0/1 uint8 flags over pair_order(n).  parse_graph6's
-    decode run backwards."""
+    ``bits``: (B, C(n,2)) 0/1 uint8 flags over pair_order(n), each row packed
+    into 6-bit groups as the module docstring lays out."""
     rows, pairs = bits.shape
     groups = -(-pairs // 6)
     padded = np.zeros((rows, 6 * groups), np.uint8)  # zero-pad the last 6-bit group

@@ -419,6 +419,8 @@ def test_verify_bad_n_spec_names_the_part(capsys, spec):
     (["verify", "--n", ","], None, "no vertex counts in ','"),
     (["compute", "{input}"], ["", "  ", ""], "no input graphs"),
     (["compute", "{input}"], ["?"], "graph6 vertex count must be >= 1"),
+    # the first bad line in input order is the one reported
+    (["compute", "{input}"], ["Bw", "G????", "Bg", "?"], "graph6 bit field for n=8 needs 5 bytes, got 4"),
     (["generate", "--family", "complete", "--n", "0"], None, "complete needs n >= 1, got n=0"),
     (["generate", "--family", "complete_minus_edge", "--n", "1"], None,
      "complete_minus_edge needs n >= 2, got n=1"),

@@ -29,7 +29,7 @@ from graphirr import (
     verify_claim,
 )
 from graphirr import cli, enumeration
-from graphirr.enumeration import _scan_chunks
+from graphirr.enumeration import _pair_tables, _scan_chunks
 from graphirr.generators import antiregular, complete, complete_split, cycle, path, star
 
 
@@ -224,11 +224,22 @@ def test_edge_deleted_regular_details():
     assert report.details["irb_after_deletion"] == pytest.approx(8 / 15, abs=1e-12)
 
 
+def chunk_degrees(n, chunk):
+    """(size, n) uint8 per-vertex degrees of the chunk's graphs: the low-pair
+    degree table plus the chunk's column of the high-pair one."""
+    deg_lo, deg_hi = _pair_tables(n, False)[0], _pair_tables(n, True)[0]
+    high = chunk.start // deg_lo.shape[1]
+    return (deg_lo + deg_hi[:, high:high + 1]).T
+
+
 def edge_deleted_reference(n):
     """cor_edge_deleted the slow way: delete every edge of every connected
     regular graph, keep the connected results and compare their n0."""
-    regular_masks = [chunk.start + int(i) for chunk in _scan_chunks(n)
-                     for i in np.nonzero(chunk.connected & (chunk.deg.max(axis=1) == chunk.deg.min(axis=1)))[0]]
+    regular_masks = []
+    for chunk in _scan_chunks(n):
+        deg = chunk_degrees(n, chunk)
+        regular = chunk.connected & (deg.max(axis=1) == deg.min(axis=1))
+        regular_masks.extend(chunk.start + int(i) for i in np.nonzero(regular)[0])
     checked = violations = 0
     expected = None
     witnesses = []
@@ -614,7 +625,7 @@ def chunk_albertson(n, chunk):
     """Sum of |d_i - d_j| over the edges of each graph in the chunk, from its
     degrees and its pair bits."""
     masks = np.arange(chunk.start, chunk.start + len(chunk.connected), dtype=np.int64)
-    deg = chunk.deg.astype(np.int32)
+    deg = chunk_degrees(n, chunk).astype(np.int32)
     total = np.zeros(len(chunk.connected), np.int32)
     for k, (i, j) in enumerate(pair_order(n)):
         total += ((masks >> k) & 1).astype(np.int32) * np.abs(deg[:, i] - deg[:, j])
@@ -664,9 +675,10 @@ def oracle_scan_fields(n, mask):
 
 
 def assert_chunk_matches_oracle(n, chunk, indices):
+    fields = {"connected": chunk.connected, "deg": chunk_degrees(n, chunk), "key": chunk.key}
     for i in indices:
         expected = oracle_scan_fields(n, chunk.start + int(i))
-        got = {name: getattr(chunk, name)[i].tolist() for name in SCAN_FIELDS}
+        got = {name: fields[name][i].tolist() for name in SCAN_FIELDS}
         assert got == expected, f"n={n} mask={chunk.start + int(i)}"
 
 
@@ -709,7 +721,7 @@ def scanned_degree_sequences(n):
     place = (n ** np.arange(n - 1, -1, -1)).astype(np.int32)
     seen = set()
     for chunk in _scan_chunks(n):
-        ordered = -np.sort(-chunk.deg[chunk.connected].astype(np.int32), axis=1)
+        ordered = -np.sort(-chunk_degrees(n, chunk)[chunk.connected].astype(np.int32), axis=1)
         seen.update(np.unique(ordered @ place).tolist())
     return {tuple(key // n ** k % n for k in range(n - 1, -1, -1)) for key in seen}
 

@@ -15,7 +15,7 @@ from graphirr import (
     parse_graph6,
 )
 from graphirr.generators import complete, gnp, path, star
-from graphirr.io import _emit_graph6_rows
+from graphirr.io import GRAPH6_MAX_N, _emit_graph6_rows
 
 
 def test_parse_graph6_known_strings():
@@ -55,6 +55,42 @@ def test_graph6_bad_bytes():
         parse_graph6("BÈ")  # non-ASCII
     with pytest.raises(FormatError):
         parse_graph6("~??")  # multi-byte vertex count unsupported
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    ("GÈ????", "graph6 string contains non-ASCII characters"),
+    ("G?!(??", "byte 33 at position 2 outside graph6 range [63, 126]"),  # the first of two
+    ("~??", "multi-byte vertex counts (n > 62) are not supported"),
+    ("?", "graph6 vertex count must be >= 1"),
+    ("G????", "graph6 bit field for n=8 needs 5 bytes, got 4"),
+    ("G??????", "graph6 bit field for n=8 needs 5 bytes, got 6"),
+])
+def test_graph6_error_messages(text, message):
+    with pytest.raises(FormatError) as caught:
+        parse_graph6(text)
+    assert str(caught.value) == message
+
+
+def test_graph6_every_one_edge_graph_decodes_to_its_edge():
+    # pair k is bit 5 - k % 6 of payload byte k // 6: each string sets one pair
+    # bit, written here without the encoder, at every order graph6 takes
+    for n in range(2, GRAPH6_MAX_N + 1):
+        groups = (n * (n - 1) // 2 + 5) // 6
+        for k, (i, j) in enumerate(pair_order(n)):
+            payload = bytearray(b"?" * groups)
+            payload[k // 6] += 32 >> k % 6
+            g = parse_graph6(chr(63 + n) + payload.decode())
+            assert g.m == 1 and g.has_edge(i, j) and g.has_edge(j, i), (n, i, j)
+
+
+def test_graph6_set_padding_bits_leave_a_graph_edgeless():
+    for n in range(2, GRAPH6_MAX_N + 1):
+        pairs = n * (n - 1) // 2
+        if pairs % 6:
+            payload = "?" * (pairs // 6) + chr(63 + (1 << (6 - pairs % 6)) - 1)
+            assert parse_graph6(chr(63 + n) + payload) == Graph(n), n
 
 
 def test_graph6_length_must_be_exact():
