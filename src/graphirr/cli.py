@@ -259,7 +259,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     claims = _parse_names(args.claims, "claim", tuple(_CLAIMS), CLAIM_IDS)
     ns = _parse_n_spec(args.n)
-    for claim_id in claims:  # the whole request, before the first scan
+    for claim_id in claims:  # the whole request, before the first table is built
         for n in ns:
             _check_request(claim_id, n)
     reports = [verify_claim(claim_id, n) for claim_id in claims for n in ns]

@@ -1,19 +1,18 @@
-"""Exhaustive labeled-graph enumeration and verification of extremal degree claims.
+"""Exhaustive verification of extremal degree claims over connected labeled graphs.
 
-Every labeled n-vertex graph corresponds to one bitmask over pair_order(n),
-so the search space of size 2^C(n,2) is walked in ascending bitmask order,
-one contiguous range at a time.  Every claim speaks about the degree
-multiset of a connected graph, so the walk reduces to a class table: the
-number of connected labeled graphs in each degree class (863 classes at
-n = 8).  Each claim is decided on it, from the invariants measures._Degrees
-gives each class, weighted by the labeled counts.  The walk keeps masks, in
-mask order, only for witnesses, so runs are deterministic down to witness
-order.  One walk per n feeds every claim.
+Every claim speaks about the degree multiset of a connected graph, so the
+connected labeled n-vertex graphs reduce to a class table: how many lie in
+each degree class (863 classes at n = 8).  The table is counted, not walked,
+by an exact recursion over degree vectors, so each connected labeled graph
+is counted in exactly one class.  Every claim reads only its own classes,
+each once, weighted by its labeled count, so a claim decided on the table is
+decided on every connected labeled graph.  One table per n feeds every claim.
 
-All claims are isomorphism-invariant, so checking every labeled graph is
-sound.  Where a claim names isomorphism classes (the ira/irb and irr_t
-maximizers, the table_rows candidates), a graph's n!/|Aut| labelings settle
-each degree class from its first masks.
+Where a claim names graphs or isomorphism classes, the table builds the
+classes it needs as permutation orbits of their realizations.  An orbit is
+one isomorphism class of n!/|Aut| labelings, so a class's orbits must add up
+to its count.  A graph is its bitmask over pair_order(n), kept in ascending
+order, so runs are deterministic down to witness order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .generators import antiregular
-from .graphs import Graph, pair_order
+from .graphs import Graph, is_connected, pair_order
 from .io import _emit_graph6_rows, emit_graph6
 from .measures import _Degrees, _ira, _irb, compute_all, gini_sequence, n0 as _n0, nk_spectrum
 
@@ -43,7 +42,6 @@ __all__ = [
 
 MIN_N = 3
 MAX_N = 8
-_CHUNK_BITS = 18
 _MAX_WITNESSES = 8  # witnesses format_text lists before "(+k more)"
 
 
@@ -89,15 +87,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _Chunk:
-    """Per-graph arrays for one contiguous bitmask range."""
-
-    start: int
-    connected: np.ndarray   # bool
-    key: np.ndarray         # int32, the slot (_key) of the graph's degree multiset
-
-
 def _key(n: int, degrees) -> int:
     """The slot of a multiset of n degrees, each at least 1: its counts c_2 .. c_{n-1}
     as the digits of a base-(n + 1) number, so slots lie below (n + 1)^(n - 2).
@@ -106,107 +95,137 @@ def _key(n: int, degrees) -> int:
     return sum((n + 1) ** (d - 2) for d in degrees if d >= 2)
 
 
-@functools.cache
-def _pair_tables(n: int, high: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Degree and neighbour-mask tables, shape (n, 2^k), indexed by a bitmask over
-    k pairs: the first min(C(n,2), _CHUNK_BITS) pairs of pair_order(n), or the
-    pairs after them when high is set."""
-    pairs = pair_order(n)
-    low = min(len(pairs), _CHUNK_BITS)
-    pairs = pairs[low:] if high else pairs[:low]
-    deg = np.zeros((n, 1 << len(pairs)), np.uint8)
-    nbr = np.zeros_like(deg)
-    for k, (i, j) in enumerate(pairs):
-        # masks with bit k set are the masks below 2^k plus edge (i, j)
-        lo, hi = 1 << k, 2 << k
-        deg[:, lo:hi] = deg[:, :lo]
-        nbr[:, lo:hi] = nbr[:, :lo]
-        deg[[i, j], lo:hi] += 1
-        nbr[i, lo:hi] |= 1 << j
-        nbr[j, lo:hi] |= 1 << i
-    deg.flags.writeable = nbr.flags.writeable = False
-    return deg, nbr
+def _runs(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The runs of equal degree in a non-increasing tuple, as (degree, multiplicity)."""
+    return [(value, len(list(run))) for value, run in itertools.groupby(degrees)]
 
 
 @functools.cache
-def _power_table(n: int) -> np.ndarray:
-    """(n + 1)^d, as int32, for each degree d of the low-pair degree table."""
-    power = _pair_tables(n, high=False)[0].astype(np.int32)
-    np.power(n + 1, power, out=power)
-    power.flags.writeable = False
-    return power
+def _labeled(degrees: tuple[int, ...]) -> int:
+    """The number of labeled graphs whose vertex i has degree degrees[i], for a
+    non-increasing tuple of positive degrees: vertex 0 takes k_r neighbours
+    from each run r of equal degree, in C(m_r, k_r) ways, which are left one
+    degree short, and the rest is counted the same way."""
+    if not degrees:
+        return 1
+    head, runs = degrees[0], _runs(degrees[1:])
+    total = 0
+    for take in itertools.product(*(range(min(m, head) + 1) for _, m in runs)):
+        if sum(take) != head:
+            continue
+        weight, residual = 1, []
+        for (value, m), k in zip(runs, take):
+            weight *= math.comb(m, k)
+            residual += [value] * (m - k) + [value - 1] * k
+        while residual and not residual[-1]:  # vertices with no degree left
+            residual.pop()
+        total += weight * _labeled(tuple(residual))
+    return total
 
 
-def _scan_chunks(n: int) -> Iterator[_Chunk]:
-    """Reduce every adjacency bitmask to its connectivity, degrees and class
-    slot, one contiguous range at a time.
+@functools.cache
+def _connected(degrees: tuple[int, ...]) -> int:
+    """The number of connected labeled graphs whose vertex i has degree
+    degrees[i], for a non-increasing tuple of positive degrees.
 
-    Within a range only the low pair bits vary, so its degrees and neighbour
-    masks are the low-pair tables plus the range's column of the high-pair
-    tables.  The slot is the sum of (n + 1)^d over the vertices, each term the
-    power table's entry times (n + 1)^h for the vertex's high-pair degree h,
-    floor-divided by (n + 1)^2: the degrees 0 and 1 contribute
-    c_0 + c_1 (n + 1) < (n + 1)^2, so the quotient is _key of the degrees, and
-    the sum, at most n (n + 1)^(n - 1), fits int32 for n <= 8.
+    Otherwise the component S of vertex 0 misses a vertex, and the graph is a
+    connected one on S beside any on the rest: conn(D) = all(D) - the sum
+    over proper S holding vertex 0 of conn(D|S) all(D|V-S) (Harary & Palmer,
+    Graphical Enumeration, 1973, ch. 1), with C(m_r, k_r) sets S for each
+    choice of k_r vertices from each run r.
     """
-    power_lo, nbr_lo = _power_table(n), _pair_tables(n, high=False)[1]
-    deg_hi, nbr_hi = _pair_tables(n, high=True)
-    size = nbr_lo.shape[1]
-    full_reach = np.uint8((1 << n) - 1)
+    total = _labeled(degrees)
+    if not total:
+        return 0
+    head, runs = degrees[0], _runs(degrees[1:])
+    # S holds vertex 0 and its neighbours, so at most n - 1 - head vertices, all
+    # of degree below that, lie outside S; runs of higher degree lie inside
+    limit = len(degrees) - 1 - head
+    for take in itertools.product(*(range(m + 1) if value < limit else (m,) for value, m in runs)):
+        weight, inside, outside = 1, [head], []
+        for (value, m), k in zip(runs, take):
+            weight *= math.comb(m, k)
+            inside += [value] * k
+            outside += [value] * (m - k)
+        # a graph on S has an even degree sum and room for vertex 0's neighbours
+        if outside and sum(inside) % 2 == 0 and head < len(inside):
+            total -= weight * _connected(tuple(inside)) * _labeled(tuple(outside))
+    return total
 
-    for high in range(deg_hi.shape[1]):
-        nbr = nbr_lo | nbr_hi[:, high:high + 1]
 
-        # reach from vertex 0 in a fixed n-1 rounds of frontier growth
-        reach = np.ones(size, np.uint8)
-        for _ in range(n - 1):
-            for v in range(n):
-                reach |= nbr[v] * ((reach >> v) & 1)
+@functools.cache
+def _pair_powers(n: int) -> np.ndarray:
+    """(n!, C(n,2)) int64: row p, column k holds 2^k' for the pair k' of
+    pair_order(n) that the p-th permutation maps pair k onto, so the image of
+    a mask is the sum of its edges' columns."""
+    pairs = np.array(pair_order(n), np.int8)
+    index = np.zeros((n, n), np.int64)
+    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    perms = np.array(list(itertools.permutations(range(n))), np.int8)
+    powers = np.left_shift(np.int64(1), index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]])
+    powers.flags.writeable = False
+    return powers
 
-        scale = (n + 1) ** deg_hi[:, high].astype(np.int32)
-        key = power_lo[0] * scale[0]
-        for v in range(1, n):
-            key += power_lo[v] * scale[v]
-        key //= (n + 1) ** 2
 
-        yield _Chunk(start=high * size, connected=reach == full_reach, key=key)
+def _orbits(degrees: tuple[int, ...]) -> list[list[int]]:
+    """The connected labeled graphs of one degree class, one ascending list of
+    masks per isomorphism class, in order of their smallest masks.
+
+    Each relabels a realization of the vector, a graph whose vertex i has
+    degree degrees[i].  Deciding the pairs of pair_order(n) in turn, a pair is
+    taken while both ends lack degree and left out while each end can still
+    reach its degree later.  Each connected realization in no orbit yet adds
+    its orbit under all n! permutations.
+    """
+    n = len(degrees)
+    pairs, powers = pair_order(n), _pair_powers(n)
+    residual, seen, orbits = list(degrees), set(), []
+
+    def extend(k: int, mask: int) -> None:
+        if k == len(pairs):
+            if mask not in seen and is_connected(Graph.from_pair_mask(n, mask)):
+                edges = [e for e in range(len(pairs)) if mask >> e & 1]
+                orbits.append(np.unique(powers[:, edges].sum(axis=1)).tolist())
+                seen.update(orbits[-1])
+            return
+        i, j = pairs[k]
+        if residual[i] and residual[j]:
+            residual[i] -= 1
+            residual[j] -= 1
+            extend(k + 1, mask | 1 << k)
+            residual[i] += 1
+            residual[j] += 1
+        # after pair (i, j) come n - 1 - j pairs that hold i, and n - 2 - i that hold j
+        if residual[i] <= n - 1 - j and residual[j] <= n - 2 - i:
+            extend(k + 1, mask)
+
+    extend(0, 0)
+    return sorted(orbits)
 
 
 class _ClassTable:
-    """The walk over every n-vertex graph, reduced to what the claims read.
+    """The connected n-vertex graphs, reduced to what the claims read.
 
     A degree class is its non-increasing degree tuple.  counts holds the
-    labeled count of every connected class, in ascending slot order; masks,
-    the ascending masks of each class that ``wanted`` accepts; deletions, per
-    edge-deleted class k^(n-2) (k-1)^2, the number of (g, e) pairs of a
-    connected k-regular graph g and an edge e of g.  Disconnected graphs
-    count in slot 0.  Each class's measures are built once per table, by
-    profile().
+    labeled count of every connected class, in ascending slot order; orbits,
+    the isomorphism classes of each class that ``wanted`` accepts, as _orbits
+    lists them; deletions, per edge-deleted class k^(n-2) (k-1)^2, the number of
+    (g, e) pairs of a connected k-regular graph g and an edge e of g.  Each
+    class's measures are built once per table, by profile().
     """
 
     def __init__(self, n: int, wanted: Callable[[_Degrees], bool]):
         self.n = n
         self._profiles: dict[tuple[int, ...], _Degrees] = {}
-        # every non-increasing list of n degrees in 1..n-1 but all ones: the
-        # candidates for a connected degree class (3,002 lists at n = 8)
-        candidates = {_key(n, degrees): degrees
-                      for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
-                      if degrees[0] > 1}
-        kept = np.array(sorted(slot for slot, degrees in candidates.items()
-                               if wanted(self.profile(degrees))), np.int64)
-        slots = (n + 1) ** (n - 2)
-
-        counts = np.zeros(slots, np.int64)
-        self.masks: dict[tuple[int, ...], list[int]] = {}
-        for chunk in _scan_chunks(n):
-            slot = np.where(chunk.connected, chunk.key, 0)
-            tally = np.bincount(slot, minlength=slots)
-            counts += tally
-            for s in kept[tally[kept] > 0].tolist():
-                masks = chunk.start + np.flatnonzero(slot == s)
-                self.masks.setdefault(candidates[s], []).extend(masks.tolist())
-
-        self.counts = {candidates[s]: int(counts[s]) for s in np.flatnonzero(counts).tolist() if s}
+        # every non-increasing list of n degrees in 1..n-1 with an even sum; its
+        # class holds the graphs of that vector times n!/prod m_d! vectors
+        candidates = [degrees for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
+                      if sum(degrees) % 2 == 0]
+        self.counts = {degrees: count for degrees in sorted(candidates, key=functools.partial(_key, n))
+                       if (count := _connected(degrees) * math.factorial(n) // math.prod(
+                           math.factorial(m) for _, m in _runs(degrees)))}
+        self.orbits = {degrees: _orbits(degrees)
+                       for degrees in self.counts if wanted(self.profile(degrees))}
         # A connected k-regular graph on n <= 9 vertices has no bridge: for
         # even k every degree is even, and for odd k each side of a bridge
         # holds an odd number of vertices, at least k + 2 of them, so
@@ -223,31 +242,32 @@ class _ClassTable:
 
 
 def _witnesses(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> tuple[str, ...]:
-    """The graph6 strings of the kept masks of the table's classes that ``accepts``
+    """The graph6 strings of the orbits of the table's classes that ``accepts``
     takes, merged into ascending mask order."""
-    masks = sorted(itertools.chain.from_iterable(
-        table.masks.get(degrees, ()) for degrees in table.counts if accepts(table.profile(degrees))))
+    masks = sorted(mask for degrees, orbits in table.orbits.items()
+                   if accepts(table.profile(degrees)) for orbit in orbits for mask in orbit)
     # bit k of a mask is pair k of pair_order(n), so the bits are the graph6 payload
     bits = (np.array(masks, np.int64)[:, None] >> np.arange(math.comb(table.n, 2))) & 1
     return tuple(_emit_graph6_rows(table.n, bits.astype(np.uint8)))
 
 
-def _isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
-    """Every edge-preserving vertex bijection from g onto h, as the image of each
-    vertex, by a search that maps each vertex only to vertices of its degree."""
+def is_isomorphic_to(g: Graph, h: Graph) -> bool:
+    """Whether some edge-preserving vertex bijection maps g onto h, by a search
+    that maps each vertex only to vertices of its degree."""
+    if g.n != h.n:
+        raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
     n = g.n
     dg, dh = g.degrees(), h.degrees()
     if g.m != h.m or sorted(dg) != sorted(dh):
-        return
+        return False
     candidates = [[w for w in range(n) if dh[w] == dg[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     mapping = [-1] * n
     used = [False] * n
 
-    def extend(idx: int) -> Iterator[tuple[int, ...]]:
+    def extend(idx: int) -> bool:
         if idx == n:
-            yield tuple(mapping)
-            return
+            return True
         v = order[idx]
         for w in candidates[v]:
             if used[w]:
@@ -256,58 +276,38 @@ def _isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
                 continue
             mapping[v] = w
             used[w] = True
-            yield from extend(idx + 1)
+            if extend(idx + 1):
+                return True
             used[w] = False
+        return False
 
-    yield from extend(0)
-
-
-def is_isomorphic_to(g: Graph, h: Graph) -> bool:
-    """Whether some edge-preserving vertex bijection maps g onto h."""
-    if g.n != h.n:
-        raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
-    return any(True for _ in _isomorphisms(g, h))
-
-
-def _automorphism_count(g: Graph) -> int:
-    """|Aut(g)|, the number of isomorphisms of g onto itself."""
-    return sum(1 for _ in _isomorphisms(g, g))
+    return extend(0)
 
 
 def _iso_classes(table: _ClassTable, accepts: Callable[[_Degrees], bool]
                  ) -> tuple[list[tuple[int, Graph, int]], int]:
     """The isomorphism classes in the table's classes that ``accepts`` takes, as
     (smallest mask, graph, labeled count) in mask order, and the number of their
-    graphs that the kept masks, or those labeled counts, leave unaccounted for.
+    graphs that the orbits leave unaccounted for.
 
-    A graph has n!/|Aut| labelings (orbit-stabilizer), so the walk over each
-    degree class's ascending masks stops once the isomorphism classes found
-    hold the degree class's count.
+    An orbit is one isomorphism class, and it holds the class's n!/|Aut|
+    labelings (orbit-stabilizer), so the orbits of a degree class add up to
+    the count the table gives it: a cross-check of the count and the orbits.
     """
-    n = table.n
     found: list[tuple[int, Graph, int]] = []
     unaccounted = 0
     for degrees, count in table.counts.items():
-        if not accepts(table.profile(degrees)):
-            continue
-        masks = table.masks.get(degrees, [])
-        reps: list[tuple[int, Graph, int]] = []
-        labeled = 0
-        for mask in masks:
-            if labeled >= count:
-                break
-            g = Graph.from_pair_mask(n, mask)
-            if not any(is_isomorphic_to(g, rep) for _, rep, _ in reps):
-                reps.append((mask, g, math.factorial(n) // _automorphism_count(g)))
-                labeled += reps[-1][2]
-        found += reps
-        unaccounted += max(abs(count - len(masks)), abs(count - labeled))
+        if accepts(table.profile(degrees)):
+            orbits = table.orbits.get(degrees, [])
+            found += [(orbit[0], Graph.from_pair_mask(table.n, orbit[0]), len(orbit))
+                      for orbit in orbits]
+            unaccounted += abs(count - sum(map(len, orbits)))
     return sorted(found, key=lambda rep: rep[0]), unaccounted
 
 
 # ---------------------------------------------------------------------------
 # Claim verifiers.  Each checks one extremal statement exhaustively over all
-# connected labeled n-vertex graphs, on the class table of their scan:
+# connected labeled n-vertex graphs, on their class table:
 # decide() reads each class it covers once and weights it by its labeled
 # count, and returns the VerificationReport.
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ class _Extremes:
         self.regular_count = sum(count for d, count in classes if d.max_degree == d.min_degree)
         self.max_count = sum(count for d, count in classes if _maximal(d))
         # the n0 = 1 graphs not shown isomorphic to the target, so also every
-        # graph the kept masks do not account for
+        # graph the orbits do not account for
         found, unaccounted = _iso_classes(table, _maximal)
         self.not_antiregular = unaccounted + sum(
             labeled for _, g, labeled in found if not is_isomorphic_to(g, target))
@@ -358,7 +358,7 @@ class _Claim:
         return 0
 
     def wants(self, d: _Degrees) -> bool:
-        """Whether the scan keeps the masks of the class, for its graphs to be named."""
+        """Whether the table builds the orbits of the class, for its graphs to be named."""
         return False
 
     def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_Degrees, int]]:
@@ -467,7 +467,7 @@ class _LemmaDelta(_Claim):
         return (d.n0 > self._bound(d)) + ((d.n0 == self._bound(d)) != _single_universal_bidegreed(d))
 
     def wants(self, d):
-        """Whether the scan keeps the masks of the class: the equality classes."""
+        """Whether the table builds the orbits of the class: the equality classes."""
         return _nonregular(d) and d.n0 == self._bound(d)
 
     def finish(self, table, extremes):
@@ -599,8 +599,8 @@ class _Problem1(_Claim):
 class _IrrtNotUnique(_Claim):
     """Probe: compute all connected graphs attaining the maximum total
     irregularity and report the maximizers that are not antiregular.  Its one
-    check is that the kept masks account for every maximizer the table counts.
-    The scan keeps the masks of the classes whose irr_t reaches that of the
+    check is that the orbits account for every maximizer the table counts.
+    The table builds the orbits of the classes whose irr_t reaches that of the
     connected graph antiregular(n), so those of every maximizing class."""
 
     claim_id = "irrt_not_unique"
@@ -680,19 +680,19 @@ class _TableRows(_Claim):
     """Every reference row is realized by a connected 6-vertex graph.
 
     A row's candidates are the graphs of the degree classes that match its
-    degree columns (m, irr_t, degset_minus_1, n0) exactly; the scan keeps
-    their masks.  The edge sums (exactly) and the float columns (within
+    degree columns (m, irr_t, degset_minus_1, n0) exactly; the table builds
+    their orbits.  The edge sums (exactly) and the float columns (within
     _ROW_TOL) are isomorphism invariants, so they are checked once per
     isomorphism class, on its compute_all report.  A row's witness is the
-    smallest mask of its first matching class.  Candidates the kept masks do
-    not account for count as violations.
+    smallest mask of its first matching class.  Candidates the orbits do not
+    account for count as violations.
     """
 
     claim_id = "table_rows"
     orders = range(6, 7)  # the rows describe 6-vertex graphs
 
     def wants(self, d):
-        """Whether the scan keeps the masks of the class: a candidate of some row."""
+        """Whether the table builds the orbits of the class: a candidate of some row."""
         return any(_row_candidate(row, d) for row in DEFAULT_TABLE_ROWS)
 
     def finish(self, table, extremes):
@@ -735,23 +735,23 @@ CLAIM_SUMMARIES = {claim_id: _CLAIMS[claim_id].summary for claim_id in CLAIM_IDS
 _MAX_ORDER = max(claim_type.orders[-1] for claim_type in _CLAIMS.values())
 
 
-def _scan_table(n: int, claim_ids: tuple[str, ...] = CLAIM_IDS) -> _ClassTable:
-    """The class table of the n-vertex scan, keeping the masks of every class
-    that one of the claims wants."""
+def _class_table(n: int, claim_ids: tuple[str, ...] = CLAIM_IDS) -> _ClassTable:
+    """The n-vertex class table, with the orbits of every class that one of
+    the claims wants."""
     claims = [_CLAIMS[claim_id](n) for claim_id in claim_ids]
     return _ClassTable(n, lambda d: any(claim.wants(d) for claim in claims))
 
 
 @functools.cache
 def _verify_all(n: int) -> dict[str, VerificationReport]:
-    """Every claim of CLAIM_IDS at n from one scan; memoised, so callers get copies."""
-    table = _scan_table(n)
+    """Every claim of CLAIM_IDS at n from one table; memoised, so callers get copies."""
+    table = _class_table(n)
     extremes = _Extremes(table)
     return {claim_id: _CLAIMS[claim_id](n).decide(table, extremes) for claim_id in CLAIM_IDS}
 
 
 def _check_request(claim_id: str, n: int) -> None:
-    """Reject an unknown claim, or an n the claim does not support, before any scan."""
+    """Reject an unknown claim, or an n the claim does not support, before any table is built."""
     if claim_id not in _CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; expected one of {sorted(_CLAIMS)}")
     orders = _CLAIMS[claim_id].orders
@@ -764,12 +764,12 @@ def verify_claim(claim_id: str, n: int) -> VerificationReport:
 
     claim_id is one of CLAIM_IDS, for 3 <= n <= 8, or "table_rows", for
     n = 6: the search for graphs realizing DEFAULT_TABLE_ROWS.  The first
-    call at a given n scans once for all of CLAIM_IDS and keeps the reports;
-    each call returns its own copy.  table_rows runs its own scan, never
-    part of _verify_all: --claims all does not ask for it, so that scan keeps
-    no masks for it.
+    call at a given n builds one table for all of CLAIM_IDS and keeps the
+    reports; each call returns its own copy.  table_rows builds its own
+    table, never part of _verify_all: --claims all does not ask for it, so
+    that table builds no orbits for it.
     """
     _check_request(claim_id, n)
     if claim_id in CLAIM_IDS:
         return copy.deepcopy(_verify_all(n)[claim_id])
-    return _CLAIMS[claim_id](n).decide(_scan_table(n, (claim_id,)), None)
+    return _CLAIMS[claim_id](n).decide(_class_table(n, (claim_id,)), None)

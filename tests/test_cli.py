@@ -335,11 +335,11 @@ def test_verify_bad_inputs(capsys):
 
 
 def test_verify_checks_whole_request_before_scanning(capsys, monkeypatch):
-    def no_scan(n):
-        raise AssertionError(f"scan started at n={n}")
+    def no_table(n, *wanted):
+        raise AssertionError(f"table built at n={n}")
 
-    monkeypatch.setattr(enumeration, "_verify_all", no_scan)
-    monkeypatch.setattr(enumeration, "_scan_chunks", no_scan)
+    monkeypatch.setattr(enumeration, "_verify_all", no_table)
+    monkeypatch.setattr(enumeration, "_ClassTable", no_table)
     for flags, message in (
         (["--claims", "all", "--n", "6-9"], "claim lemma_n0 supports 3 <= n <= 8, got n=9"),
         (["--claims", "lemma_n0,table_rows", "--n", "6-7"],

@@ -29,8 +29,13 @@ from graphirr import (
     verify_claim,
 )
 from graphirr import cli, enumeration
-from graphirr.enumeration import _pair_tables, _scan_chunks
 from graphirr.generators import antiregular, complete, complete_split, cycle, path, star
+
+import reference_walk
+
+# OEIS A001187: connected labeled graphs on n vertices
+A001187 = {3: 4, 4: 38, 5: 728, 6: 26_704, 7: 1_866_256, 8: 251_548_592,
+           9: 66_296_291_072, 10: 34_496_488_594_816}
 
 
 def oracle_class_counts(n):
@@ -63,35 +68,57 @@ def oracle_connected_count(n):
     return sum(oracle_class_counts(n).values())
 
 
-def count_enumerated(n, connected_only=True):
-    return sum(int(chunk.connected.sum()) if connected_only else len(chunk.connected)
-               for chunk in _scan_chunks(n))
+def count_connected(n):
+    return sum(enumeration._ClassTable(n, lambda d: False).counts.values())
 
 
 def test_connected_counts_match_brute_force_oracle():
     for n in (3, 4):
-        assert count_enumerated(n) == oracle_connected_count(n)
+        assert count_connected(n) == oracle_connected_count(n)
 
 
 def test_connected_counts_frozen():
-    assert count_enumerated(3) == 4
-    assert count_enumerated(4) == 38
-    assert count_enumerated(5) == 728
+    assert count_connected(3) == 4
+    assert count_connected(4) == 38
+    assert count_connected(5) == 728
 
 
-def test_enumerate_all_graphs_count():
-    assert count_enumerated(3, connected_only=False) == 8
-    assert count_enumerated(4, connected_only=False) == 64
+def test_labeled_counts_sum_to_every_graph():
+    # every labeled graph, connected or not, counted by its degree multiset:
+    # the n!/prod m_d! vectors of a multiset times the graphs of one of them,
+    # whose vertices of degree 0 add no edges
+    for n in range(1, 9):
+        total = 0
+        for degrees in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
+            vectors = math.factorial(n) // math.prod(
+                math.factorial(degrees.count(d)) for d in set(degrees))
+            total += vectors * enumeration._labeled(tuple(d for d in degrees if d))
+        assert total == 2 ** math.comb(n, 2), n
 
 
-def test_enumerate_yields_ascending_masks_and_reports():
-    # the chunks tile the masks 0 .. 2^C(n,2) - 1 in ascending order; their
-    # per-graph fields are checked in test_scan_fields_match_per_graph_oracle_*
-    for n in (3, 4, 6):
-        spans = [(chunk.start, len(chunk.connected)) for chunk in _scan_chunks(n)]
-        assert spans[0][0] == 0
-        assert all(start + size == nxt for (start, size), (nxt, _) in zip(spans, spans[1:]))
-        assert sum(size for _, size in spans) == 2 ** math.comb(n, 2)
+def every_class(d):
+    return True
+
+
+def test_orbits_tile_the_connected_masks():
+    # the orbits of every class, taken together, are the connected masks of
+    # the reference walk, each once, and each orbit is ascending
+    for n in (3, 4, 5, 6):
+        orbits = list(itertools.chain.from_iterable(
+            enumeration._ClassTable(n, every_class).orbits.values()))
+        assert all(orbit == sorted(set(orbit)) for orbit in orbits)
+        walked = [mask for masks, _, connected in reference_walk.walk(n)
+                  for mask in masks[connected].tolist()]
+        assert sorted(itertools.chain.from_iterable(orbits)) == walked
+
+
+def test_pair_powers_identity_row_is_each_pair_bit():
+    # row 0 is the identity permutation: pair k maps to itself, 2^k, in int64
+    # up to bit 27, whatever dtype the exponents' gather is promoted through
+    for n in range(3, 9):
+        powers = enumeration._pair_powers(n)
+        assert powers.dtype == np.int64
+        assert powers[0].tolist() == [1 << k for k in range(math.comb(n, 2))], n
 
 
 def test_enumerate_predicate_filter():
@@ -101,10 +128,18 @@ def test_enumerate_predicate_filter():
     assert all(is_isomorphic_to(parse_graph6(g6), antiregular(4)) for g6 in report.witnesses)
 
 
+def test_orbits_leave_out_disconnected_realizations():
+    # the 2-regular vector at n = 6 is realized by the 6-cycle, 6!/12 = 60
+    # labelings, and by two triangles, which is no connected graph
+    orbits = enumeration._orbits((2,) * 6)
+    assert [len(orbit) for orbit in orbits] == [60]
+    assert all(is_connected(Graph.from_pair_mask(6, mask)) for mask in orbits[0])
+
+
 def test_enumerate_spectral_reports():
-    for chunk in _scan_chunks(3):
-        for i in np.nonzero(chunk.connected)[0]:
-            report = compute_all(Graph.from_pair_mask(3, chunk.start + int(i)))
+    for masks, _, connected in reference_walk.walk(3):
+        for mask in masks[connected].tolist():
+            report = compute_all(Graph.from_pair_mask(3, mask))
             assert report.cs is not None and report.cs >= -1e-9
 
 
@@ -144,11 +179,11 @@ def test_all_claims_pass_n3_to_n6():
 
 
 def test_verify_claim_validation(monkeypatch):
-    def no_scan(n):
-        raise AssertionError(f"scan started at n={n}")
+    def no_table(n, *wanted):
+        raise AssertionError(f"table built at n={n}")
 
-    monkeypatch.setattr(enumeration, "_verify_all", no_scan)
-    monkeypatch.setattr(enumeration, "_scan_chunks", no_scan)
+    monkeypatch.setattr(enumeration, "_verify_all", no_table)
+    monkeypatch.setattr(enumeration, "_ClassTable", no_table)
     for claim_id, n in (("mystery", 4), ("lemma_n0", 2), ("lemma_n0", 9),
                         ("table_rows", 5), ("table_rows", 7)):
         with pytest.raises(ValueError):
@@ -224,22 +259,25 @@ def test_edge_deleted_regular_details():
     assert report.details["irb_after_deletion"] == pytest.approx(8 / 15, abs=1e-12)
 
 
-def chunk_degrees(n, chunk):
-    """(size, n) uint8 per-vertex degrees of the chunk's graphs: the low-pair
-    degree table plus the chunk's column of the high-pair one."""
-    deg_lo, deg_hi = _pair_tables(n, False)[0], _pair_tables(n, True)[0]
-    high = chunk.start // deg_lo.shape[1]
-    return (deg_lo + deg_hi[:, high:high + 1]).T
+def kept_by_the_walk(degrees):
+    """The classes whose masks the reference walk keeps: the regular ones, and
+    every class one of the claims of CLAIM_IDS wants."""
+    return len(set(degrees)) == 1 or wanted_by_claims(degrees)
+
+
+@functools.cache
+def wanted_by_claims(degrees):
+    d = enumeration._Degrees(degrees)
+    return any(enumeration._CLAIMS[claim_id](len(degrees)).wants(d) for claim_id in CLAIM_IDS)
 
 
 def edge_deleted_reference(n):
     """cor_edge_deleted the slow way: delete every edge of every connected
-    regular graph, keep the connected results and compare their n0."""
-    regular_masks = []
-    for chunk in _scan_chunks(n):
-        deg = chunk_degrees(n, chunk)
-        regular = chunk.connected & (deg.max(axis=1) == deg.min(axis=1))
-        regular_masks.extend(chunk.start + int(i) for i in np.nonzero(regular)[0])
+    regular graph of the reference walk, keep the connected results and
+    compare their n0."""
+    _, kept = reference_walk.class_table(n, kept_by_the_walk)
+    regular_masks = sorted(itertools.chain.from_iterable(
+        masks for degrees, masks in kept.items() if len(set(degrees)) == 1))
     checked = violations = 0
     expected = None
     witnesses = []
@@ -274,7 +312,6 @@ def test_edge_deleted_matches_the_deletion_loop():
         assert report.details["deletions_checked"] == deletions
 
 
-@pytest.mark.slow
 def test_edge_deleted_count_at_n8():
     # what the graph-by-graph deletion loop reported at n = 8
     details = verify_claim("cor_edge_deleted", 8).details
@@ -400,8 +437,8 @@ def equal_pairs(seq):
 
 
 def scanned_table(n):
-    """The class table of the n-vertex scan, built as --claims all builds it."""
-    return enumeration._scan_table(n)
+    """The n-vertex class table, built as --claims all builds it."""
+    return enumeration._class_table(n)
 
 
 def decide(claim_id, table):
@@ -491,32 +528,24 @@ def test_cor_edge_deleted_fails_on_an_injected_deletion_class():
     assert decide("cor_edge_deleted", table).violations == 2
 
 
-def replace_first_mask(table, anti):
-    """The antiregular class's smallest mask swapped for the smallest of
-    (4, 2, 2, 1, 1), which is smaller still: as many masks as graphs, but
-    their labelings do not add up."""
-    table.masks[anti][0] = table.masks[(4, 2, 2, 1, 1)][0]
-    assert table.masks[anti] == sorted(table.masks[anti])
-
-
-# Edits to the kept masks of the antiregular class at n = 5, which maximizes
-# ira, irb and irr_t: each leaves masks that no longer add up to the class's
-# labeled count.  The foreign masks come from the other irr_t maximizer class,
+# Edits to the one orbit of the antiregular class at n = 5, which maximizes
+# ira, irb and irr_t: each leaves orbits that no longer add up to the class's
+# labeled count.  The foreign mask comes from the other irr_t maximizer class,
 # (4, 2, 2, 1, 1), in ascending place.
 WITNESS_EDITS = {
-    "non-first-mask-dropped": lambda table, anti: table.masks[anti].pop(1),
-    "class-dropped": lambda table, anti: table.masks.pop(anti),
-    "foreign-mask-added": lambda table, anti: bisect.insort(table.masks[anti],
-                                                           table.masks[(4, 2, 2, 1, 1)][-1]),
-    "first-mask-replaced": replace_first_mask,
+    "non-first-mask-dropped": lambda table, anti: table.orbits[anti][0].pop(1),
+    "class-dropped": lambda table, anti: table.orbits.pop(anti),
+    "foreign-mask-added": lambda table, anti: bisect.insort(table.orbits[anti][0],
+                                                           table.orbits[(4, 2, 2, 1, 1)][0][-1]),
+    "orbit-repeated": lambda table, anti: table.orbits[anti].append(table.orbits[anti][0][:]),
 }
 
 
 @pytest.mark.parametrize("claim_id", ["lemma_n0", "problem1_ira_irb", "irrt_not_unique"])
 @pytest.mark.parametrize("edit", WITNESS_EDITS.values(), ids=WITNESS_EDITS.keys())
 def test_witness_claims_fail_when_the_kept_masks_do_not_add_up(edit, claim_id):
-    # isomorphism is settled from a class's first masks, so the counts of its
-    # masks and of their labelings are what show a missing or foreign one
+    # isomorphism classes are read off the orbits, so the sum of the orbit
+    # sizes against the counted class is what shows a missing or foreign mask
     table = scanned_table(5)
     anti = degree_sequence(antiregular(5))
     assert decide(claim_id, table).violations == 0
@@ -525,11 +554,11 @@ def test_witness_claims_fail_when_the_kept_masks_do_not_add_up(edit, claim_id):
 
 
 def test_maximizers_are_compared_with_the_antiregular_graph():
-    # the n0 = 1 class made to hold another graph's labelings in full: masks and
-    # labelings add up, so only the comparison with antiregular(5) can tell
+    # the n0 = 1 class made to hold another graph's orbit and count: orbits and
+    # count add up, so only the comparison with antiregular(5) can tell
     table = scanned_table(5)
     anti, other = degree_sequence(antiregular(5)), (4, 2, 2, 1, 1)
-    table.masks[anti], table.counts[anti] = table.masks[other], table.counts[other]
+    table.orbits[anti], table.counts[anti] = table.orbits[other], table.counts[other]
     for claim_id in ("lemma_n0", "prop_bounds", "problem1_ira_irb"):
         assert decide(claim_id, table).violations == table.counts[other] == 30
 
@@ -585,9 +614,35 @@ def test_class_counts_match_brute_force_realizations():
 
 
 def test_class_counts_sum_to_oeis():
-    # OEIS A001187: connected labeled graphs on n vertices
-    for n, count in zip(range(3, 8), (4, 38, 728, 26_704, 1_866_256)):
-        assert sum(scanned_table(n).counts.values()) == count
+    for n in range(3, 8):
+        assert sum(scanned_table(n).counts.values()) == A001187[n]
+
+
+@pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow)])
+def test_class_counts_past_the_walk_sum_to_oeis(n):
+    # 66,296,291,072 graphs at n = 9: beyond any walk over the masks
+    assert sum(enumeration._ClassTable(n, lambda d: False).counts.values()) == A001187[n]
+
+
+def assert_table_matches_the_reference_walk(n):
+    """The counted classes and their orbits against a walk over every mask:
+    the same counts, and the orbits of each wanted class are its masks."""
+    counts, kept = reference_walk.class_table(n, kept_by_the_walk)
+    table = scanned_table(n)
+    assert table.counts == counts, n
+    assert {degrees: sorted(itertools.chain.from_iterable(orbits))
+            for degrees, orbits in table.orbits.items()} == {
+        degrees: masks for degrees, masks in kept.items() if wanted_by_claims(degrees)}, n
+
+
+def test_class_table_matches_the_reference_walk():
+    for n in range(3, 8):
+        assert_table_matches_the_reference_walk(n)
+
+
+@pytest.mark.slow
+def test_class_table_matches_the_reference_walk_at_n8():
+    assert_table_matches_the_reference_walk(8)
 
 
 def test_slot_key_is_collision_free():
@@ -600,33 +655,30 @@ def test_slot_key_is_collision_free():
         assert slots[0] == (1,) * n and max(slots) < (n + 1) ** (n - 2)
 
 
-def test_slot_key_is_the_power_sum_quotient():
-    # the scan's slot: the sum of (n + 1)^d over the degrees, floor-divided by
-    # (n + 1)^2, is _key for every multiset of degrees in 0..n-1, and the sum
-    # fits int32
+def test_table_order_is_the_degree_count_order():
+    # ascending slot order compares the counts of degree n - 1, then of
+    # degree n - 2, ..., down to degree 2: the order prop_bidegreed and
+    # cor_edge_deleted take their first class in
     for n in range(3, 9):
-        sums = {}
-        for seq in itertools.combinations_with_replacement(range(n), n):
-            sums[seq] = sum((n + 1) ** d for d in seq)
-            assert sums[seq] // (n + 1) ** 2 == enumeration._key(n, seq), seq
-        assert max(sums.values()) == n * (n + 1) ** (n - 1) < 2 ** 31
+        classes = list(enumeration._ClassTable(n, lambda d: False).counts)
+        by_counts = sorted(classes, key=lambda seq: [seq.count(d) for d in range(n - 1, 1, -1)])
+        assert classes == by_counts, n
 
 
 def test_witnesses_encode_each_kept_mask():
     # one batch over the mask bits gives what each mask's graph encodes to
     table = scanned_table(6)
-    masks = sorted(itertools.chain.from_iterable(table.masks.values()))
+    masks = sorted(mask for orbits in table.orbits.values() for orbit in orbits for mask in orbit)
     assert len(masks) > 500
     assert enumeration._witnesses(table, lambda d: True) == tuple(
         emit_graph6(Graph.from_pair_mask(6, mask)) for mask in masks)
 
 
-def chunk_albertson(n, chunk):
-    """Sum of |d_i - d_j| over the edges of each graph in the chunk, from its
-    degrees and its pair bits."""
-    masks = np.arange(chunk.start, chunk.start + len(chunk.connected), dtype=np.int64)
-    deg = chunk_degrees(n, chunk).astype(np.int32)
-    total = np.zeros(len(chunk.connected), np.int32)
+def block_albertson(n, masks, degrees):
+    """Sum of |d_i - d_j| over the edges of each graph in a block of the
+    reference walk, from its degrees and its pair bits."""
+    deg = degrees.astype(np.int32)
+    total = np.zeros(len(masks), np.int32)
     for k, (i, j) in enumerate(pair_order(n)):
         total += ((masks >> k) & 1).astype(np.int32) * np.abs(deg[:, i] - deg[:, j])
     return total
@@ -639,14 +691,14 @@ def test_max_albertson_graphs_are_complete_split():
     for n in range(3, 8):
         best = -1
         masks = []
-        for chunk in _scan_chunks(n):
-            albertson = chunk_albertson(n, chunk)
-            chunk_best = int(albertson.max())
-            if chunk_best > best:
-                best = chunk_best
+        for block, degrees, _ in reference_walk.walk(n):
+            albertson = block_albertson(n, block, degrees)
+            block_best = int(albertson.max())
+            if block_best > best:
+                best = block_best
                 masks = []
-            if chunk_best == best:
-                masks.extend(int(chunk.start + i) for i in np.nonzero(albertson == best)[0])
+            if block_best == best:
+                masks.extend(block[albertson == best].tolist())
         targets = [complete_split(n, k) for k in range(1, n)]
         # one representative per isomorphism class, the smallest mask
         reps = {}
@@ -659,45 +711,37 @@ def test_max_albertson_graphs_are_complete_split():
                 f"n={n}: maximizer {rep_mask} is not a complete split graph"
 
 
-SCAN_FIELDS = ("connected", "deg", "key")
+WALK_FIELDS = ("connected", "deg")
 
 
-def oracle_scan_fields(n, mask):
-    """Every scan field of one graph, from the graph itself one vertex pair at a time."""
+def oracle_walk_fields(n, mask):
+    """Every per-graph field of the reference walk, from graphirr's Graph of the mask."""
     g = Graph.from_pair_mask(n, mask)
-    degrees = list(g.degrees())
-    return {
-        "connected": is_connected(g),
-        "deg": degrees,
-        # the histogram c_2 .. c_{n-1} as base-(n + 1) digits, whatever the connectivity
-        "key": sum(degrees.count(d) * (n + 1) ** (d - 2) for d in range(2, n)),
-    }
+    return {"connected": is_connected(g), "deg": list(g.degrees())}
 
 
-def assert_chunk_matches_oracle(n, chunk, indices):
-    fields = {"connected": chunk.connected, "deg": chunk_degrees(n, chunk), "key": chunk.key}
+def assert_block_matches_oracle(n, block, indices):
+    masks, degrees, connected = block
+    fields = {"connected": connected, "deg": degrees}
     for i in indices:
-        expected = oracle_scan_fields(n, chunk.start + int(i))
-        got = {name: fields[name][i].tolist() for name in SCAN_FIELDS}
-        assert got == expected, f"n={n} mask={chunk.start + int(i)}"
+        expected = oracle_walk_fields(n, int(masks[i]))
+        got = {name: fields[name][i].tolist() for name in WALK_FIELDS}
+        assert got == expected, f"n={n} mask={int(masks[i])}"
 
 
-def test_scan_fields_match_per_graph_oracle_up_to_n5():
+def test_walk_fields_match_per_graph_oracle_up_to_n5():
     for n in (3, 4, 5):
-        chunks = list(_scan_chunks(n))
-        assert [(c.start, len(c.connected)) for c in chunks] == [(0, 2 ** math.comb(n, 2))]
-        assert_chunk_matches_oracle(n, chunks[0], range(len(chunks[0].connected)))
+        blocks = list(reference_walk.walk(n))
+        assert len(blocks) == 1 and blocks[0][0].tolist() == list(range(2 ** math.comb(n, 2)))
+        assert_block_matches_oracle(n, blocks[0], range(len(blocks[0][0])))
 
 
-def test_scan_fields_match_per_graph_oracle_on_n7_sample():
+def test_walk_fields_match_per_graph_oracle_on_n7_sample():
     rng = np.random.default_rng(2019)
-    picked = set(rng.choice(8, size=2, replace=False).tolist())
-    starts = []
-    for index, chunk in enumerate(_scan_chunks(7)):
-        starts.append(chunk.start)
-        if index in picked:
-            assert_chunk_matches_oracle(7, chunk, rng.choice(len(chunk.connected), size=400, replace=False))
-    assert starts == [k << 18 for k in range(8)]
+    for index in rng.choice(32, size=2, replace=False).tolist():
+        block = reference_walk.block(7, index * reference_walk.BLOCK)
+        assert block[0].tolist() == list(range(index << 16, (index + 1) << 16))
+        assert_block_matches_oracle(7, block, rng.choice(len(block[0]), size=400, replace=False))
 
 
 def connected_degree_sequences(n):
@@ -715,29 +759,20 @@ def connected_degree_sequences(n):
     return found
 
 
-def scanned_degree_sequences(n):
-    """Non-increasing degree sequences of the connected graphs the scan sees;
-    each sorted row is keyed as one base-n number, which fits int32 up to n = 8."""
-    place = (n ** np.arange(n - 1, -1, -1)).astype(np.int32)
-    seen = set()
-    for chunk in _scan_chunks(n):
-        ordered = -np.sort(-chunk_degrees(n, chunk)[chunk.connected].astype(np.int32), axis=1)
-        seen.update(np.unique(ordered @ place).tolist())
-    return {tuple(key // n ** k % n for k in range(n - 1, -1, -1)) for key in seen}
-
-
-def test_scan_sees_every_connected_degree_sequence():
+def test_count_and_walk_see_every_connected_degree_sequence():
     for n, count in zip(range(3, 8), (2, 6, 19, 68, 236)):
         expected = connected_degree_sequences(n)
         assert len(expected) == count
-        assert scanned_degree_sequences(n) == expected, f"n={n}"
+        assert set(reference_walk.class_table(n, kept_by_the_walk)[0]) == expected, f"n={n}"
+        assert set(scanned_table(n).counts) == expected, f"n={n}"
 
 
 @pytest.mark.slow
-def test_scan_sees_every_connected_degree_sequence_at_n8():
+def test_walk_sees_every_connected_degree_sequence_at_n8():
     expected = connected_degree_sequences(8)
     assert len(expected) == 863
-    assert scanned_degree_sequences(8) == expected
+    assert set(reference_walk.class_table(8, kept_by_the_walk)[0]) == expected
+    assert set(scanned_table(8).counts) == expected
 
 
 def test_degree_determined_details_match_the_degree_sequence_oracle():
@@ -770,20 +805,28 @@ def test_degree_determined_details_match_the_degree_sequence_oracle():
 
 def degree_sequence_table(n):
     """A class table that counts every connected degree sequence once, in slot
-    order, with its edge-deleted classes, no kept masks and one profile per
+    order, with its edge-deleted classes, no orbits and one profile per
     sequence."""
     sequences = sorted(connected_degree_sequences(n), key=lambda seq: enumeration._key(n, seq))
     deleted = [seq for seq in sequences if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2]
-    return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1), masks={},
+    return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1), orbits={},
                                  deletions=dict.fromkeys(deleted, 1),
                                  profile=functools.cache(enumeration._Degrees))
 
 
-@pytest.mark.parametrize("n", [9, 10, pytest.param(11, marks=pytest.mark.slow),
+@pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow),
+                               pytest.param(11, marks=pytest.mark.slow),
                                pytest.param(12, marks=pytest.mark.slow)])
 def test_degree_conditions_hold_on_every_connected_degree_sequence(n):
     """Every claim's degree conditions on each connected degree sequence
-    (Erdos-Gallai 1960, Hakimi 1962), beyond the orders the scan reaches.
+    (Erdos-Gallai 1960, Hakimi 1962), beyond the orders verify_claim accepts.
+
+    At n = 9 and 10 each sequence is weighted by its labeled count, so every
+    connected labeled graph is checked; the counted classes must be exactly
+    the Erdos-Gallai/Hakimi sequences.  The deletion count rests on a
+    connected regular graph having no bridge, which fails from n = 10, the
+    order of the smallest cubic graph with a bridge, so there each deletion
+    class keeps weight 1, as do all sequences at n = 11 and 12.
 
     That only the antiregular graph maximizes ira and irb is a statement up to
     isomorphism, and no graph is built here, so it rests on a theorem: the
@@ -793,11 +836,17 @@ def test_degree_conditions_hold_on_every_connected_degree_sequence(n):
     leaves the antiregular graph as the only maximizer.
     """
     table = degree_sequence_table(n)
-    # one profile per sequence, so the claims share its cached invariants
-    profiles = [enumeration._Degrees(seq) for seq in table.counts]
+    if n in A001187:
+        counted = enumeration._ClassTable(n, lambda d: False)
+        assert list(counted.counts) == list(table.counts)
+        assert sum(counted.counts.values()) == A001187[n]
+        table.counts = counted.counts
+        if n <= 9:
+            table.deletions = counted.deletions
     for claim_id in CLAIM_IDS:
         claim = enumeration._CLAIMS[claim_id](n)
-        assert sum(claim.bad(d) for d in profiles if claim.covers(d)) == 0, claim_id
+        violations = sum(count * claim.bad(d) for d, count in claim.classes(table, table.counts))
+        assert violations == 0, claim_id
     # the two claims that compare classes with each other
     extremes = enumeration._Extremes(table)
     for claim_id in ("prop_bidegreed", "cor_edge_deleted"):
@@ -808,26 +857,36 @@ def test_degree_conditions_hold_on_every_connected_degree_sequence(n):
     assert max(irr_t.values()) == irr_t[anti]
 
 
+def holds(orbit, mask):
+    """Whether an ascending orbit holds the mask."""
+    i = bisect.bisect_left(orbit, mask)
+    return i < len(orbit) and orbit[i] == mask
+
+
 def test_connected_counts_match_graph_atlas():
     # labeled connected graphs = sum over unlabeled connected classes of n!/|Aut|,
-    # with |Aut| from networkx and, for each class, the same from graphirr
+    # with |Aut| from networkx; each class is one orbit of graphirr's, of that size
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    labeled = dict.fromkeys(range(3, 8), 0)
+    tables = {n: enumeration._ClassTable(n, every_class) for n in range(3, 8)}
+    labeled = dict.fromkeys(tables, 0)
+    orbits_met = dict.fromkeys(tables, 0)
     for g in nx.graph_atlas_g():
         n = g.number_of_nodes()
         if n in labeled and nx.is_connected(g):
             automorphisms = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
-            assert enumeration._automorphism_count(Graph(n, g.edges())) == automorphisms, \
-                sorted(g.edges())
-            labeled[n] += math.factorial(n) // automorphisms
-    assert labeled == {3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
-    for n, count in labeled.items():
-        assert sum(int(chunk.connected.sum()) for chunk in _scan_chunks(n)) == count
+            h = Graph(n, g.edges())
+            mask = sum(1 << k for k, (i, j) in enumerate(pair_order(n)) if h.has_edge(i, j))
+            orbit, = [orbit for orbit in tables[n].orbits[degree_sequence(h)] if holds(orbit, mask)]
+            assert len(orbit) == math.factorial(n) // automorphisms, sorted(g.edges())
+            labeled[n] += len(orbit)
+            orbits_met[n] += 1
+    assert labeled == {n: A001187[n] for n in tables}
+    assert orbits_met == {n: sum(map(len, table.orbits.values())) for n, table in tables.items()}
+    assert labeled == {n: sum(table.counts.values()) for n, table in tables.items()}
 
 
-@pytest.mark.slow
 def test_every_claim_passes_at_n8():
     reports = {claim_id: verify_claim(claim_id, 8) for claim_id in CLAIM_IDS}
     assert [claim_id for claim_id, report in reports.items() if not report.passed] == []
@@ -835,9 +894,8 @@ def test_every_claim_passes_at_n8():
     assert reports["lemma_n0"].details["extremal_labeled_count"] == math.factorial(8) // 2
 
 
-@pytest.mark.slow
 def test_connected_count_n8_matches_oeis():
     # OEIS A001187: connected labeled graphs on 8 vertices, in 863 degree classes
     table = scanned_table(8)
     assert len(table.counts) == 863
-    assert sum(table.counts.values()) == 251_548_592
+    assert sum(table.counts.values()) == A001187[8]

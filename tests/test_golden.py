@@ -57,7 +57,6 @@ def test_compute_edgeless_error_matches_golden(tmp_path, capsys):
     assert captured.err.encode() == (GOLDEN / "compute_edgeless.err").read_bytes()
 
 
-@pytest.mark.slow
 def test_verify_n8_json_matches_digest(capsys):
     # 770 kB of JSON, so pinned by its sha256: the digest of the output of the
     # code that decided every claim graph by graph, one reducer per claim
