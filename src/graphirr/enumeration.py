@@ -9,10 +9,11 @@ each once, weighted by its labeled count, so a claim decided on the table is
 decided on every connected labeled graph.  One table per n feeds every claim.
 
 Where a claim names graphs or isomorphism classes, the table builds the
-classes it needs as permutation orbits of their realizations.  An orbit is
-one isomorphism class of n!/|Aut| labelings, so a class's orbits must add up
-to its count.  A graph is its bitmask over pair_order(n), kept in ascending
-order, so runs are deterministic down to witness order.
+classes it reads, on first read, as permutation orbits of their
+realizations.  An orbit is one isomorphism class of n!/|Aut| labelings, so
+a class's orbits must add up to its count.  A graph is its bitmask over
+pair_order(n), kept in ascending order, so runs are deterministic down to
+witness order.
 """
 
 from __future__ import annotations
@@ -85,14 +86,6 @@ class VerificationReport:
         for key, value in self.details.items():
             lines.append(f"  {key}: {value}")
         return "\n".join(lines)
-
-
-def _key(n: int, degrees) -> int:
-    """The slot of a multiset of n degrees, each at least 1: its counts c_2 .. c_{n-1}
-    as the digits of a base-(n + 1) number, so slots lie below (n + 1)^(n - 2).
-    c_1 follows from the sum of the counts being n.  Slot 0, all degrees 1,
-    belongs to no connected graph with n >= 3."""
-    return sum((n + 1) ** (d - 2) for d in degrees if d >= 2)
 
 
 def _runs(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -207,32 +200,32 @@ class _ClassTable:
     """The connected n-vertex graphs, reduced to what the claims read.
 
     A degree class is its non-increasing degree tuple.  counts holds the
-    labeled count of every connected class, in ascending slot order; orbits,
-    the isomorphism classes of each class that ``wanted`` accepts, as _orbits
-    lists them; deletions, per edge-deleted class k^(n-2) (k-1)^2, the number of
-    (g, e) pairs of a connected k-regular graph g and an edge e of g.  Each
-    class's measures are built once per table, by profile().
+    labeled count of every connected class, in descending order of degree
+    tuples; orbits, the isomorphism classes of each class a claim has read
+    through orbits_of(), as _orbits lists them; deletions, per edge-deleted
+    class k^(n-2) (k-1)^2, the number of (g, e) pairs of a connected k-regular
+    graph g and an edge e of g.  Each class's measures and orbits are built
+    once per table, on first read.
     """
 
-    def __init__(self, n: int, wanted: Callable[[_Degrees], bool]):
+    def __init__(self, n: int):
         self.n = n
         self._profiles: dict[tuple[int, ...], _Degrees] = {}
+        self.orbits: dict[tuple[int, ...], list[list[int]]] = {}
         # every non-increasing list of n degrees in 1..n-1 with an even sum; its
         # class holds the graphs of that vector times n!/prod m_d! vectors
         candidates = [degrees for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
                       if sum(degrees) % 2 == 0]
-        self.counts = {degrees: count for degrees in sorted(candidates, key=functools.partial(_key, n))
+        self.counts = {degrees: count for degrees in candidates
                        if (count := _connected(degrees) * math.factorial(n) // math.prod(
                            math.factorial(m) for _, m in _runs(degrees)))}
-        self.orbits = {degrees: _orbits(degrees)
-                       for degrees in self.counts if wanted(self.profile(degrees))}
         # A connected k-regular graph on n <= 9 vertices has no bridge: for
         # even k every degree is even, and for odd k each side of a bridge
         # holds an odd number of vertices, at least k + 2 of them, so
         # n >= 2k + 4 >= 10.  So each of its nk/2 edges is one connected
-        # deletion.  In ascending k, so in ascending slot order.
+        # deletion.  In descending k, so in table order.
         self.deletions = {(k,) * (n - 2) + (k - 1,) * 2: n * k // 2 * self.counts[(k,) * n]
-                          for k in range(2, n) if (k,) * n in self.counts}
+                          for k in range(n - 1, 1, -1) if (k,) * n in self.counts}
 
     def profile(self, degrees: tuple[int, ...]) -> _Degrees:
         """The measures of one degree class, the same object on every read."""
@@ -240,12 +233,18 @@ class _ClassTable:
             self._profiles[degrees] = _Degrees(degrees)
         return self._profiles[degrees]
 
+    def orbits_of(self, degrees: tuple[int, ...]) -> list[list[int]]:
+        """The orbits of one degree class, the same list on every read."""
+        if degrees not in self.orbits:
+            self.orbits[degrees] = _orbits(degrees)
+        return self.orbits[degrees]
+
 
 def _witnesses(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> tuple[str, ...]:
     """The graph6 strings of the orbits of the table's classes that ``accepts``
     takes, merged into ascending mask order."""
-    masks = sorted(mask for degrees, orbits in table.orbits.items()
-                   if accepts(table.profile(degrees)) for orbit in orbits for mask in orbit)
+    masks = sorted(mask for degrees in table.counts if accepts(table.profile(degrees))
+                   for orbit in table.orbits_of(degrees) for mask in orbit)
     # bit k of a mask is pair k of pair_order(n), so the bits are the graph6 payload
     bits = (np.array(masks, np.int64)[:, None] >> np.arange(math.comb(table.n, 2))) & 1
     return tuple(_emit_graph6_rows(table.n, bits.astype(np.uint8)))
@@ -298,7 +297,7 @@ def _iso_classes(table: _ClassTable, accepts: Callable[[_Degrees], bool]
     unaccounted = 0
     for degrees, count in table.counts.items():
         if accepts(table.profile(degrees)):
-            orbits = table.orbits.get(degrees, [])
+            orbits = table.orbits_of(degrees)
             found += [(orbit[0], Graph.from_pair_mask(table.n, orbit[0]), len(orbit))
                       for orbit in orbits]
             unaccounted += abs(count - sum(map(len, orbits)))
@@ -357,10 +356,6 @@ class _Claim:
         """How many of the claim's conditions a covered class breaks."""
         return 0
 
-    def wants(self, d: _Degrees) -> bool:
-        """Whether the table builds the orbits of the class, for its graphs to be named."""
-        return False
-
     def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_Degrees, int]]:
         """Each covered class of one of the table's class -> count maps, with its count."""
         for degrees, count in counts.items():
@@ -409,8 +404,6 @@ class _LemmaN0(_Claim):
     claim_id = "lemma_n0"
     summary = "n0 >= 1; n0 = 1 exactly on antiregular graphs"
 
-    wants = staticmethod(_maximal)
-
     def bad(self, d):
         return (d.n0 < 1) + ((d.n0 == 1) != (d.degree_set_size == self.n - 1))
 
@@ -428,8 +421,6 @@ class _PropBounds(_Claim):
 
     claim_id = "prop_bounds"
     summary = "ira/irb bounds with regular and antiregular equality cases"
-
-    wants = staticmethod(_maximal)
 
     def bad(self, d):
         n = self.n
@@ -466,13 +457,12 @@ class _LemmaDelta(_Claim):
     def bad(self, d):
         return (d.n0 > self._bound(d)) + ((d.n0 == self._bound(d)) != _single_universal_bidegreed(d))
 
-    def wants(self, d):
-        """Whether the table builds the orbits of the class: the equality classes."""
+    def _equality(self, d):
         return _nonregular(d) and d.n0 == self._bound(d)
 
     def finish(self, table, extremes):
-        return self._report(_witnesses(table, self.wants), {"equality_labeled_count": sum(
-            count for d, count in self.classes(table, table.counts) if self.wants(d))})
+        return self._report(_witnesses(table, self._equality), {"equality_labeled_count": sum(
+            count for d, count in self.classes(table, table.counts) if self._equality(d))})
 
 
 class _PropLower(_Claim):
@@ -513,7 +503,7 @@ class _PropBidegreed(_Claim):
     hence ira and irb.
 
     Each group of classes with one maximum-degree count is compared with its
-    first class in table order, the one of lowest slot.
+    first class in table order, the one of largest degree tuple.
     """
 
     claim_id = "prop_bidegreed"
@@ -550,7 +540,7 @@ class _CorEdgeDeleted(_Claim):
     number of vertices, at least k + 2 of them.  So every one of its nk/2
     deletions stays connected, and the table counts them per class from the
     regular classes.  The n0 of the first class in table order, the one of
-    lowest slot, is the reference; a class whose n0 differs counts all its
+    largest k, is the reference; a class whose n0 differs counts all its
     deletions as violations.
     """
 
@@ -580,8 +570,6 @@ class _Problem1(_Claim):
     claim_id = "problem1_ira_irb"
     summary = "ira/irb minimal exactly on regular, maximal exactly on antiregular"
 
-    wants = staticmethod(_maximal)
-
     def bad(self, d):
         # minimum (ira = irb = 0) is equivalent to n0 = C(n,2)
         return (d.max_degree == d.min_degree) != (d.n0 == math.comb(self.n, 2))
@@ -599,27 +587,18 @@ class _Problem1(_Claim):
 class _IrrtNotUnique(_Claim):
     """Probe: compute all connected graphs attaining the maximum total
     irregularity and report the maximizers that are not antiregular.  Its one
-    check is that the orbits account for every maximizer the table counts.
-    The table builds the orbits of the classes whose irr_t reaches that of the
-    connected graph antiregular(n), so those of every maximizing class."""
+    check is that the orbits account for every maximizer the table counts."""
 
     claim_id = "irrt_not_unique"
     summary = "probe: maximizers of total irregularity beyond the antiregular graph"
-
-    def __init__(self, n):
-        super().__init__(n)
-        self.target = antiregular(n)
-        self.floor = _Degrees(self.target).irr_t
-
-    def wants(self, d):
-        return d.irr_t >= self.floor
 
     def finish(self, table, extremes):
         best = max(d.irr_t for d, _ in self.classes(table, table.counts))
         count = sum(count for d, count in self.classes(table, table.counts) if d.irr_t == best)
         classes, unaccounted = _iso_classes(table, lambda d: d.irr_t == best)
         self.violations += unaccounted
-        non_anti_reps = [g for _, g, _ in classes if not is_isomorphic_to(g, self.target)]
+        target = antiregular(self.n)
+        non_anti_reps = [g for _, g, _ in classes if not is_isomorphic_to(g, target)]
         return self._report(tuple(emit_graph6(g) for g in non_anti_reps), {
             "max_irr_t": best,
             "maximizer_labeled_count": count,
@@ -681,19 +660,15 @@ class _TableRows(_Claim):
 
     A row's candidates are the graphs of the degree classes that match its
     degree columns (m, irr_t, degset_minus_1, n0) exactly; the table builds
-    their orbits.  The edge sums (exactly) and the float columns (within
-    _ROW_TOL) are isomorphism invariants, so they are checked once per
-    isomorphism class, on its compute_all report.  A row's witness is the
-    smallest mask of its first matching class.  Candidates the orbits do not
-    account for count as violations.
+    their orbits as the row reads them.  The edge sums (exactly) and the
+    float columns (within _ROW_TOL) are isomorphism invariants, so they are
+    checked once per isomorphism class, on its compute_all report.  A row's
+    witness is the smallest mask of its first matching class.  Candidates
+    the orbits do not account for count as violations.
     """
 
     claim_id = "table_rows"
     orders = range(6, 7)  # the rows describe 6-vertex graphs
-
-    def wants(self, d):
-        """Whether the table builds the orbits of the class: a candidate of some row."""
-        return any(_row_candidate(row, d) for row in DEFAULT_TABLE_ROWS)
 
     def finish(self, table, extremes):
         witnesses: list[str] = []
@@ -735,17 +710,10 @@ CLAIM_SUMMARIES = {claim_id: _CLAIMS[claim_id].summary for claim_id in CLAIM_IDS
 _MAX_ORDER = max(claim_type.orders[-1] for claim_type in _CLAIMS.values())
 
 
-def _class_table(n: int, claim_ids: tuple[str, ...] = CLAIM_IDS) -> _ClassTable:
-    """The n-vertex class table, with the orbits of every class that one of
-    the claims wants."""
-    claims = [_CLAIMS[claim_id](n) for claim_id in claim_ids]
-    return _ClassTable(n, lambda d: any(claim.wants(d) for claim in claims))
-
-
 @functools.cache
 def _verify_all(n: int) -> dict[str, VerificationReport]:
     """Every claim of CLAIM_IDS at n from one table; memoised, so callers get copies."""
-    table = _class_table(n)
+    table = _ClassTable(n)
     extremes = _Extremes(table)
     return {claim_id: _CLAIMS[claim_id](n).decide(table, extremes) for claim_id in CLAIM_IDS}
 
@@ -767,9 +735,9 @@ def verify_claim(claim_id: str, n: int) -> VerificationReport:
     call at a given n builds one table for all of CLAIM_IDS and keeps the
     reports; each call returns its own copy.  table_rows builds its own
     table, never part of _verify_all: --claims all does not ask for it, so
-    that table builds no orbits for it.
+    the orbits of its candidates are built only when it is asked for.
     """
     _check_request(claim_id, n)
     if claim_id in CLAIM_IDS:
         return copy.deepcopy(_verify_all(n)[claim_id])
-    return _CLAIMS[claim_id](n).decide(_class_table(n, (claim_id,)), None)
+    return _CLAIMS[claim_id](n).decide(_ClassTable(n), None)

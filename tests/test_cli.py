@@ -335,7 +335,7 @@ def test_verify_bad_inputs(capsys):
 
 
 def test_verify_checks_whole_request_before_scanning(capsys, monkeypatch):
-    def no_table(n, *wanted):
+    def no_table(n):
         raise AssertionError(f"table built at n={n}")
 
     monkeypatch.setattr(enumeration, "_verify_all", no_table)

@@ -69,7 +69,7 @@ def oracle_connected_count(n):
 
 
 def count_connected(n):
-    return sum(enumeration._ClassTable(n, lambda d: False).counts.values())
+    return sum(enumeration._ClassTable(n).counts.values())
 
 
 def test_connected_counts_match_brute_force_oracle():
@@ -96,16 +96,20 @@ def test_labeled_counts_sum_to_every_graph():
         assert total == 2 ** math.comb(n, 2), n
 
 
-def every_class(d):
-    return True
+@functools.cache
+def table_with_every_orbit(n):
+    """A class table whose every class has had its orbits built."""
+    table = enumeration._ClassTable(n)
+    for degrees in table.counts:
+        table.orbits_of(degrees)
+    return table
 
 
 def test_orbits_tile_the_connected_masks():
     # the orbits of every class, taken together, are the connected masks of
     # the reference walk, each once, and each orbit is ascending
     for n in (3, 4, 5, 6):
-        orbits = list(itertools.chain.from_iterable(
-            enumeration._ClassTable(n, every_class).orbits.values()))
+        orbits = list(itertools.chain.from_iterable(table_with_every_orbit(n).orbits.values()))
         assert all(orbit == sorted(set(orbit)) for orbit in orbits)
         walked = [mask for masks, _, connected in reference_walk.walk(n)
                   for mask in masks[connected].tolist()]
@@ -179,7 +183,7 @@ def test_all_claims_pass_n3_to_n6():
 
 
 def test_verify_claim_validation(monkeypatch):
-    def no_table(n, *wanted):
+    def no_table(n):
         raise AssertionError(f"table built at n={n}")
 
     monkeypatch.setattr(enumeration, "_verify_all", no_table)
@@ -261,14 +265,24 @@ def test_edge_deleted_regular_details():
 
 def kept_by_the_walk(degrees):
     """The classes whose masks the reference walk keeps: the regular ones, and
-    every class one of the claims of CLAIM_IDS wants."""
-    return len(set(degrees)) == 1 or wanted_by_claims(degrees)
+    every class whose orbits the claims of CLAIM_IDS build."""
+    return len(set(degrees)) == 1 or degrees in built_by_claims(len(degrees))
+
+
+def decided_table(n):
+    """A fresh class table after every claim of CLAIM_IDS is decided on it, as
+    --claims all decides them."""
+    table = enumeration._ClassTable(n)
+    extremes = enumeration._Extremes(table)
+    for claim_id in CLAIM_IDS:
+        enumeration._CLAIMS[claim_id](n).decide(table, extremes)
+    return table
 
 
 @functools.cache
-def wanted_by_claims(degrees):
-    d = enumeration._Degrees(degrees)
-    return any(enumeration._CLAIMS[claim_id](len(degrees)).wants(d) for claim_id in CLAIM_IDS)
+def built_by_claims(n):
+    """The classes whose orbits deciding every claim of CLAIM_IDS builds."""
+    return frozenset(decided_table(n).orbits)
 
 
 def edge_deleted_reference(n):
@@ -438,7 +452,7 @@ def equal_pairs(seq):
 
 def scanned_table(n):
     """The n-vertex class table, built as --claims all builds it."""
-    return enumeration._class_table(n)
+    return enumeration._ClassTable(n)
 
 
 def decide(claim_id, table):
@@ -488,8 +502,8 @@ def test_each_claim_fails_on_an_injected_breaking_row(claim_id, row):
 
 
 def test_prop_bidegreed_compares_each_group_with_its_first_class():
-    # a group's reference is its first class in table order, the lowest slot
-    # on a scanned table, so a row appended to the table is the one that differs
+    # a group's reference is its first class in table order, so a row
+    # appended to the table is the one that differs
     table = scanned_table(5)
     table.counts[(3, 3, 1, 1, 1, 1)] = 1
     report = decide("prop_bidegreed", table)
@@ -529,15 +543,16 @@ def test_cor_edge_deleted_fails_on_an_injected_deletion_class():
 
 
 # Edits to the one orbit of the antiregular class at n = 5, which maximizes
-# ira, irb and irr_t: each leaves orbits that no longer add up to the class's
-# labeled count.  The foreign mask comes from the other irr_t maximizer class,
-# (4, 2, 2, 1, 1), in ascending place.
+# ira, irb and irr_t, each made on the orbits built through the accessor, so
+# claims read the edited lists: each leaves orbits that no longer add up to
+# the class's labeled count.  The foreign mask comes from the other irr_t
+# maximizer class, (4, 2, 2, 1, 1), in ascending place.
 WITNESS_EDITS = {
-    "non-first-mask-dropped": lambda table, anti: table.orbits[anti][0].pop(1),
-    "class-dropped": lambda table, anti: table.orbits.pop(anti),
-    "foreign-mask-added": lambda table, anti: bisect.insort(table.orbits[anti][0],
-                                                           table.orbits[(4, 2, 2, 1, 1)][0][-1]),
-    "orbit-repeated": lambda table, anti: table.orbits[anti].append(table.orbits[anti][0][:]),
+    "non-first-mask-dropped": lambda table, anti: table.orbits_of(anti)[0].pop(1),
+    "orbits-cleared": lambda table, anti: table.orbits_of(anti).clear(),
+    "foreign-mask-added": lambda table, anti: bisect.insort(table.orbits_of(anti)[0],
+                                                           table.orbits_of((4, 2, 2, 1, 1))[0][-1]),
+    "orbit-repeated": lambda table, anti: table.orbits_of(anti).append(table.orbits_of(anti)[0][:]),
 }
 
 
@@ -558,7 +573,7 @@ def test_maximizers_are_compared_with_the_antiregular_graph():
     # count add up, so only the comparison with antiregular(5) can tell
     table = scanned_table(5)
     anti, other = degree_sequence(antiregular(5)), (4, 2, 2, 1, 1)
-    table.orbits[anti], table.counts[anti] = table.orbits[other], table.counts[other]
+    table.orbits_of(anti)[:], table.counts[anti] = table.orbits_of(other), table.counts[other]
     for claim_id in ("lemma_n0", "prop_bounds", "problem1_ira_irb"):
         assert decide(claim_id, table).violations == table.counts[other] == 30
 
@@ -608,9 +623,6 @@ def test_class_counts_match_brute_force_realizations():
     for n in range(3, 7):
         table = scanned_table(n)
         assert table.counts == oracle_class_counts(n), f"n={n}"
-        # in ascending slot order
-        keys = [enumeration._key(n, seq) for seq in table.counts]
-        assert keys == sorted(keys)
 
 
 def test_class_counts_sum_to_oeis():
@@ -621,18 +633,19 @@ def test_class_counts_sum_to_oeis():
 @pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow)])
 def test_class_counts_past_the_walk_sum_to_oeis(n):
     # 66,296,291,072 graphs at n = 9: beyond any walk over the masks
-    assert sum(enumeration._ClassTable(n, lambda d: False).counts.values()) == A001187[n]
+    assert sum(enumeration._ClassTable(n).counts.values()) == A001187[n]
 
 
 def assert_table_matches_the_reference_walk(n):
     """The counted classes and their orbits against a walk over every mask:
-    the same counts, and the orbits of each wanted class are its masks."""
+    the same counts, and the orbits each class built by the claims holds are
+    its masks."""
     counts, kept = reference_walk.class_table(n, kept_by_the_walk)
-    table = scanned_table(n)
+    table = decided_table(n)
     assert table.counts == counts, n
     assert {degrees: sorted(itertools.chain.from_iterable(orbits))
             for degrees, orbits in table.orbits.items()} == {
-        degrees: masks for degrees, masks in kept.items() if wanted_by_claims(degrees)}, n
+        degrees: masks for degrees, masks in kept.items() if degrees in built_by_claims(n)}, n
 
 
 def test_class_table_matches_the_reference_walk():
@@ -645,32 +658,21 @@ def test_class_table_matches_the_reference_walk_at_n8():
     assert_table_matches_the_reference_walk(8)
 
 
-def test_slot_key_is_collision_free():
-    # distinct lists of n degrees in 1..n-1 get distinct slots below
-    # (n + 1)^(n - 2), and only all ones gets slot 0, the disconnected graphs'
+def test_table_order_is_descending_degree_tuples():
+    # the order prop_bidegreed and cor_edge_deleted take their first class in
     for n in range(3, 9):
-        lists = list(itertools.combinations_with_replacement(range(n - 1, 0, -1), n))
-        slots = {enumeration._key(n, seq): seq for seq in lists}
-        assert len(slots) == len(lists)
-        assert slots[0] == (1,) * n and max(slots) < (n + 1) ** (n - 2)
-
-
-def test_table_order_is_the_degree_count_order():
-    # ascending slot order compares the counts of degree n - 1, then of
-    # degree n - 2, ..., down to degree 2: the order prop_bidegreed and
-    # cor_edge_deleted take their first class in
-    for n in range(3, 9):
-        classes = list(enumeration._ClassTable(n, lambda d: False).counts)
-        by_counts = sorted(classes, key=lambda seq: [seq.count(d) for d in range(n - 1, 1, -1)])
-        assert classes == by_counts, n
+        table = enumeration._ClassTable(n)
+        assert list(table.counts) == sorted(table.counts, reverse=True), n
+        assert list(table.deletions) == sorted(table.deletions, reverse=True), n
 
 
 def test_witnesses_encode_each_kept_mask():
     # one batch over the mask bits gives what each mask's graph encodes to
-    table = scanned_table(6)
+    table = decided_table(6)
+    built = set(table.orbits)
     masks = sorted(mask for orbits in table.orbits.values() for orbit in orbits for mask in orbit)
     assert len(masks) > 500
-    assert enumeration._witnesses(table, lambda d: True) == tuple(
+    assert enumeration._witnesses(table, lambda d: d.degrees in built) == tuple(
         emit_graph6(Graph.from_pair_mask(6, mask)) for mask in masks)
 
 
@@ -804,12 +806,13 @@ def test_degree_determined_details_match_the_degree_sequence_oracle():
 
 
 def degree_sequence_table(n):
-    """A class table that counts every connected degree sequence once, in slot
+    """A class table that counts every connected degree sequence once, in table
     order, with its edge-deleted classes, no orbits and one profile per
     sequence."""
-    sequences = sorted(connected_degree_sequences(n), key=lambda seq: enumeration._key(n, seq))
+    sequences = sorted(connected_degree_sequences(n), reverse=True)
     deleted = [seq for seq in sequences if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2]
-    return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1), orbits={},
+    return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1),
+                                 orbits_of=lambda degrees: [],
                                  deletions=dict.fromkeys(deleted, 1),
                                  profile=functools.cache(enumeration._Degrees))
 
@@ -837,7 +840,7 @@ def test_degree_conditions_hold_on_every_connected_degree_sequence(n):
     """
     table = degree_sequence_table(n)
     if n in A001187:
-        counted = enumeration._ClassTable(n, lambda d: False)
+        counted = enumeration._ClassTable(n)
         assert list(counted.counts) == list(table.counts)
         assert sum(counted.counts.values()) == A001187[n]
         table.counts = counted.counts
@@ -867,15 +870,14 @@ def test_connected_counts_match_graph_atlas():
     # labeled connected graphs = sum over unlabeled connected classes of n!/|Aut|,
     # with |Aut| from networkx; each class is one orbit of graphirr's, of that size
     nx = pytest.importorskip("networkx")
-    from networkx.algorithms.isomorphism import GraphMatcher
 
-    tables = {n: enumeration._ClassTable(n, every_class) for n in range(3, 8)}
+    tables = {n: table_with_every_orbit(n) for n in range(3, 8)}
     labeled = dict.fromkeys(tables, 0)
     orbits_met = dict.fromkeys(tables, 0)
     for g in nx.graph_atlas_g():
         n = g.number_of_nodes()
         if n in labeled and nx.is_connected(g):
-            automorphisms = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+            automorphisms = sum(1 for _ in nx.vf2pp_all_isomorphisms(g, g))
             h = Graph(n, g.edges())
             mask = sum(1 << k for k, (i, j) in enumerate(pair_order(n)) if h.has_edge(i, j))
             orbit, = [orbit for orbit in tables[n].orbits[degree_sequence(h)] if holds(orbit, mask)]
