@@ -5,22 +5,30 @@ regular graphs.  Most depend only on the degree sequence.  The two pair-count
 measures ira and irb are built from n0, the number of unordered vertex pairs
 with equal degrees: ira is the odds that a random pair has distinct degrees,
 irb the probability of the same event.  Every measure is computed from one
-sorted degree sequence (plus the edges, for albertson, sigma, cs and rho)
-when it is first read, so reading one measure never computes another that
-does not feed it; albertson, sigma and rho share one walk over the edges.
+sorted degree sequence (plus the edges, for albertson, sigma, cs and rho).
+A MeasureReport reads its graph's row of a table over every graph of its
+Lambda1Batch: a numpy pass over the batch's vertex-order blocks fills the
+degree columns at the first read of a degree measure, another the edge
+columns at the first read of an edge measure, and power iteration runs on
+the same blocks at the first cs read.  The passes add every float sum left
+to right in the order of the single-graph forms, so each value has the
+bits they give.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
-from .graphs import Graph, degree_sequence, is_connected
+import numpy as np
+
+from .graphs import Graph, degree_rows, degree_sequence, edge_chunks, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
 __all__ = [
@@ -50,13 +58,14 @@ __all__ = [
 
 # A double holds 15 to 17 significant decimal digits; more places print noise.
 _MAX_DECIMALS = 15
+_QUANTA = tuple(Decimal(1).scaleb(-decimals) for decimals in range(_MAX_DECIMALS + 1))
 
 
 def _quantum(decimals: int) -> Decimal:
     """The unit of the last kept place; raises ValueError outside 0..15 decimals."""
     if not 0 <= decimals <= _MAX_DECIMALS:
         raise ValueError(f"decimals must be in 0..{_MAX_DECIMALS}, got {decimals}")
-    return Decimal(1).scaleb(-decimals)
+    return _QUANTA[decimals]
 
 
 # 309 integer digits (the largest finite double), 15 places and a carry: 325 digits.
@@ -177,11 +186,15 @@ class _Degrees:
 
     @cached_property
     def _deviations(self) -> tuple[float, float]:
-        """Variance and total absolute deviation of the degrees around their mean."""
-        n = self.n
-        mean = self.total / n
-        dev = [v - mean for v in self.degrees]
-        return sum(x ** 2 for x in dev) / n, sum(abs(x) for x in dev)
+        """Variance and total absolute deviation of the degrees around their mean,
+        each added left to right, as the block pass adds them (``sum`` of floats
+        is compensated from Python 3.12 on)."""
+        mean = self.total / self.n
+        squares = absolute = 0.0
+        for v in self.degrees:
+            squares += (v - mean) ** 2
+            absolute += abs(v - mean)
+        return squares / self.n, absolute
 
     @property
     def var(self) -> float:
@@ -318,7 +331,7 @@ def randic(g: Graph) -> float:
     """Sum of 1/sqrt(d_u * d_v) over the edges; equals n/2 on regular graphs."""
     if min(g.degrees()) < 1:
         raise ValueError("randic is undefined for graphs with an isolated vertex")
-    return compute_all(g)._edge_sums[2]
+    return compute_all(g)._randic
 
 
 def rho(g: Graph) -> float:
@@ -333,6 +346,120 @@ def degree_set_size(d) -> int:
     return _Degrees(d).degree_set_size
 
 
+def _left_to_right(terms: np.ndarray) -> np.ndarray:
+    """The sum of each row of a 2-D array, added strictly left to right."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _check_int64(bound: int, n: int) -> None:
+    """Refuse a block whose integer sums could reach ``bound``, past int64."""
+    if bound >= 2 ** 63:
+        raise ValueError(f"the measures of a graph this large (n={n}) overflow 64-bit integers")
+
+
+def _degree_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
+    """m, irr_t, n0, the degree-set size, the extreme degrees, var and s of B
+    graphs of one order n, from their degrees sorted non-increasing.
+
+    var and s are added left to right over those degrees, as _Degrees adds
+    them, with each deviation squared by libm pow.
+    """
+    n = graphs[0].n
+    ordered = np.sort(degree_rows(graphs), axis=1)[:, ::-1]
+    total = ordered.sum(axis=1)
+    _check_int64(n * int(total.max()), n)  # irr_t <= n * 2m
+    rank = np.arange(n)
+    new_value = np.ones(ordered.shape, bool)
+    new_value[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    run_start = np.maximum.accumulate(np.where(new_value, rank, 0), axis=1)
+    deviations = ordered - (total / n)[:, None]
+    # pow(x, 2) on a float calls libm pow, as x ** 2 in _Degrees does, where numpy's
+    # squares can differ in the last bit: once per run of equal degrees
+    squares = np.array(list(map(pow, deviations[new_value].tolist(), repeat(2))))
+    squares = squares[np.cumsum(new_value) - 1].reshape(deviations.shape)
+    return {
+        "m": total // 2,
+        "irr_t": ordered @ (n - 1 - 2 * rank),  # the rank form
+        "n0": (rank - run_start).sum(axis=1),  # each vertex pairs with the equal ones before it
+        "degree_set_size": new_value.sum(axis=1),
+        "min_degree": ordered[:, -1],
+        "max_degree": ordered[:, 0],
+        "var": _left_to_right(squares) / n,
+        "s": _left_to_right(np.abs(deviations)),
+    }
+
+
+def _edge_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
+    """albertson, sigma and the Randic index of B graphs of one order n, from
+    their edges a chunk at a time; each Randic index is added left to right
+    over the edges in pair order, as the single-graph walk adds it."""
+    degrees = degree_rows(graphs)
+    count, n = degrees.shape
+    _check_int64(int(degrees.sum(axis=1).max()) * int(degrees.max()) ** 2, n)  # sigma <= max^2 * 2m
+    flat = degrees.ravel()
+    albertson, sigma = np.zeros(count, np.int64), np.zeros(count, np.int64)
+    randic = np.zeros(count)
+    for rows, columns in edge_chunks(graphs, degrees):
+        if not len(rows):
+            continue
+        graph = rows // n
+        high, low = flat[rows], flat[graph * n + columns]
+        difference = high - low
+        np.add.at(albertson, graph, np.abs(difference))
+        np.add.at(sigma, graph, difference * difference)
+        # each graph's running sum, then its terms in pair order, in a column of its own
+        first = graph[0]
+        counts = np.bincount(graph - first)  # edges per graph of the chunk, which holds them in turn
+        span = slice(first, first + len(counts))
+        terms = np.zeros((counts.max() + 1, len(counts)))
+        terms[0] = randic[span]
+        index = np.arange(len(graph)) - np.repeat(np.cumsum(counts) - counts, counts)
+        terms[index + 1, graph - first] = 1.0 / np.sqrt(low * high)
+        randic[span] = np.add.accumulate(terms)[-1]  # each column added top to bottom
+    return {"albertson": albertson, "sigma": sigma, "randic": randic}
+
+
+class _MeasureTable:
+    """Columns of measures over every graph of one Lambda1Batch, by position.
+
+    The degree columns and the edge columns each fill at their first read,
+    one of the batch's blocks at a time, so reading only degree measures
+    never walks an edge.
+    """
+
+    def __init__(self, batch: Lambda1Batch):
+        # the batch's graphs and blocks, not the batch, which _TABLES keeps the table for
+        self.graphs, self.blocks = batch.graphs, batch.blocks
+
+    def _fill(self, block_columns) -> dict[str, np.ndarray]:
+        columns: dict[str, np.ndarray] = {}
+        for block in self.blocks:
+            for name, values in block_columns([self.graphs[p] for p in block]).items():
+                if name not in columns:
+                    columns[name] = np.empty(len(self.graphs), values.dtype)
+                columns[name][block] = values
+        return columns
+
+    @cached_property
+    def degree(self) -> dict[str, np.ndarray]:
+        return self._fill(_degree_columns)
+
+    @cached_property
+    def edge(self) -> dict[str, np.ndarray]:
+        return self._fill(_edge_columns)
+
+
+# one table per batch, dropped with it
+_TABLES: weakref.WeakKeyDictionary[Lambda1Batch, _MeasureTable] = weakref.WeakKeyDictionary()
+
+
+def _column(group: str, name: str) -> property:
+    """A report field read from the report's row of its measure table."""
+    if group == "edge":
+        return property(lambda report: report._table.edge[name].item(report._position))
+    return property(lambda report: report._table.degree[name].item(report._position))
+
+
 # The columns compute prints by default, in order.
 CSV_COLUMNS = (
     "n", "m", "irr_t", "degset_minus_1", "cs", "albertson", "sigma",
@@ -340,46 +467,81 @@ CSV_COLUMNS = (
 )
 
 
-class MeasureReport(_Degrees):
-    """Every measure of one graph, each computed when first read.
+class MeasureReport:
+    """Every measure of one graph: a view of its row of its batch's measure table.
 
-    Adds the edge measures, the spectral ones and connectivity to the degree
-    measures.  The first cs read of any report in a Lambda1Batch runs power
+    The first read of a degree measure of any report of a Lambda1Batch
+    fills the degree columns for all of its graphs, the first read of an
+    edge measure the edge columns, and the first cs read runs power
     iteration, checking its settings, for all of them; cs is computed even
-    for disconnected input, which ``connected`` flags.  rho is None where
+    for disconnected input, which ``connected`` flags.  Undefined measures
+    raise ValueError when read, as _Degrees's do; rho is None where
     undefined (it needs n >= 3 and no isolated vertex).
     """
 
+    __slots__ = ("graph", "n", "_batch", "_table", "_position")
+
     def __init__(self, g: Graph, batch: Lambda1Batch):
-        super().__init__(g)
-        self.graph = g
-        self._batch = batch
+        self.graph, self.n, self._batch = g, g.n, batch
+        try:
+            self._position = batch.position(g)
+        except ValueError:  # not one of the batch's graphs: its row is g's alone, and cs raises
+            self._table, self._position = _MeasureTable(Lambda1Batch([g])), 0
+            return
+        self._table = _TABLES.get(batch)
+        if self._table is None:
+            self._table = _TABLES[batch] = _MeasureTable(batch)
 
-    @cached_property
-    def _edge_sums(self) -> tuple[int, int, float]:
-        """albertson, sigma and the Randic index from one walk over the edges."""
-        deg = self.graph.degrees()
-        ends = [(deg[u], deg[v]) for u, v in self.graph.edges()]
-        return (sum(abs(a - b) for a, b in ends), sum((a - b) ** 2 for a, b in ends),
-                sum(1.0 / math.sqrt(a * b) for a, b in ends))
+    m = _column("degree", "m")
+    irr_t = _column("degree", "irr_t")
+    _n0 = _column("degree", "n0")
+    degree_set_size = _column("degree", "degree_set_size")
+    min_degree = _column("degree", "min_degree")
+    max_degree = _column("degree", "max_degree")
+    var = _column("degree", "var")
+    s = _column("degree", "s")
+    albertson = _column("edge", "albertson")
+    sigma = _column("edge", "sigma")
+    _randic = _column("edge", "randic")
 
     @property
-    def albertson(self) -> int:
-        return self._edge_sums[0]
+    def total(self) -> int:
+        return 2 * self.m
 
     @property
-    def sigma(self) -> int:
-        return self._edge_sums[1]
+    def degrees(self) -> tuple[int, ...]:
+        return degree_sequence(self.graph)
 
-    @cached_property
+    @property
+    def multiplicities(self) -> Counter:
+        return Counter(self.degrees)
+
+    @property
+    def n0(self) -> int:
+        if self.n < 2:
+            raise ValueError(f"n0 needs n >= 2, got n={self.n}")
+        return self._n0
+
+    # the formulas and read-time checks of _Degrees, on the columns above
+    degset_minus_1 = _Degrees.degset_minus_1
+    ira = property(_Degrees.ira.func)
+    irb = property(_Degrees.irb.func)
+    gini = property(_Degrees.gini.func)
+    value = _Degrees.value
+
+    @property
+    def disc(self) -> float:
+        return self.s / self.n
+
+    @property
     def cs(self) -> float:
         return self._batch.result(self.graph).lambda1 - 2 * self.m / self.n
 
-    @cached_property
+    @property
     def rho(self) -> float | None:
-        return _rho(self.n, self._edge_sums[2]) if self.n >= 3 and self.min_degree >= 1 else None
+        return _rho(self.n, self._randic) if self.n >= 3 and self.min_degree >= 1 else None
 
-    @cached_property
+    @property
     def connected(self) -> bool:
         return is_connected(self.graph)
 
@@ -387,8 +549,10 @@ class MeasureReport(_Degrees):
 def compute_all(g: Graph, *, batch: Lambda1Batch | None = None) -> MeasureReport:
     """The MeasureReport of g: each measure is computed when first read, so
     an undefined one raises only when read and an unread cs costs nothing.
-    With a ``batch`` holding g, cs comes from it under the batch's settings;
-    without one, from a batch of g alone at the default settings.
+    With a ``batch`` holding g, g's degree and edge measures come from one
+    pass over all of the batch's graphs and cs from its power iteration,
+    under its settings; without one, both come from a batch of g alone at
+    the default settings.
     """
     if batch is None:
         batch = Lambda1Batch([g])

@@ -105,10 +105,10 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
 class Lambda1Batch:
     """lambda1 of each of a list of graphs, all run together at the first ``result`` read.
 
-    The run takes the graphs of one vertex count in turn, in stacks of at
-    most _BLOCK graphs; each graph keeps its SpectralResult or the
-    ConvergenceError that every read of it raises.  A disconnected graph gets
-    the largest lambda1 over its components.
+    The run takes the graphs of one vertex count in turn, in the batch's
+    ``blocks`` of at most _BLOCK graphs; each graph keeps its SpectralResult
+    or the ConvergenceError that every read of it raises.  A disconnected
+    graph gets the largest lambda1 over its components.
     """
 
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
@@ -117,26 +117,50 @@ class Lambda1Batch:
         self.settings = (tolerance, max_iterations)
 
     @cached_property
-    def _outcomes(self) -> dict[Graph, SpectralResult | ConvergenceError]:
-        by_order: dict[int, list[Graph]] = {}
-        for h in self.graphs:
-            by_order.setdefault(h.n, []).append(h)
+    def blocks(self) -> list[list[int]]:
+        """The graphs' positions by vertex count, in order of first appearance,
+        cut into runs of at most _BLOCK: one graph order per block."""
+        by_order: dict[int, list[int]] = {}
+        for position, h in enumerate(self.graphs):
+            by_order.setdefault(h.n, []).append(position)
+        return [group[start:start + _BLOCK] for group in by_order.values()
+                for start in range(0, len(group), _BLOCK)]
+
+    @cached_property
+    def _outcomes(self) -> list[SpectralResult | ConvergenceError]:
+        graphs = self.graphs
         # one buffer, sized for the largest block, holds each block's stack in turn
-        sizes = (min(len(group), _BLOCK) * n * n for n, group in by_order.items())
-        buffer = np.empty(max(sizes, default=0))
-        outcomes = {}
-        for n, group in by_order.items():
-            for start in range(0, len(group), _BLOCK):
-                block = group[start:start + _BLOCK]
-                stack = adjacency_stack(block, buffer[:len(block) * n * n].reshape(-1, n, n))
-                outcomes.update(zip(block, _power_batch(stack, *self.settings)))
+        buffer = np.empty(max((len(block) * graphs[block[0]].n ** 2 for block in self.blocks),
+                              default=0))
+        outcomes: list = [None] * len(graphs)
+        for block in self.blocks:
+            n = graphs[block[0]].n
+            members = [graphs[position] for position in block]
+            stack = adjacency_stack(members, buffer[:len(block) * n * n].reshape(-1, n, n))
+            for position, outcome in zip(block, _power_batch(stack, *self.settings)):
+                outcomes[position] = outcome
         return outcomes
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {id(h): position for position, h in enumerate(self.graphs)}
+
+    @cached_property
+    def _equal_positions(self) -> dict[Graph, int]:
+        return {h: position for position, h in enumerate(self.graphs)}
+
+    def position(self, g: Graph) -> int:
+        """The position of g, or of a graph equal to it, among the batch's graphs."""
+        position = self._positions.get(id(g))  # the graph itself, found without hashing it
+        if position is None:
+            position = self._equal_positions.get(g)
+        if position is None:
+            raise ValueError(f"{g!r} is not one of the batch's graphs")
+        return position
 
     def result(self, g: Graph) -> SpectralResult:
         """The SpectralResult of g, one of the batch's graphs."""
-        if g not in self._outcomes:
-            raise ValueError(f"{g!r} is not one of the batch's graphs")
-        outcome = self._outcomes[g]
+        outcome = self._outcomes[self.position(g)]
         if isinstance(outcome, ConvergenceError):
             raise outcome.with_traceback(None)  # a fresh traceback, not one grown on every read
         return outcome

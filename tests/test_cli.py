@@ -97,6 +97,24 @@ def test_bad_settings_give_one_line_error(tmp_path, capsys, command, flags, mess
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_large_sparse_edgelist_in_bounded_chunks(tmp_path, capsys):
+    # a 20,000-vertex path: the edges are read a chunk of masks at a time,
+    # never from an n x n array
+    n = 20000
+    target = tmp_path / "path.txt"
+    target.write_text(f"n {n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+    code, out, err = run(capsys, ["compute", str(target), "--format", "edgelist",
+                                  "--no-spectral", "--output", "csv"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n,m,irr_t,degset_minus_1,cs,albertson,sigma,var,s,gini,rho,n0,ira,irb",
+        "20000,19999,39996,1,,2,2,0.000,4.000,0.000,,199950004,0.000,0.000",
+    ]
+    code, out, err = run(capsys, ["rank", str(target), "--format", "edgelist", "--by", "albertson"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["rank  albertson    input", f"1     2            {target}"]
+
+
 def test_compute_decimals_9_is_fixed_point_on_regular_graph(tmp_path, capsys):
     g6_file = write_lines(tmp_path, "c5.g6", [emit_graph6(cycle(5))])
     code, out, _ = run(capsys, ["compute", g6_file, "--output", "csv", "--decimals", "9"])

@@ -218,14 +218,16 @@ def test_verify_claim_results_share_no_state():
 
 
 def test_isomorphism_is_settled_per_degree_class(monkeypatch):
-    # a degree class is settled from its first masks: a handful of isomorphism
-    # tests per n, not one per labeled witness (1,264 over n = 3..6 before)
+    # isomorphism classes are read off the orbits, so the only isomorphism
+    # tests left compare one representative per class with antiregular(n):
+    # 13 over n = 3..6, not one per labeled witness
     calls = []
     original = enumeration.is_isomorphic_to
-    monkeypatch.setattr(enumeration, "is_isomorphic_to", lambda g, h: calls.append(g.n) or original(g, h))
+    monkeypatch.setattr(enumeration, "is_isomorphic_to",
+                        lambda g, h: calls.append((g.n, h == antiregular(g.n))) or original(g, h))
     for n in range(3, 7):
         enumeration._verify_all.__wrapped__(n)
-    assert 0 < len(calls) <= 50
+    assert calls == [(3, True)] * 2 + [(4, True)] * 3 + [(5, True)] * 3 + [(6, True)] * 5
 
 
 def test_lemma_n0_witness_counts():

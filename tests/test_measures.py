@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference_measures
 from graphirr import (
     Graph,
     albertson,
@@ -29,7 +30,9 @@ from graphirr import (
     sigma,
     variance,
 )
+from graphirr import graphs, measures, spectral
 from graphirr.generators import complete, complete_minus_edge, cycle, gnp, path, star
+from graphirr.spectral import Lambda1Batch
 
 
 def gini_double_sum(values):
@@ -309,3 +312,73 @@ def test_ira_irb_strictly_decrease_in_n0():
         values.append((ira(seq), irb(seq)))
     assert values == sorted(values, reverse=True)
     assert len({v[0] for v in values}) == len(values)
+
+
+def block_columns(batch):
+    """Every column of the block pass over a batch, by name, as Python values per graph."""
+    table = measures._MeasureTable(batch)
+    return {name: values.tolist() for group in (table.degree, table.edge)
+            for name, values in group.items()}
+
+
+def assert_block_pass_matches_oracle(graph_list):
+    columns = block_columns(Lambda1Batch(graph_list))
+    for position, g in enumerate(graph_list):
+        expected = reference_measures.columns(g)
+        assert {name: columns[name][position] for name in expected} == expected, g
+        # the single-measure functions add their deviations in the same order
+        assert (variance(g), degree_deviation(g)) == (expected["var"], expected["s"]), g
+
+
+def test_block_pass_matches_oracle_on_the_graph_atlas():
+    # every graph on 1..7 vertices, n = 1, n = 2, edgeless and disconnected ones
+    # included, in one batch of seven orders
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph(g.number_of_nodes(), g.edges()) for g in nx.graph_atlas_g()[1:]]
+    assert len(atlas) == 1252
+    assert_block_pass_matches_oracle(atlas)
+
+
+def test_block_pass_matches_oracle_on_gnp_graphs():
+    # orders 8..62, a few past 64 where masks are packed as bytes, not uint64
+    rng = np.random.default_rng(19)
+    sample = [gnp(int(n), float(p), seed=seed) for seed, (n, p) in enumerate(
+        zip(rng.integers(8, 63, 300), rng.uniform(0.02, 0.9, 300)))]
+    sample += [gnp(n, 0.1, seed=n) for n in (65, 97, 130)]
+    assert_block_pass_matches_oracle(sample)
+
+
+def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one(monkeypatch):
+    # more graphs of one order than a block holds, each against a batch of its own;
+    # then every mask in its own edge chunk, and degrees counted without bitwise_count
+    assert spectral._BLOCK < 300
+    sample = [gnp(12, 0.1 + 0.8 * k / 300, seed=k) for k in range(300)]
+    together = block_columns(Lambda1Batch(sample))
+    for position, g in enumerate(sample):
+        alone = block_columns(Lambda1Batch([g]))
+        assert {name: column[position] for name, column in together.items()} == \
+            {name: column[0] for name, column in alone.items()}, g
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 1)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert block_columns(Lambda1Batch(sample)) == together
+
+
+def test_reports_read_their_rows_by_position():
+    # equal graphs, the same one twice and a graph from outside the batch
+    batch = Lambda1Batch([path(4), star(5), path(4)])
+    reports = [compute_all(g, batch=batch) for g in batch.graphs]
+    assert [(r.m, r.albertson) for r in reports] == [(3, 2), (4, 12), (3, 2)]
+    assert compute_all(path(4), batch=batch).cs == reports[0].cs
+    outsider = compute_all(cycle(5), batch=batch)
+    assert (outsider.m, outsider.irr_t, outsider.sigma) == (5, 0, 0)
+    with pytest.raises(ValueError, match="not one of the batch's graphs"):
+        outsider.cs
+
+
+def test_block_pass_refuses_sums_past_int64(monkeypatch):
+    # no graph that fits in memory gets here; the check keeps numpy from wrapping around
+    g = star(4)
+    monkeypatch.setattr(measures, "degree_rows", lambda graphs: np.array([[2 ** 61, 1, 1, 1]]))
+    for measure in ("irr_t", "sigma"):
+        with pytest.raises(ValueError, match="overflow 64-bit integers"):
+            getattr(compute_all(g), measure)
