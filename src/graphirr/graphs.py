@@ -131,37 +131,20 @@ def _masks(graphs: Sequence[Graph]) -> list[int]:
     return list(chain.from_iterable(g._adj for g in graphs))
 
 
-def _packed(masks: Sequence[int], n: int) -> np.ndarray:
-    """Neighbour masks of n-vertex graphs as rows of bytes, bit v of byte v // 8
-    standing for vertex v: 8 bytes a row for n <= 64, (n + 7) // 8 beyond."""
-    if n <= 64:  # numpy converts the masks as uint64 in one call
-        return np.array(masks, "<u8").view(np.uint8).reshape(len(masks), 8)
-    width = (n + 7) // 8
-    rows = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    return np.frombuffer(rows, np.uint8).reshape(len(masks), width)
-
-
 def adjacency_stack(graphs: Sequence[Graph], out: np.ndarray) -> np.ndarray:
     """Write the 0/1 adjacency matrices of B graphs of one order n into out, shape (B, n, n)."""
     n = graphs[0].n
-    packed = _packed(_masks(graphs), n)
-    out[...] = np.unpackbits(packed, axis=1, count=n, bitorder="little").reshape(out.shape)
+    width = (n + 7) // 8
+    rows = b"".join(mask.to_bytes(width, "little") for g in graphs for mask in g._adj)
+    packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
+    out[...] = np.unpackbits(packed, axis=2, count=n, bitorder="little")
     return out
 
 
 def degree_rows(graphs: Sequence[Graph]) -> np.ndarray:
     """The degrees of B graphs of one order n in vertex order, shape (B, n)."""
     count, n = len(graphs), graphs[0].n
-    masks = _masks(graphs)
-    if n <= 64 and hasattr(np, "bitwise_count"):  # numpy >= 2.0 counts the bits of uint64 masks
-        degrees = np.bitwise_count(np.array(masks, "<u8")).astype(np.int64)
-    else:
-        degrees = np.fromiter(map(int.bit_count, masks), np.int64, count * n)
-    return degrees.reshape(count, n)
-
-
-# bit j - 1 and every bit below it: the neighbours i < j in a mask of vertex j
-_BELOW = np.array([(1 << j) - 1 for j in range(64)], "<u8")
+    return np.fromiter(map(int.bit_count, _masks(graphs)), np.int64, count * n).reshape(count, n)
 
 
 def edge_chunks(graphs: Sequence[Graph], degrees: np.ndarray
@@ -176,23 +159,20 @@ def edge_chunks(graphs: Sequence[Graph], degrees: np.ndarray
     """
     n = graphs[0].n
     masks = _masks(graphs)
-    if n <= 64:  # one uint64 operation per mask keeps the neighbours below its vertex
-        below = (np.array(masks, "<u8") & np.resize(_BELOW[:n], len(masks))).view(np.uint8)
-    spent = np.cumsum(64 * degrees.ravel() + 4 * ((n + 7) // 8))
+    width = (n + 7) // 8
+    spent = np.cumsum(64 * degrees.ravel() + 4 * width)
     first = 0
     while first < len(masks):
         budget = (spent[first - 1] if first else 0) + _CHUNK_BYTES
         last = max(first + 1, int(np.searchsorted(spent, budget, "right")))
-        if n <= 64:
-            packed, row_bits = below[8 * first:8 * last], 64
-        else:  # the same with Python ints, before packing
-            rows = _packed([mask & (1 << j % n) - 1 for j, mask in enumerate(masks[first:last], first)],
-                           n)
-            packed, row_bits = rows.ravel(), 8 * rows.shape[1]
+        packed = np.frombuffer(b"".join(map(int.to_bytes, masks[first:last], repeat(width),
+                                            repeat("little"))), np.uint8)
         at = np.flatnonzero(packed != 0)
         hits = np.flatnonzero(np.unpackbits(packed[at, None], axis=1, bitorder="little").view(bool))
-        bit = at[hits >> 3] << 3 | hits & 7  # the bit's place among the chunk's row_bits-bit rows
-        yield bit // row_bits + first, bit % row_bits
+        bit = at[hits >> 3] << 3 | hits & 7  # the bit's place among the chunk's 8*width-bit rows
+        rows, columns = bit // (8 * width) + first, bit % (8 * width)
+        below = columns < rows % n  # each edge once, from the mask of its higher vertex
+        yield rows[below], columns[below]
         first = last
 
 

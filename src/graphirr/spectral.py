@@ -142,18 +142,12 @@ class Lambda1Batch:
         return outcomes
 
     @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {id(h): position for position, h in enumerate(self.graphs)}
-
-    @cached_property
-    def _equal_positions(self) -> dict[Graph, int]:
+    def _positions(self) -> dict[Graph, int]:
         return {h: position for position, h in enumerate(self.graphs)}
 
     def position(self, g: Graph) -> int:
         """The position of g, or of a graph equal to it, among the batch's graphs."""
-        position = self._positions.get(id(g))  # the graph itself, found without hashing it
-        if position is None:
-            position = self._equal_positions.get(g)
+        position = self._positions.get(g)
         if position is None:
             raise ValueError(f"{g!r} is not one of the batch's graphs")
         return position

@@ -340,7 +340,7 @@ def test_block_pass_matches_oracle_on_the_graph_atlas():
 
 
 def test_block_pass_matches_oracle_on_gnp_graphs():
-    # orders 8..62, a few past 64 where masks are packed as bytes, not uint64
+    # orders 8..62, and a few past 64, whose masks span more than eight bytes
     rng = np.random.default_rng(19)
     sample = [gnp(int(n), float(p), seed=seed) for seed, (n, p) in enumerate(
         zip(rng.integers(8, 63, 300), rng.uniform(0.02, 0.9, 300)))]
@@ -350,7 +350,7 @@ def test_block_pass_matches_oracle_on_gnp_graphs():
 
 def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one(monkeypatch):
     # more graphs of one order than a block holds, each against a batch of its own;
-    # then every mask in its own edge chunk, and degrees counted without bitwise_count
+    # then every mask in its own edge chunk
     assert spectral._BLOCK < 300
     sample = [gnp(12, 0.1 + 0.8 * k / 300, seed=k) for k in range(300)]
     together = block_columns(Lambda1Batch(sample))
@@ -359,7 +359,6 @@ def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one(monkeypatch)
         assert {name: column[position] for name, column in together.items()} == \
             {name: column[0] for name, column in alone.items()}, g
     monkeypatch.setattr(graphs, "_CHUNK_BYTES", 1)
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
     assert block_columns(Lambda1Batch(sample)) == together
 
 
