@@ -6,20 +6,19 @@ measures ira and irb are built from n0, the number of unordered vertex pairs
 with equal degrees: ira is the odds that a random pair has distinct degrees,
 irb the probability of the same event.  Every measure is computed from one
 sorted degree sequence (plus the edges, for albertson, sigma, cs and rho).
-A MeasureReport reads its graph's row of a table over every graph of its
-Lambda1Batch: a numpy pass over the batch's vertex-order blocks fills the
-degree columns at the first read of a degree measure, another the edge
-columns at the first read of an edge measure, and power iteration runs on
-the same blocks at the first cs read.  The passes add every float sum left
-to right in the order of the single-graph forms, so each value has the
-bits they give.
+A MeasureReport reads its graph's position in columns that its
+Lambda1Batch keeps over all of its graphs: the batch runs the numpy degree
+pass over its vertex-order blocks at the first read of a degree measure,
+the edge pass at the first read of an edge measure, and power iteration
+on the same blocks at the first cs read.  The passes add every float sum
+left to right in the order of the single-graph forms, so each value has
+the bits they give.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -419,45 +418,9 @@ def _edge_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
     return {"albertson": albertson, "sigma": sigma, "randic": randic}
 
 
-class _MeasureTable:
-    """Columns of measures over every graph of one Lambda1Batch, by position.
-
-    The degree columns and the edge columns each fill at their first read,
-    one of the batch's blocks at a time, so reading only degree measures
-    never walks an edge.
-    """
-
-    def __init__(self, batch: Lambda1Batch):
-        # the batch's graphs and blocks, not the batch, which _TABLES keeps the table for
-        self.graphs, self.blocks = batch.graphs, batch.blocks
-
-    def _fill(self, block_columns) -> dict[str, np.ndarray]:
-        columns: dict[str, np.ndarray] = {}
-        for block in self.blocks:
-            for name, values in block_columns([self.graphs[p] for p in block]).items():
-                if name not in columns:
-                    columns[name] = np.empty(len(self.graphs), values.dtype)
-                columns[name][block] = values
-        return columns
-
-    @cached_property
-    def degree(self) -> dict[str, np.ndarray]:
-        return self._fill(_degree_columns)
-
-    @cached_property
-    def edge(self) -> dict[str, np.ndarray]:
-        return self._fill(_edge_columns)
-
-
-# one table per batch, dropped with it
-_TABLES: weakref.WeakKeyDictionary[Lambda1Batch, _MeasureTable] = weakref.WeakKeyDictionary()
-
-
-def _column(group: str, name: str) -> property:
-    """A report field read from the report's row of its measure table."""
-    if group == "edge":
-        return property(lambda report: report._table.edge[name].item(report._position))
-    return property(lambda report: report._table.degree[name].item(report._position))
+def _column(block_columns, name: str) -> property:
+    """A report field read at the report's position in a column of its batch."""
+    return property(lambda report: report._batch.columns(block_columns)[name].item(report._position))
 
 
 # The columns compute prints by default, in order.
@@ -468,53 +431,38 @@ CSV_COLUMNS = (
 
 
 class MeasureReport:
-    """Every measure of one graph: a view of its row of its batch's measure table.
+    """Every measure of one graph: a view of its position in its batch's columns.
 
     The first read of a degree measure of any report of a Lambda1Batch
-    fills the degree columns for all of its graphs, the first read of an
-    edge measure the edge columns, and the first cs read runs power
+    makes the batch run the degree pass over all of its graphs, the first
+    read of an edge measure the edge pass, and the first cs read power
     iteration, checking its settings, for all of them; cs is computed even
     for disconnected input, which ``connected`` flags.  Undefined measures
     raise ValueError when read, as _Degrees's do; rho is None where
     undefined (it needs n >= 3 and no isolated vertex).
     """
 
-    __slots__ = ("graph", "n", "_batch", "_table", "_position")
+    __slots__ = ("graph", "n", "_batch", "_position")
 
     def __init__(self, g: Graph, batch: Lambda1Batch):
         self.graph, self.n, self._batch = g, g.n, batch
-        try:
-            self._position = batch.position(g)
-        except ValueError:  # not one of the batch's graphs: its row is g's alone, and cs raises
-            self._table, self._position = _MeasureTable(Lambda1Batch([g])), 0
-            return
-        self._table = _TABLES.get(batch)
-        if self._table is None:
-            self._table = _TABLES[batch] = _MeasureTable(batch)
+        self._position = batch.position(g)
 
-    m = _column("degree", "m")
-    irr_t = _column("degree", "irr_t")
-    _n0 = _column("degree", "n0")
-    degree_set_size = _column("degree", "degree_set_size")
-    min_degree = _column("degree", "min_degree")
-    max_degree = _column("degree", "max_degree")
-    var = _column("degree", "var")
-    s = _column("degree", "s")
-    albertson = _column("edge", "albertson")
-    sigma = _column("edge", "sigma")
-    _randic = _column("edge", "randic")
+    m = _column(_degree_columns, "m")
+    irr_t = _column(_degree_columns, "irr_t")
+    _n0 = _column(_degree_columns, "n0")
+    degree_set_size = _column(_degree_columns, "degree_set_size")
+    min_degree = _column(_degree_columns, "min_degree")
+    max_degree = _column(_degree_columns, "max_degree")
+    var = _column(_degree_columns, "var")
+    s = _column(_degree_columns, "s")
+    albertson = _column(_edge_columns, "albertson")
+    sigma = _column(_edge_columns, "sigma")
+    _randic = _column(_edge_columns, "randic")
 
     @property
-    def total(self) -> int:
+    def total(self) -> int:  # read by the gini formula of _Degrees
         return 2 * self.m
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return degree_sequence(self.graph)
-
-    @property
-    def multiplicities(self) -> Counter:
-        return Counter(self.degrees)
 
     @property
     def n0(self) -> int:
@@ -549,10 +497,11 @@ class MeasureReport:
 def compute_all(g: Graph, *, batch: Lambda1Batch | None = None) -> MeasureReport:
     """The MeasureReport of g: each measure is computed when first read, so
     an undefined one raises only when read and an unread cs costs nothing.
-    With a ``batch`` holding g, g's degree and edge measures come from one
-    pass over all of the batch's graphs and cs from its power iteration,
-    under its settings; without one, both come from a batch of g alone at
-    the default settings.
+    With a ``batch``, g's degree and edge measures come from the batch's
+    passes over all of its graphs and cs from its power iteration, under
+    its settings; a batch that holds neither g nor a graph equal to it
+    raises ValueError at once.  Without one, all of them come from a batch
+    of g alone at the default settings.
     """
     if batch is None:
         batch = Lambda1Batch([g])

@@ -5,7 +5,7 @@ shift matters: a connected bipartite graph has -lambda1 tied with lambda1 in
 magnitude, so unshifted iteration oscillates, while A + I is nonnegative and
 irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
 Graphs of one order iterate together as one stack; a single graph is a stack
-of one.
+of one.  A batch runs the measures' column passes on the same blocks.
 """
 
 from __future__ import annotations
@@ -108,13 +108,16 @@ class Lambda1Batch:
     The run takes the graphs of one vertex count in turn, in the batch's
     ``blocks`` of at most _BLOCK graphs; each graph keeps its SpectralResult
     or the ConvergenceError that every read of it raises.  A disconnected
-    graph gets the largest lambda1 over its components.
+    graph gets the largest lambda1 over its components.  ``columns`` runs a
+    per-block column pass, such as the measures' degree and edge passes, on
+    the same blocks and keeps the columns it gives.
     """
 
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
                  max_iterations: int = DEFAULT_MAX_ITERATIONS):
         self.graphs = graphs
         self.settings = (tolerance, max_iterations)
+        self._columns: dict = {}  # each column pass run so far -> its columns
 
     @cached_property
     def blocks(self) -> list[list[int]]:
@@ -125,6 +128,21 @@ class Lambda1Batch:
             by_order.setdefault(h.n, []).append(position)
         return [group[start:start + _BLOCK] for group in by_order.values()
                 for start in range(0, len(group), _BLOCK)]
+
+    def columns(self, block_columns) -> dict[str, np.ndarray]:
+        """The named columns that ``block_columns`` gives for the graphs of one
+        block, over all of the batch's graphs by position: the pass runs once
+        per block at the first call, and later calls read the kept columns."""
+        columns = self._columns.get(block_columns)
+        if columns is None:
+            columns = {}
+            for block in self.blocks:
+                for name, values in block_columns([self.graphs[p] for p in block]).items():
+                    if name not in columns:
+                        columns[name] = np.empty(len(self.graphs), values.dtype)
+                    columns[name][block] = values
+            self._columns[block_columns] = columns  # kept only once every block has run
+        return columns
 
     @cached_property
     def _outcomes(self) -> list[SpectralResult | ConvergenceError]:

@@ -244,7 +244,9 @@ def test_unread_measures_are_never_computed(tmp_path, capsys, monkeypatch):
     for name in ("is_connected", "_rho"):
         monkeypatch.setattr(f"graphirr.measures.{name}", not_asked_for)
     g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
-    assert run(capsys, ["rank", g6_file, "--by", "ira"])[0] == 0
+    with monkeypatch.context() as rank_only:  # ira is a degree measure: rank walks no edge
+        rank_only.setattr("graphirr.measures.edge_chunks", not_asked_for)
+        assert run(capsys, ["rank", g6_file, "--by", "ira"])[0] == 0
     code, out, _ = run(capsys, ["compute", g6_file, "--no-spectral", "--output", "csv"])
     assert code == 0
     parsed = next(csv.DictReader(io.StringIO(out)))

@@ -316,9 +316,9 @@ def test_ira_irb_strictly_decrease_in_n0():
 
 def block_columns(batch):
     """Every column of the block pass over a batch, by name, as Python values per graph."""
-    table = measures._MeasureTable(batch)
-    return {name: values.tolist() for group in (table.degree, table.edge)
-            for name, values in group.items()}
+    passes = (measures._degree_columns, measures._edge_columns)
+    return {name: values.tolist() for column_pass in passes
+            for name, values in batch.columns(column_pass).items()}
 
 
 def assert_block_pass_matches_oracle(graph_list):
@@ -368,10 +368,44 @@ def test_reports_read_their_rows_by_position():
     reports = [compute_all(g, batch=batch) for g in batch.graphs]
     assert [(r.m, r.albertson) for r in reports] == [(3, 2), (4, 12), (3, 2)]
     assert compute_all(path(4), batch=batch).cs == reports[0].cs
-    outsider = compute_all(cycle(5), batch=batch)
-    assert (outsider.m, outsider.irr_t, outsider.sigma) == (5, 0, 0)
     with pytest.raises(ValueError, match="not one of the batch's graphs"):
-        outsider.cs
+        compute_all(cycle(5), batch=batch)
+
+
+def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
+    # more graphs of one order than a block holds, and graphs of a second order
+    calls = {"degree_rows": 0, "edge_chunks": 0}
+
+    def counted(name):
+        inner = getattr(measures, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(measures, name, counted(name))
+    sample = [gnp(10, 0.3, seed=k) for k in range(spectral._BLOCK + 10)]
+    sample += [gnp(7, 0.5, seed=k) for k in range(5)]
+    batch = Lambda1Batch(sample)
+    assert len(batch.blocks) == 3
+    reports = [compute_all(g, batch=batch) for g in sample]
+    assert calls == {"degree_rows": 0, "edge_chunks": 0}
+    degree_fields = ("m", "irr_t", "n0", "degree_set_size", "min_degree", "max_degree", "var", "s")
+    for report in reports:
+        for name in degree_fields:
+            getattr(report, name)
+    assert calls == {"degree_rows": len(batch.blocks), "edge_chunks": 0}
+    for report in reports:
+        report.albertson
+    # the edge pass reads each block's degree rows too
+    after_both = {"degree_rows": 2 * len(batch.blocks), "edge_chunks": len(batch.blocks)}
+    assert calls == after_both
+    for report in reports:
+        for name in degree_fields + ("albertson", "sigma", "rho"):
+            getattr(report, name)
+    assert calls == after_both
 
 
 def test_block_pass_refuses_sums_past_int64(monkeypatch):
