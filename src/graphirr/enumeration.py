@@ -30,7 +30,8 @@ import numpy as np
 from .generators import antiregular
 from .graphs import Graph, is_connected, pair_order
 from .io import _emit_graph6_rows, emit_graph6
-from .measures import _Degrees, _ira, _irb, compute_all, gini_sequence, n0 as _n0, nk_spectrum
+from .measures import (_DegreeProfile, _degree_profile, _degree_profiles, _ira, _irb, compute_all,
+                       gini_sequence, n0 as _n0, nk_spectrum)
 
 __all__ = [
     "VerificationReport",
@@ -204,13 +205,13 @@ class _ClassTable:
     tuples; orbits, the isomorphism classes of each class a claim has read
     through orbits_of(), as _orbits lists them; deletions, per edge-deleted
     class k^(n-2) (k-1)^2, the number of (g, e) pairs of a connected k-regular
-    graph g and an edge e of g.  Each class's measures and orbits are built
-    once per table, on first read.
+    graph g and an edge e of g.  The measures of every counted class come
+    from one degree pass when the classes are counted; each class's orbits
+    are built once per table, on first read.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._profiles: dict[tuple[int, ...], _Degrees] = {}
         self.orbits: dict[tuple[int, ...], list[list[int]]] = {}
         # every non-increasing list of n degrees in 1..n-1 with an even sum; its
         # class holds the graphs of that vector times n!/prod m_d! vectors
@@ -226,11 +227,13 @@ class _ClassTable:
         # deletion.  In descending k, so in table order.
         self.deletions = {(k,) * (n - 2) + (k - 1,) * 2: n * k // 2 * self.counts[(k,) * n]
                           for k in range(n - 1, 1, -1) if (k,) * n in self.counts}
+        self._profiles = dict(zip(self.counts, _degree_profiles(list(self.counts))))
 
-    def profile(self, degrees: tuple[int, ...]) -> _Degrees:
-        """The measures of one degree class, the same object on every read."""
+    def profile(self, degrees: tuple[int, ...]) -> _DegreeProfile:
+        """The measures of one degree class, the same object on every read;
+        a class added to counts later gets a degree pass of its own."""
         if degrees not in self._profiles:
-            self._profiles[degrees] = _Degrees(degrees)
+            self._profiles[degrees] = _degree_profile(degrees)
         return self._profiles[degrees]
 
     def orbits_of(self, degrees: tuple[int, ...]) -> list[list[int]]:
@@ -240,7 +243,7 @@ class _ClassTable:
         return self.orbits[degrees]
 
 
-def _witnesses(table: _ClassTable, accepts: Callable[[_Degrees], bool]) -> tuple[str, ...]:
+def _witnesses(table: _ClassTable, accepts: Callable[[_DegreeProfile], bool]) -> tuple[str, ...]:
     """The graph6 strings of the orbits of the table's classes that ``accepts``
     takes, merged into ascending mask order."""
     masks = sorted(mask for degrees in table.counts if accepts(table.profile(degrees))
@@ -283,7 +286,7 @@ def is_isomorphic_to(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
-def _iso_classes(table: _ClassTable, accepts: Callable[[_Degrees], bool]
+def _iso_classes(table: _ClassTable, accepts: Callable[[_DegreeProfile], bool]
                  ) -> tuple[list[tuple[int, Graph, int]], int]:
     """The isomorphism classes in the table's classes that ``accepts`` takes, as
     (smallest mask, graph, labeled count) in mask order, and the number of their
@@ -312,7 +315,7 @@ def _iso_classes(table: _ClassTable, accepts: Callable[[_Degrees], bool]
 # ---------------------------------------------------------------------------
 
 
-def _maximal(d: _Degrees) -> bool:
+def _maximal(d: _DegreeProfile) -> bool:
     """Whether the class maximizes ira and irb: n0 = 1."""
     return d.n0 == 1
 
@@ -348,15 +351,15 @@ class _Claim:
         self.checked = 0
         self.violations = 0
 
-    def covers(self, d: _Degrees) -> bool:
+    def covers(self, d: _DegreeProfile) -> bool:
         """Whether the claim speaks about the graphs of this degree class."""
         return True
 
-    def bad(self, d: _Degrees) -> int:
+    def bad(self, d: _DegreeProfile) -> int:
         """How many of the claim's conditions a covered class breaks."""
         return 0
 
-    def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_Degrees, int]]:
+    def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_DegreeProfile, int]]:
         """Each covered class of one of the table's class -> count maps, with its count."""
         for degrees, count in counts.items():
             d = table.profile(degrees)
@@ -384,15 +387,15 @@ class _Claim:
         )
 
 
-def _nonregular(d: _Degrees) -> bool:
+def _nonregular(d: _DegreeProfile) -> bool:
     return d.max_degree != d.min_degree
 
 
-def _single_universal_bidegreed(d: _Degrees) -> bool:
+def _single_universal_bidegreed(d: _DegreeProfile) -> bool:
     return d.degree_set_size == 2 and d.multiplicities[d.n - 1] == 1
 
 
-def _pairwise_irrt(d: _Degrees) -> int:
+def _pairwise_irrt(d: _DegreeProfile) -> int:
     """Sum of |d_i - d_j| over all pairs of the degree list, apart from nk_spectrum
     and the rank form."""
     return sum(abs(a - b) for a, b in itertools.combinations(d.degrees, 2))
@@ -688,7 +691,7 @@ class _TableRows(_Claim):
         return self._report(tuple(witnesses), {"rows": row_details})
 
 
-def _row_candidate(row: dict, d: _Degrees) -> bool:
+def _row_candidate(row: dict, d: _DegreeProfile) -> bool:
     return all(d.value(key) == row[key] for key in ("m", "irr_t", "degset_minus_1", "n0"))
 
 

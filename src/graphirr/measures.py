@@ -4,15 +4,18 @@ All of these quantify how far a graph is from regular; each is zero exactly on
 regular graphs.  Most depend only on the degree sequence.  The two pair-count
 measures ira and irb are built from n0, the number of unordered vertex pairs
 with equal degrees: ira is the odds that a random pair has distinct degrees,
-irb the probability of the same event.  Every measure is computed from one
-sorted degree sequence (plus the edges, for albertson, sigma, cs and rho).
-A MeasureReport reads its graph's position in columns that its
-Lambda1Batch keeps over all of its graphs: the batch runs the numpy degree
-pass over its vertex-order blocks at the first read of a degree measure,
-the edge pass at the first read of an edge measure, and power iteration
-on the same blocks at the first cs read.  The passes add every float sum
-left to right in the order of the single-graph forms, so each value has
-the bits they give.
+irb the probability of the same event.  Every degree measure is computed in
+one place, the numpy degree pass over rows of sorted degrees, and ira, irb,
+gini and the other derived measures from its columns in _DegreeMeasures
+(the edges add albertson, sigma, cs and rho).  A MeasureReport reads its
+graph's position in columns that its Lambda1Batch keeps over all of its
+graphs: the batch runs the degree pass over its vertex-order blocks at the
+first read of a degree measure, the edge pass at the first read of an edge
+measure, and power iteration on the same blocks at the first cs read.  The
+single-measure functions run the degree pass on one row, and the
+verifier's class table on all of its classes at once.  The passes add
+every float sum left to right in the order of the single-graph formulas,
+so each value has the bits they give.
 """
 
 from __future__ import annotations
@@ -104,112 +107,86 @@ def _rho(n: int, randic_value: float) -> float:
     return (n - 2 * randic_value) / (n - 2 * math.sqrt(n - 1))
 
 
-class _Degrees:
-    """One degree sequence, sorted non-increasing, and every degree measure of it.
+def _degree_list(source) -> tuple[int, ...]:
+    """The degrees of a Graph, or of an iterable of non-negative ints, sorted non-increasing."""
+    if isinstance(source, Graph):
+        return degree_sequence(source)
+    try:  # numpy integers pass; floats and strings do not
+        degrees = tuple(sorted(map(operator.index, source), reverse=True))
+    except TypeError:
+        raise ValueError("degrees must be integers") from None
+    if not degrees:
+        raise ValueError("empty degree sequence")
+    if degrees[-1] < 0:
+        raise ValueError("negative degree")
+    return degrees
 
-    Built from a Graph or an iterable of non-negative ints.  Each measure is
-    computed when first read and kept; n0 (so also ira and irb) raises
-    ValueError for n < 2, ira for n0 = 0 and gini for m = 0, when read.
+
+class _DegreeMeasures:
+    """The measures derived from one row of the degree pass, and the checks
+    they make when read: n0 (so also ira and irb) raises ValueError for
+    n < 2, ira for n0 = 0 and gini for a zero degree sum.  A subclass gives
+    n and the row: total, irr_t, equal_pairs, degree_set_size, min_degree,
+    max_degree, var and s.
     """
 
-    def __init__(self, source):
-        if isinstance(source, Graph):
-            degrees = degree_sequence(source)
-        else:
-            try:  # numpy integers pass; floats and strings do not
-                degrees = tuple(sorted(map(operator.index, source), reverse=True))
-            except TypeError:
-                raise ValueError("degrees must be integers") from None
-            if not degrees:
-                raise ValueError("empty degree sequence")
-            if degrees[-1] < 0:
-                raise ValueError("negative degree")
-        self.degrees = degrees
-        self.n = len(degrees)
-        self.total = sum(degrees)  # = 2m for a graph
+    __slots__ = ()
 
     @property
     def m(self) -> int:
         return self.total // 2
 
     @property
-    def max_degree(self) -> int:
-        return self.degrees[0]
-
-    @property
-    def min_degree(self) -> int:
-        return self.degrees[-1]
-
-    @cached_property
-    def multiplicities(self) -> Counter:
-        """Map degree value -> number of vertices with that degree."""
-        return Counter(self.degrees)
-
-    @property
-    def degree_set_size(self) -> int:
-        return len(self.multiplicities)
-
-    @property
     def degset_minus_1(self) -> int:
         return self.degree_set_size - 1
 
-    @cached_property
-    def irr_t(self) -> int:
-        """Rank form: sum of (n+1-2i)*d_i over the non-increasing degrees."""
-        n = self.n
-        return sum((n + 1 - 2 * i) * v for i, v in enumerate(self.degrees, start=1))
-
-    @cached_property
+    @property
     def n0(self) -> int:
         """Sum of c*(c-1)/2 over every occurring degree value including 0, so
         that it always equals the k=0 entry of nk_spectrum."""
         if self.n < 2:
             raise ValueError(f"n0 needs n >= 2, got n={self.n}")
-        return sum(c * (c - 1) // 2 for c in self.multiplicities.values())
+        return self.equal_pairs
 
-    @cached_property
+    @property
     def ira(self) -> float:
-        if self.n0 == 0:
+        n0 = self.n0
+        if n0 == 0:
             raise ValueError("ira is undefined when no two degrees are equal (n0 = 0)")
-        return _ira(self.n, self.n0)
+        return _ira(self.n, n0)
 
-    @cached_property
+    @property
     def irb(self) -> float:
         return _irb(self.n, self.n0)
 
-    @cached_property
+    @property
     def gini(self) -> float:
         if self.total == 0:
             raise ValueError("gini is undefined for an edgeless graph (mean degree 0)")
         return self.irr_t / (self.total * self.n)
 
-    @cached_property
-    def _deviations(self) -> tuple[float, float]:
-        """Variance and total absolute deviation of the degrees around their mean,
-        each added left to right, as the block pass adds them (``sum`` of floats
-        is compensated from Python 3.12 on)."""
-        mean = self.total / self.n
-        squares = absolute = 0.0
-        for v in self.degrees:
-            squares += (v - mean) ** 2
-            absolute += abs(v - mean)
-        return squares / self.n, absolute
-
-    @property
-    def var(self) -> float:
-        return self._deviations[0]
-
-    @property
-    def s(self) -> float:
-        return self._deviations[1]
-
     @property
     def disc(self) -> float:
-        return self._deviations[1] / self.n
+        return self.s / self.n
 
     def value(self, name: str):
         """Look up a measure by its column name."""
         return getattr(self, name)
+
+
+class _DegreeProfile(_DegreeMeasures):
+    """One degree list, sorted non-increasing, and its row of the degree pass
+    as plain Python values."""
+
+    def __init__(self, degrees: tuple[int, ...], row):
+        """``row`` holds (column name, value) pairs."""
+        self.degrees, self.n = degrees, len(degrees)
+        vars(self).update(row)
+
+    @cached_property
+    def multiplicities(self) -> Counter:
+        """Map degree value -> number of vertices with that degree."""
+        return Counter(self.degrees)
 
 
 @dataclass(frozen=True)
@@ -232,43 +209,43 @@ class NkSpectrum:
 def nk_spectrum(d) -> NkSpectrum:
     """Degree-difference pair counts over all C(n, 2) unordered vertex pairs, k ascending.
 
-    Built from the degree multiplicities c: N_0 = n0 and N_k = sum of c_a * c_b
-    over the degree values a > b with a - b = k.  A _Degrees is read as is.
+    Built from the degree multiplicities c: N_0 = sum of C(c, 2), and N_k =
+    sum of c_a * c_b over the degree values a > b with a - b = k.  A profile
+    is read by the multiplicities of its degrees.
     """
-    if not isinstance(d, _Degrees):
-        d = _Degrees(d)
-    if d.n < 2:
-        raise ValueError(f"nk_spectrum needs n >= 2 (no pairs for n={d.n})")
-    hist = d.multiplicities
-    counts = Counter({0: d.n0})
+    hist = d.multiplicities if isinstance(d, _DegreeProfile) else Counter(_degree_list(d))
+    n = sum(hist.values())
+    if n < 2:
+        raise ValueError(f"nk_spectrum needs n >= 2 (no pairs for n={n})")
+    counts = Counter({0: sum(c * (c - 1) // 2 for c in hist.values())})
     for a, b in combinations(sorted(hist, reverse=True), 2):
         counts[a - b] += hist[a] * hist[b]
-    return NkSpectrum(counts={k: c for k, c in sorted(counts.items()) if c}, n=d.n)
+    return NkSpectrum(counts={k: c for k, c in sorted(counts.items()) if c}, n=n)
 
 
 def irr_t(d) -> int:
     """Total irregularity: sum of |d_u - d_v| over all unordered vertex pairs."""
-    return _Degrees(d).irr_t
+    return _degree_profile(d).irr_t
 
 
 def n0(d) -> int:
     """Number of unordered vertex pairs with equal degrees."""
-    return _Degrees(d).n0
+    return _degree_profile(d).n0
 
 
 def ira(d) -> float:
     """Odds that a random vertex pair has distinct degrees: n(n-1)/(2*n0) - 1."""
-    return _Degrees(d).ira
+    return _degree_profile(d).ira
 
 
 def irb(d) -> float:
     """Fraction of vertex pairs with distinct degrees: 1 - 2*n0/(n(n-1))."""
-    return _Degrees(d).irb
+    return _degree_profile(d).irb
 
 
 def gini(d) -> float:
     """Gini index of the degree sequence: irr_t/(2mn)."""
-    return _Degrees(d).gini
+    return _degree_profile(d).gini
 
 
 def gini_sequence(y) -> float:
@@ -292,17 +269,17 @@ def gini_sequence(y) -> float:
 
 def variance(d) -> float:
     """Degree variance: mean squared deviation from the average degree."""
-    return _Degrees(d).var
+    return _degree_profile(d).var
 
 
 def discrepancy(d) -> float:
     """Mean absolute deviation of the degrees from the average degree."""
-    return _Degrees(d).disc
+    return _degree_profile(d).disc
 
 
 def degree_deviation(d) -> float:
     """Total absolute deviation from the average degree: n times the discrepancy."""
-    return _Degrees(d).s
+    return _degree_profile(d).s
 
 
 def albertson(g: Graph) -> int:
@@ -342,7 +319,7 @@ def rho(g: Graph) -> float:
 
 def degree_set_size(d) -> int:
     """Number of distinct degree values."""
-    return _Degrees(d).degree_set_size
+    return _degree_profile(d).degree_set_size
 
 
 def _left_to_right(terms: np.ndarray) -> np.ndarray:
@@ -353,39 +330,64 @@ def _left_to_right(terms: np.ndarray) -> np.ndarray:
 def _check_int64(bound: int, n: int) -> None:
     """Refuse a block whose integer sums could reach ``bound``, past int64."""
     if bound >= 2 ** 63:
-        raise ValueError(f"the measures of a graph this large (n={n}) overflow 64-bit integers")
+        raise ValueError(f"the measures of degrees this large (n={n}) overflow 64-bit integers")
 
 
-def _degree_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
-    """m, irr_t, n0, the degree-set size, the extreme degrees, var and s of B
-    graphs of one order n, from their degrees sorted non-increasing.
+def _check_degrees(n: int, top: int) -> None:
+    """Refuse n degrees of at most ``top`` whose sums could pass int64."""
+    _check_int64(n * n * top, n)  # irr_t <= n * total <= n * n * top
 
-    var and s are added left to right over those degrees, as _Degrees adds
-    them, with each deviation squared by libm pow.
+
+def _degree_table(ordered: np.ndarray) -> dict[str, np.ndarray]:
+    """The degree sum, irr_t, n0, the degree-set size, the extreme degrees,
+    var and s of each row of a (B, n) int64 matrix of non-increasing degrees.
+
+    var and s are added left to right over each row, with each deviation
+    squared by libm pow, as ``x ** 2`` on a float squares it.
     """
-    n = graphs[0].n
-    ordered = np.sort(degree_rows(graphs), axis=1)[:, ::-1]
-    total = ordered.sum(axis=1)
-    _check_int64(n * int(total.max()), n)  # irr_t <= n * 2m
+    n = ordered.shape[1]
+    total = ordered.sum(axis=1, keepdims=True)
     rank = np.arange(n)
-    new_value = np.ones(ordered.shape, bool)
-    new_value[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    run_start = np.maximum.accumulate(np.where(new_value, rank, 0), axis=1)
-    deviations = ordered - (total / n)[:, None]
-    # pow(x, 2) on a float calls libm pow, as x ** 2 in _Degrees does, where numpy's
-    # squares can differ in the last bit: once per run of equal degrees
+    new_value = np.empty(ordered.shape, bool)
+    new_value[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_value[:, 1:])
+    run_start = np.maximum.accumulate(rank * new_value, axis=1)
+    deviations = ordered - total / n
+    # pow(x, 2) on a float calls libm pow, where numpy's squares can differ in
+    # the last bit: once per run of equal degrees
     squares = np.array(list(map(pow, deviations[new_value].tolist(), repeat(2))))
-    squares = squares[np.cumsum(new_value) - 1].reshape(deviations.shape)
+    squares = squares[new_value.cumsum() - 1].reshape(deviations.shape)
     return {
-        "m": total // 2,
-        "irr_t": ordered @ (n - 1 - 2 * rank),  # the rank form
-        "n0": (rank - run_start).sum(axis=1),  # each vertex pairs with the equal ones before it
+        "total": total[:, 0],
+        "irr_t": ordered @ (rank[::-1] - rank),  # the rank form, with weights n - 1 - 2i
+        "equal_pairs": (rank - run_start).sum(axis=1),  # each vertex pairs with the equal ones before it
         "degree_set_size": new_value.sum(axis=1),
         "min_degree": ordered[:, -1],
         "max_degree": ordered[:, 0],
         "var": _left_to_right(squares) / n,
         "s": _left_to_right(np.abs(deviations)),
     }
+
+
+def _degree_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
+    """The degree table of B graphs of one order n, from their sorted degree rows."""
+    ordered = np.sort(degree_rows(graphs), axis=1)[:, ::-1]
+    _check_degrees(ordered.shape[1], int(ordered[:, 0].max()))
+    return _degree_table(ordered)
+
+
+def _degree_profiles(rows: list[tuple[int, ...]]) -> list[_DegreeProfile]:
+    """The profiles of degree tuples of one length, each sorted non-increasing,
+    from one degree pass over all of them."""
+    _check_degrees(len(rows[0]), max(row[0] for row in rows))  # before numpy holds them
+    table = _degree_table(np.array(rows, np.int64))
+    columns = [column.tolist() for column in table.values()]
+    return [_DegreeProfile(degrees, zip(table, values)) for degrees, values in zip(rows, zip(*columns))]
+
+
+def _degree_profile(source) -> _DegreeProfile:
+    """The profile of a Graph or a degree list: one row of the degree pass."""
+    return _degree_profiles([_degree_list(source)])[0]
 
 
 def _edge_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
@@ -430,7 +432,7 @@ CSV_COLUMNS = (
 )
 
 
-class MeasureReport:
+class MeasureReport(_DegreeMeasures):
     """Every measure of one graph: a view of its position in its batch's columns.
 
     The first read of a degree measure of any report of a Lambda1Batch
@@ -438,7 +440,7 @@ class MeasureReport:
     read of an edge measure the edge pass, and the first cs read power
     iteration, checking its settings, for all of them; cs is computed even
     for disconnected input, which ``connected`` flags.  Undefined measures
-    raise ValueError when read, as _Degrees's do; rho is None where
+    raise ValueError when read, as a profile's do; rho is None where
     undefined (it needs n >= 3 and no isolated vertex).
     """
 
@@ -448,9 +450,9 @@ class MeasureReport:
         self.graph, self.n, self._batch = g, g.n, batch
         self._position = batch.position(g)
 
-    m = _column(_degree_columns, "m")
+    total = _column(_degree_columns, "total")
     irr_t = _column(_degree_columns, "irr_t")
-    _n0 = _column(_degree_columns, "n0")
+    equal_pairs = _column(_degree_columns, "equal_pairs")
     degree_set_size = _column(_degree_columns, "degree_set_size")
     min_degree = _column(_degree_columns, "min_degree")
     max_degree = _column(_degree_columns, "max_degree")
@@ -459,27 +461,6 @@ class MeasureReport:
     albertson = _column(_edge_columns, "albertson")
     sigma = _column(_edge_columns, "sigma")
     _randic = _column(_edge_columns, "randic")
-
-    @property
-    def total(self) -> int:  # read by the gini formula of _Degrees
-        return 2 * self.m
-
-    @property
-    def n0(self) -> int:
-        if self.n < 2:
-            raise ValueError(f"n0 needs n >= 2, got n={self.n}")
-        return self._n0
-
-    # the formulas and read-time checks of _Degrees, on the columns above
-    degset_minus_1 = _Degrees.degset_minus_1
-    ira = property(_Degrees.ira.func)
-    irb = property(_Degrees.irb.func)
-    gini = property(_Degrees.gini.func)
-    value = _Degrees.value
-
-    @property
-    def disc(self) -> float:
-        return self.s / self.n
 
     @property
     def cs(self) -> float:

@@ -1,18 +1,18 @@
-"""The single-graph measure formulas, the oracle for graphirr's block pass.
+"""The single-graph measure formulas, the oracle for graphirr's degree and edge passes.
 
-MeasureReport once computed each graph's measures on their own: the degree
-measures through ``_Degrees(degree_sequence(g))`` and albertson, sigma and
-the Randic index through one walk over ``g.edges()``.  This module keeps
-those formulas.  Every float sum is an explicit loop that adds its terms
-left to right, in the order the single-graph forms used (the degrees
-non-increasing, the edges in pair order), because ``sum`` of floats is
-compensated from Python 3.12 on.
+MeasureReport once computed each graph's measures on their own, from its
+degree list and one walk over ``g.edges()``.  This module keeps those
+measures, each computed here from its definition: irr_t as a sum over all
+vertex pairs, not the rank form graphirr uses, and n0 from a Counter.
+Every float sum is an explicit loop that adds its terms left to right, in
+the order the single-graph forms used (the degrees non-increasing, the
+edges in pair order), because ``sum`` of floats is compensated from Python
+3.12 on.
 """
 
+import itertools
 import math
-
-from graphirr.graphs import degree_sequence
-from graphirr.measures import _Degrees
+from collections import Counter
 
 
 def edge_sums(g):
@@ -38,22 +38,24 @@ def deviations(degrees):
     return squares / len(degrees), absolute
 
 
-def columns(g):
-    """Every column of the block pass for g, by name."""
-    d = _Degrees(degree_sequence(g))
-    var, s = deviations(d.degrees)
-    albertson, sigma, randic = edge_sums(g)
+def degree_measures(degrees):
+    """Every column of the degree pass for one degree list, by name."""
+    degrees = sorted(degrees, reverse=True)
+    var, s = deviations(degrees)
     return {
-        "m": d.m,
-        "irr_t": d.irr_t,
-        # _Degrees.n0 refuses n = 1; the column holds the count there too
-        "n0": sum(c * (c - 1) // 2 for c in d.multiplicities.values()),
-        "degree_set_size": d.degree_set_size,
-        "min_degree": d.min_degree,
-        "max_degree": d.max_degree,
+        "total": sum(degrees),
+        "irr_t": sum(abs(a - b) for a, b in itertools.combinations(degrees, 2)),
+        # graphirr's n0 refuses n = 1; the column holds the count there too
+        "equal_pairs": sum(c * (c - 1) // 2 for c in Counter(degrees).values()),
+        "degree_set_size": len(set(degrees)),
+        "min_degree": min(degrees),
+        "max_degree": max(degrees),
         "var": var,
         "s": s,
-        "albertson": albertson,
-        "sigma": sigma,
-        "randic": randic,
     }
+
+
+def columns(g):
+    """Every column of the degree and edge passes for g, by name."""
+    albertson, sigma, randic = edge_sums(g)
+    return {**degree_measures(g.degrees()), "albertson": albertson, "sigma": sigma, "randic": randic}

@@ -28,9 +28,10 @@ from graphirr import (
     parse_graph6,
     verify_claim,
 )
-from graphirr import cli, enumeration
+from graphirr import cli, enumeration, measures
 from graphirr.generators import antiregular, complete, complete_split, cycle, path, star
 
+import reference_measures
 import reference_walk
 
 # OEIS A001187: connected labeled graphs on n vertices
@@ -614,11 +615,41 @@ def test_identities_catch_corrupted_pair_counts(monkeypatch):
 
 def test_sec3_identities_compare_the_rank_form(monkeypatch):
     # a rank form off by one on every class: the pairwise form cannot agree
+    degree_table = measures._degree_table
+
+    def off_by_one(ordered):
+        table = degree_table(ordered)
+        return {**table, "irr_t": table["irr_t"] + 1}
+
+    monkeypatch.setattr(measures, "_degree_table", off_by_one)
     table = scanned_table(5)
-    rank_form = enumeration._Degrees.irr_t
-    monkeypatch.setattr(enumeration._Degrees, "irr_t", property(lambda d: rank_form.func(d) + 1))
     report = decide("sec3_identities", table)
     assert report.violations == report.graphs_checked == 728
+
+
+def assert_profile_matches_oracle(profile):
+    expected = reference_measures.degree_measures(profile.degrees)
+    assert {name: getattr(profile, name) for name in expected} == expected, profile.degrees
+
+
+def test_class_profiles_match_the_degree_oracle():
+    # every counted class at n = 3..8, each from the table's one degree pass
+    profiled = 0
+    for n in range(3, 9):
+        table = enumeration._ClassTable(n)
+        for degrees in table.counts:
+            assert_profile_matches_oracle(table.profile(degrees))
+            profiled += 1
+    assert profiled == 2 + 6 + 19 + 68 + 236 + 863
+
+
+def test_rows_added_after_counting_get_a_profile():
+    # an injected row of another length, or with a 0 degree, gets a pass of its own
+    table = scanned_table(5)
+    for row in ((4, 4, 3, 3, 2, 1), (4, 3, 2, 1, 0)):
+        table.counts[row] = 1
+        assert table.profile(row).degrees == row
+        assert_profile_matches_oracle(table.profile(row))
 
 
 def test_class_counts_match_brute_force_realizations():
@@ -810,13 +841,14 @@ def test_degree_determined_details_match_the_degree_sequence_oracle():
 def degree_sequence_table(n):
     """A class table that counts every connected degree sequence once, in table
     order, with its edge-deleted classes, no orbits and one profile per
-    sequence."""
+    sequence, all from one degree pass."""
     sequences = sorted(connected_degree_sequences(n), reverse=True)
     deleted = [seq for seq in sequences if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2]
+    profiles = dict(zip(sequences, measures._degree_profiles(sequences)))
     return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1),
                                  orbits_of=lambda degrees: [],
                                  deletions=dict.fromkeys(deleted, 1),
-                                 profile=functools.cache(enumeration._Degrees))
+                                 profile=profiles.__getitem__)
 
 
 @pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow),

@@ -328,6 +328,8 @@ def assert_block_pass_matches_oracle(graph_list):
         assert {name: columns[name][position] for name in expected} == expected, g
         # the single-measure functions add their deviations in the same order
         assert (variance(g), degree_deviation(g)) == (expected["var"], expected["s"]), g
+        if g.n >= 2:  # N_0, counted from the degree histogram, is the pass's n0
+            assert nk_spectrum(g).counts.get(0, 0) == expected["equal_pairs"], g
 
 
 def test_block_pass_matches_oracle_on_the_graph_atlas():
@@ -406,6 +408,16 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
         for name in degree_fields + ("albertson", "sigma", "rho"):
             getattr(report, name)
     assert calls == after_both
+
+
+@pytest.mark.parametrize("degrees", [[2 ** 62, 2 ** 62, 1], [2 ** 63, 1]], ids=["sum", "degree"])
+def test_degree_lists_past_int64_are_refused(degrees):
+    # a degree list takes the numpy pass too: irr_t <= n * n * max must fit, and so must each degree
+    for measure in (irr_t, n0, ira, irb, gini, variance, discrepancy, degree_deviation, degree_set_size):
+        with pytest.raises(ValueError, match="overflow 64-bit integers"):
+            measure(degrees)
+    # the pair counts stay exact Python integers
+    assert nk_spectrum(degrees).weighted_sum == sum(abs(a - b) for a, b in itertools.combinations(degrees, 2))
 
 
 def test_block_pass_refuses_sums_past_int64(monkeypatch):
