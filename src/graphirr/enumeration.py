@@ -13,7 +13,9 @@ classes it reads, on first read, as permutation orbits of their
 realizations.  An orbit is one isomorphism class of n!/|Aut| labelings, so
 a class's orbits must add up to its count.  A graph is its bitmask over
 pair_order(n), kept in ascending order, so runs are deterministic down to
-witness order.
+witness order.  An orbit is the closure of one mask under two generators of
+S_n, and a witness is encoded from its mask, whose bits are the graph6
+payload, so verification runs in plain Python and never imports numpy.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator
-
-import numpy as np
 
 from .generators import antiregular
 from .graphs import Graph, is_connected, pair_order
-from .io import _emit_graph6_rows, emit_graph6
-from .measures import (_DegreeProfile, _degree_profile, _degree_profiles, _ira, _irb, compute_all,
-                       gini_sequence, n0 as _n0, nk_spectrum)
+from .io import _emit_graph6_mask, emit_graph6
+from .measures import (NkSpectrum, _DegreeProfile, _ira, _irb, compute_all, gini_sequence, n0 as _n0,
+                       nk_spectrum)
 
 __all__ = [
     "VerificationReport",
@@ -148,17 +150,37 @@ def _connected(degrees: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def _pair_powers(n: int) -> np.ndarray:
-    """(n!, C(n,2)) int64: row p, column k holds 2^k' for the pair k' of
-    pair_order(n) that the p-th permutation maps pair k onto, so the image of
-    a mask is the sum of its edges' columns."""
-    pairs = np.array(pair_order(n), np.int8)
-    index = np.zeros((n, n), np.int64)
-    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
-    perms = np.array(list(itertools.permutations(range(n))), np.int8)
-    powers = np.left_shift(np.int64(1), index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]])
-    powers.flags.writeable = False
-    return powers
+def _generators(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The transposition (0 1) and the cycle (0 1 ... n-1), which generate
+    S_n, each as one 256-entry table per byte of a mask over pair_order(n):
+    entry v of table b holds the image bits of the pairs that v sets in byte
+    b, so a mask's image is the OR of its bytes' entries."""
+    pairs = pair_order(n)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    generators = []
+    for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        images = [1 << index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs]
+        generators.append(tuple(
+            tuple(sum(image for bit, image in enumerate(images[start:start + 8]) if value >> bit & 1)
+                  for value in range(256))
+            for start in range(0, len(pairs), 8)))
+    return tuple(generators)
+
+
+def _orbit(mask: int, generators: tuple[tuple[tuple[int, ...], ...], ...]) -> list[int]:
+    """The images of a mask under every permutation, ascending: the closure of
+    the mask under the generators of S_n."""
+    orbit, queue = {mask}, [mask]
+    for member in queue:  # the queue grows while it is read, until no image is new
+        for tables in generators:
+            image, rest = 0, member
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            if image not in orbit:
+                orbit.add(image)
+                queue.append(image)
+    return sorted(orbit)
 
 
 def _orbits(degrees: tuple[int, ...]) -> list[list[int]]:
@@ -172,14 +194,13 @@ def _orbits(degrees: tuple[int, ...]) -> list[list[int]]:
     its orbit under all n! permutations.
     """
     n = len(degrees)
-    pairs, powers = pair_order(n), _pair_powers(n)
+    pairs, generators = pair_order(n), _generators(n)
     residual, seen, orbits = list(degrees), set(), []
 
     def extend(k: int, mask: int) -> None:
         if k == len(pairs):
             if mask not in seen and is_connected(Graph.from_pair_mask(n, mask)):
-                edges = [e for e in range(len(pairs)) if mask >> e & 1]
-                orbits.append(np.unique(powers[:, edges].sum(axis=1)).tolist())
+                orbits.append(_orbit(mask, generators))
                 seen.update(orbits[-1])
             return
         i, j = pairs[k]
@@ -197,6 +218,22 @@ def _orbits(degrees: tuple[int, ...]) -> list[list[int]]:
     return sorted(orbits)
 
 
+class _ClassProfile(_DegreeProfile):
+    """The measures of one degree class of a class table, with the two pair
+    forms of its irr_t that eq2_identity and sec3_identities both compare,
+    each computed at its first read."""
+
+    @cached_property
+    def spectrum(self) -> NkSpectrum:
+        return nk_spectrum(self)
+
+    @cached_property
+    def pairwise_irr_t(self) -> int:
+        """Sum of |d_i - d_j| over all pairs of the degree list, apart from
+        nk_spectrum and the rank form."""
+        return sum(abs(a - b) for a, b in itertools.combinations(self.degrees, 2))
+
+
 class _ClassTable:
     """The connected n-vertex graphs, reduced to what the claims read.
 
@@ -205,9 +242,8 @@ class _ClassTable:
     tuples; orbits, the isomorphism classes of each class a claim has read
     through orbits_of(), as _orbits lists them; deletions, per edge-deleted
     class k^(n-2) (k-1)^2, the number of (g, e) pairs of a connected k-regular
-    graph g and an edge e of g.  The measures of every counted class come
-    from one degree pass when the classes are counted; each class's orbits
-    are built once per table, on first read.
+    graph g and an edge e of g.  Each class's profile and its orbits are
+    built once per table, on first read.
     """
 
     def __init__(self, n: int):
@@ -227,13 +263,12 @@ class _ClassTable:
         # deletion.  In descending k, so in table order.
         self.deletions = {(k,) * (n - 2) + (k - 1,) * 2: n * k // 2 * self.counts[(k,) * n]
                           for k in range(n - 1, 1, -1) if (k,) * n in self.counts}
-        self._profiles = dict(zip(self.counts, _degree_profiles(list(self.counts))))
+        self._profiles: dict[tuple[int, ...], _ClassProfile] = {}
 
-    def profile(self, degrees: tuple[int, ...]) -> _DegreeProfile:
-        """The measures of one degree class, the same object on every read;
-        a class added to counts later gets a degree pass of its own."""
+    def profile(self, degrees: tuple[int, ...]) -> _ClassProfile:
+        """The measures of one degree class, the same object on every read."""
         if degrees not in self._profiles:
-            self._profiles[degrees] = _degree_profile(degrees)
+            self._profiles[degrees] = _ClassProfile(degrees)
         return self._profiles[degrees]
 
     def orbits_of(self, degrees: tuple[int, ...]) -> list[list[int]]:
@@ -243,14 +278,12 @@ class _ClassTable:
         return self.orbits[degrees]
 
 
-def _witnesses(table: _ClassTable, accepts: Callable[[_DegreeProfile], bool]) -> tuple[str, ...]:
+def _witnesses(table: _ClassTable, accepts: Callable[[_ClassProfile], bool]) -> tuple[str, ...]:
     """The graph6 strings of the orbits of the table's classes that ``accepts``
     takes, merged into ascending mask order."""
     masks = sorted(mask for degrees in table.counts if accepts(table.profile(degrees))
                    for orbit in table.orbits_of(degrees) for mask in orbit)
-    # bit k of a mask is pair k of pair_order(n), so the bits are the graph6 payload
-    bits = (np.array(masks, np.int64)[:, None] >> np.arange(math.comb(table.n, 2))) & 1
-    return tuple(_emit_graph6_rows(table.n, bits.astype(np.uint8)))
+    return tuple(_emit_graph6_mask(table.n, mask) for mask in masks)
 
 
 def is_isomorphic_to(g: Graph, h: Graph) -> bool:
@@ -286,7 +319,7 @@ def is_isomorphic_to(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
-def _iso_classes(table: _ClassTable, accepts: Callable[[_DegreeProfile], bool]
+def _iso_classes(table: _ClassTable, accepts: Callable[[_ClassProfile], bool]
                  ) -> tuple[list[tuple[int, Graph, int]], int]:
     """The isomorphism classes in the table's classes that ``accepts`` takes, as
     (smallest mask, graph, labeled count) in mask order, and the number of their
@@ -315,7 +348,7 @@ def _iso_classes(table: _ClassTable, accepts: Callable[[_DegreeProfile], bool]
 # ---------------------------------------------------------------------------
 
 
-def _maximal(d: _DegreeProfile) -> bool:
+def _maximal(d: _ClassProfile) -> bool:
     """Whether the class maximizes ira and irb: n0 = 1."""
     return d.n0 == 1
 
@@ -351,15 +384,15 @@ class _Claim:
         self.checked = 0
         self.violations = 0
 
-    def covers(self, d: _DegreeProfile) -> bool:
+    def covers(self, d: _ClassProfile) -> bool:
         """Whether the claim speaks about the graphs of this degree class."""
         return True
 
-    def bad(self, d: _DegreeProfile) -> int:
+    def bad(self, d: _ClassProfile) -> int:
         """How many of the claim's conditions a covered class breaks."""
         return 0
 
-    def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_DegreeProfile, int]]:
+    def classes(self, table: _ClassTable, counts: dict) -> Iterator[tuple[_ClassProfile, int]]:
         """Each covered class of one of the table's class -> count maps, with its count."""
         for degrees, count in counts.items():
             d = table.profile(degrees)
@@ -387,18 +420,12 @@ class _Claim:
         )
 
 
-def _nonregular(d: _DegreeProfile) -> bool:
+def _nonregular(d: _ClassProfile) -> bool:
     return d.max_degree != d.min_degree
 
 
-def _single_universal_bidegreed(d: _DegreeProfile) -> bool:
+def _single_universal_bidegreed(d: _ClassProfile) -> bool:
     return d.degree_set_size == 2 and d.multiplicities[d.n - 1] == 1
-
-
-def _pairwise_irrt(d: _DegreeProfile) -> int:
-    """Sum of |d_i - d_j| over all pairs of the degree list, apart from nk_spectrum
-    and the rank form."""
-    return sum(abs(a - b) for a, b in itertools.combinations(d.degrees, 2))
 
 
 class _LemmaN0(_Claim):
@@ -420,7 +447,11 @@ class _LemmaN0(_Claim):
 
 class _PropBounds(_Claim):
     """0 <= ira <= n(n-1)/2 - 1 and 0 <= irb <= 1 - 2/(n(n-1)); left equality iff
-    regular, right equality iff antiregular."""
+    regular, right equality iff antiregular.
+
+    ira and irb are the shipped formulas evaluated on n0 as a Fraction, so
+    they are exact rationals and sit inside their intervals exactly.
+    """
 
     claim_id = "prop_bounds"
     summary = "ira/irb bounds with regular and antiregular equality cases"
@@ -428,13 +459,13 @@ class _PropBounds(_Claim):
     def bad(self, d):
         n = self.n
         pairs_total = math.comb(n, 2)
-        ira_f = _ira(n, max(d.n0, 1))
-        irb_f = _irb(n, d.n0)
+        ira = _ira(n, Fraction(max(d.n0, 1)))
+        irb = _irb(n, Fraction(d.n0))
         return (
             # bound checks in exact integers: 1 <= n0 <= C(n,2)
             (d.n0 < 1 or d.n0 > pairs_total)
-            # float values must sit inside the stated interval
-            + (ira_f < 0 or ira_f > pairs_total - 1 or irb_f < 0 or irb_f > 1 - 2 / (n * (n - 1)))
+            # the exact values must sit inside the stated interval
+            + (ira < 0 or ira > pairs_total - 1 or irb < 0 or irb > 1 - Fraction(2, n * (n - 1)))
             # lower equality (value 0) exactly on regular graphs
             + ((d.max_degree == d.min_degree) != (d.n0 == pairs_total))
         )
@@ -619,26 +650,29 @@ class _Eq2Identity(_Claim):
     summary = "pair counts sum to C(n,2) and weight-sum to irr_t"
 
     def bad(self, d):
-        spectrum = nk_spectrum(d)
-        return (spectrum.total_pairs != math.comb(self.n, 2)
-                or spectrum.weighted_sum != _pairwise_irrt(d))
+        return (d.spectrum.total_pairs != math.comb(self.n, 2)
+                or d.spectrum.weighted_sum != d.pairwise_irr_t)
 
 
 class _Sec3Identities(_Claim):
     """The three total-irregularity forms (pairwise, weighted by the pair counts
-    nk, ranked) agree exactly and the two Gini forms (irr_t/(2mn), ranked)
-    agree to 1e-12 relative."""
+    nk, ranked) agree exactly, and the two Gini forms, irr_t/(2mn) and the
+    ranked 1 - sum of (2i-1)*d_i over n * sum of d_i, agree exactly as
+    rationals and to 1e-12 relative as gini_sequence computes the ranked one
+    in floats."""
 
     claim_id = "sec3_identities"
     summary = "total-irregularity and Gini rewrite identities"
 
     def bad(self, d):
-        form_pairwise = _pairwise_irrt(d)
-        int_bad = form_pairwise != nk_spectrum(d).weighted_sum or form_pairwise != d.irr_t
-        z_ratio = form_pairwise / (2 * d.m * self.n)
+        n, form_pairwise = self.n, d.pairwise_irr_t
+        int_bad = form_pairwise != d.spectrum.weighted_sum or form_pairwise != d.irr_t
+        ranked = sum((2 * i - 1) * value for i, value in enumerate(d.degrees, start=1))
+        exact_bad = Fraction(form_pairwise, 2 * d.m * n) != 1 - Fraction(ranked, n * d.total)
+        z_ratio = form_pairwise / (2 * d.m * n)
         z_ranked = gini_sequence(d.degrees)
         scale = max(1.0, abs(z_ratio), abs(z_ranked))
-        return int_bad or abs(z_ratio - z_ranked) > 1e-12 * scale
+        return int_bad + exact_bad + (abs(z_ratio - z_ranked) > 1e-12 * scale)
 
 
 # Measure profiles of four pairwise non-isomorphic connected 6-vertex graphs
@@ -691,7 +725,7 @@ class _TableRows(_Claim):
         return self._report(tuple(witnesses), {"rows": row_details})
 
 
-def _row_candidate(row: dict, d: _DegreeProfile) -> bool:
+def _row_candidate(row: dict, d: _ClassProfile) -> bool:
     return all(d.value(key) == row[key] for key in ("m", "irr_t", "degset_minus_1", "n0"))
 
 

@@ -8,8 +8,6 @@ connected n-vertex graph with exactly one equal-degree vertex pair.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graphs import Graph, pair_order
 
 
@@ -74,6 +72,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"gnp needs 0 <= p <= 1, got p={p}")
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"gnp seed must fit in 64 bits, got {seed}")
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     pairs = pair_order(n)
     draws = rng.random(len(pairs))

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -92,6 +93,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix as float64."""
+        import numpy as np
         return adjacency_stack([self], np.empty((1, self.n, self.n)))[0]
 
     def __eq__(self, other: object) -> bool:
@@ -133,6 +135,7 @@ def _masks(graphs: Sequence[Graph]) -> list[int]:
 
 def adjacency_stack(graphs: Sequence[Graph], out: np.ndarray) -> np.ndarray:
     """Write the 0/1 adjacency matrices of B graphs of one order n into out, shape (B, n, n)."""
+    import numpy as np
     n = graphs[0].n
     width = (n + 7) // 8
     rows = b"".join(mask.to_bytes(width, "little") for g in graphs for mask in g._adj)
@@ -143,6 +146,7 @@ def adjacency_stack(graphs: Sequence[Graph], out: np.ndarray) -> np.ndarray:
 
 def degree_rows(graphs: Sequence[Graph]) -> np.ndarray:
     """The degrees of B graphs of one order n in vertex order, shape (B, n)."""
+    import numpy as np
     count, n = len(graphs), graphs[0].n
     return np.fromiter(map(int.bit_count, _masks(graphs)), np.int64, count * n).reshape(count, n)
 
@@ -157,6 +161,7 @@ def edge_chunks(graphs: Sequence[Graph], degrees: np.ndarray
     whose mask j it holds, ordered by graph and then in pair order.  Only the
     non-zero bytes of the packed masks are unpacked.
     """
+    import numpy as np
     n = graphs[0].n
     masks = _masks(graphs)
     width = (n + 7) // 8

@@ -5,23 +5,32 @@ edge with 0-based indices.  Duplicate edges collapse; self-loops are rejected.
 
 graph6 (n <= 62 only): header byte 63+n, then the upper triangle in column
 order (0,1),(0,2),(1,2),(0,3),... packed big-endian into 6-bit groups, each
-group emitted as one byte offset by 63 and zero-padded at the end.
+group emitted as one byte offset by 63 and zero-padded at the end.  That
+column order is pair_order(n), so a graph's bitmask over it, pair k in bit k,
+is the payload: the encoder writes a mask's 6-bit groups in plain Python,
+each through a table of bit-reversed values.  The decoder gathers a whole
+string's bits with numpy, which it imports when first called.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .graphs import Graph
 
-from .graphs import Graph, adjacency_stack
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "emit_graph6"]
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
 _GRAPH6_BYTES = bytes(range(63, 127))
+# the graph6 character of each 6-bit group of a pair mask: the group's bit k
+# (pair 6g + k) becomes bit 5 - k of the character's code, which is offset by 63
+_GRAPH6_GROUPS = tuple(chr(63 + int(f"{value:06b}"[::-1], 2)) for value in range(64))
 
 
 class FormatError(ValueError):
@@ -94,6 +103,7 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 bit field for n={n} needs {expected} bytes, got {len(data) - 1}"
         )
+    import numpy as np
     bits = np.unpackbits(np.frombuffer(data, np.uint8) - 63)
     rows = np.packbits(bits[_gather_table(n)], axis=1, bitorder="little")
     return Graph._from_masks(n, rows.view("<u8")[:, 0].tolist())
@@ -105,6 +115,7 @@ def _gather_table(n: int) -> np.ndarray:
     entry (v, u) is pair {u, v}'s bit, so row v packs into v's neighbour mask.
     Pair k is unpacked bit 2 + k % 6 of byte 1 + k // 6.  Entries with u = v or
     u >= n are 0, the header's top bit, clear because the header minus 63 is n."""
+    import numpy as np
     v, u = np.indices((n, 64))
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     k = hi * (hi - 1) // 2 + lo
@@ -117,20 +128,13 @@ def emit_graph6(g: Graph) -> str:
     """Serialize g as a graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
-    adjacency = adjacency_stack([g], np.empty((1, g.n, g.n), np.uint8))
-    # row j's columns i < j, read row by row, are the pairs in pair order
-    return _emit_graph6_rows(g.n, adjacency[:, np.tri(g.n, k=-1, dtype=bool)])[0]
+    # vertex j's neighbours i < j are pairs C(j,2) + i of pair_order(n)
+    mask = sum((g.neighbor_mask(j) & ((1 << j) - 1)) << j * (j - 1) // 2 for j in range(g.n))
+    return _emit_graph6_mask(g.n, mask)
 
 
-def _emit_graph6_rows(n: int, bits: np.ndarray) -> list[str]:
-    """The graph6 strings of graphs on n <= GRAPH6_MAX_N vertices, one per row of
-    ``bits``: (B, C(n,2)) 0/1 uint8 flags over pair_order(n), each row packed
-    into 6-bit groups as the module docstring lays out."""
-    rows, pairs = bits.shape
-    groups = -(-pairs // 6)
-    padded = np.zeros((rows, 6 * groups), np.uint8)  # zero-pad the last 6-bit group
-    padded[:, :pairs] = bits
-    # each 6-bit group, big-endian, into the low bits of its byte
-    text = np.full((rows, 1 + groups), 63 + n, np.uint8)
-    text[:, 1:] = (np.packbits(padded.reshape(rows, groups, 6), axis=2)[:, :, 0] >> 2) + 63
-    return text.view(f"S{1 + groups}").ravel().astype(str).tolist()
+def _emit_graph6_mask(n: int, mask: int) -> str:
+    """The graph6 string of the graph on n <= GRAPH6_MAX_N vertices whose
+    bitmask over pair_order(n) is ``mask``, a 6-bit group at a time."""
+    groups = (n * (n - 1) // 2 + 5) // 6
+    return chr(63 + n) + "".join([_GRAPH6_GROUPS[mask >> shift & 63] for shift in range(0, 6 * groups, 6)])

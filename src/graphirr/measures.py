@@ -4,18 +4,23 @@ All of these quantify how far a graph is from regular; each is zero exactly on
 regular graphs.  Most depend only on the degree sequence.  The two pair-count
 measures ira and irb are built from n0, the number of unordered vertex pairs
 with equal degrees: ira is the odds that a random pair has distinct degrees,
-irb the probability of the same event.  Every degree measure is computed in
-one place, the numpy degree pass over rows of sorted degrees, and ira, irb,
-gini and the other derived measures from its columns in _DegreeMeasures
-(the edges add albertson, sigma, cs and rho).  A MeasureReport reads its
-graph's position in columns that its Lambda1Batch keeps over all of its
-graphs: the batch runs the degree pass over its vertex-order blocks at the
-first read of a degree measure, the edge pass at the first read of an edge
-measure, and power iteration on the same blocks at the first cs read.  The
-single-measure functions run the degree pass on one row, and the
-verifier's class table on all of its classes at once.  The passes add
-every float sum left to right in the order of the single-graph formulas,
-so each value has the bits they give.
+irb the probability of the same event.  ira, irb, gini and the other derived
+measures come from one row of degree columns, in _DegreeMeasures (the edges
+add albertson, sigma, cs and rho), and the row has two sources, chosen by the
+input: a batch of graphs or one degree list.
+
+A MeasureReport reads its graph's position in columns that its Lambda1Batch
+keeps over all of its graphs: the batch runs the numpy degree pass over its
+vertex-order blocks at the first read of a degree measure, the edge pass at
+the first read of an edge measure, and power iteration on the same blocks at
+the first cs read.  The passes add every float sum left to right in the order
+of the single-graph formulas, so each value has the bits they give.  numpy is
+imported by these passes only, when first run.
+
+A _DegreeProfile, which the single-measure functions and the verifier's
+class table read, computes the integer columns of one degree list in plain
+Python from the list and its histogram, and var and s, the float columns, by
+the degree pass on that one row when first read.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cached_property
 from itertools import combinations, repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, degree_rows, degree_sequence, edge_chunks, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CSV_COLUMNS",
@@ -95,12 +102,14 @@ def format_value(x, decimals: int = 3) -> str:
     return f"{quantized:f}"
 
 
+# Both are exact on a Fraction n0, for the verifier's interval checks, and
+# give the same float as with 1.0 on an int n0.
 def _ira(n: int, n0_value: int) -> float:
-    return n * (n - 1) / (2 * n0_value) - 1.0
+    return n * (n - 1) / (2 * n0_value) - 1
 
 
 def _irb(n: int, n0_value: int) -> float:
-    return 1.0 - 2 * n0_value / (n * (n - 1))
+    return 1 - 2 * n0_value / (n * (n - 1))
 
 
 def _rho(n: int, randic_value: float) -> float:
@@ -174,19 +183,40 @@ class _DegreeMeasures:
         return getattr(self, name)
 
 
-class _DegreeProfile(_DegreeMeasures):
-    """One degree list, sorted non-increasing, and its row of the degree pass
-    as plain Python values."""
+def _rank_irr_t(degrees: tuple[int, ...]) -> int:
+    """irr_t of a non-increasing degree list in the rank form: sum of (n - 1 - 2i) * d_i."""
+    n = len(degrees)
+    return sum((n - 1 - 2 * i) * d for i, d in enumerate(degrees))
 
-    def __init__(self, degrees: tuple[int, ...], row):
-        """``row`` holds (column name, value) pairs."""
+
+class _DegreeProfile(_DegreeMeasures):
+    """One degree list, sorted non-increasing, with its integer columns
+    computed in Python from the list and its histogram, and var and s from
+    the degree pass on the one row when either is first read."""
+
+    def __init__(self, degrees: tuple[int, ...]):
         self.degrees, self.n = degrees, len(degrees)
-        vars(self).update(row)
+        _check_degrees(self.n, degrees[0])  # refused where the batch pass refuses it
+        self.multiplicities = Counter(degrees)  # degree value -> number of vertices
+        self.total = sum(degrees)
+        self.irr_t = _rank_irr_t(degrees)
+        self.equal_pairs = sum(c * (c - 1) // 2 for c in self.multiplicities.values())
+        self.degree_set_size = len(self.multiplicities)
+        self.min_degree, self.max_degree = degrees[-1], degrees[0]
 
     @cached_property
-    def multiplicities(self) -> Counter:
-        """Map degree value -> number of vertices with that degree."""
-        return Counter(self.degrees)
+    def _float_row(self) -> dict[str, float]:
+        import numpy as np
+        table = _degree_table(np.array([self.degrees], np.int64))
+        return {"var": table["var"].item(), "s": table["s"].item()}
+
+    @property
+    def var(self) -> float:
+        return self._float_row["var"]
+
+    @property
+    def s(self) -> float:
+        return self._float_row["s"]
 
 
 @dataclass(frozen=True)
@@ -324,6 +354,7 @@ def degree_set_size(d) -> int:
 
 def _left_to_right(terms: np.ndarray) -> np.ndarray:
     """The sum of each row of a 2-D array, added strictly left to right."""
+    import numpy as np
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
@@ -345,6 +376,7 @@ def _degree_table(ordered: np.ndarray) -> dict[str, np.ndarray]:
     var and s are added left to right over each row, with each deviation
     squared by libm pow, as ``x ** 2`` on a float squares it.
     """
+    import numpy as np
     n = ordered.shape[1]
     total = ordered.sum(axis=1, keepdims=True)
     rank = np.arange(n)
@@ -371,29 +403,22 @@ def _degree_table(ordered: np.ndarray) -> dict[str, np.ndarray]:
 
 def _degree_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
     """The degree table of B graphs of one order n, from their sorted degree rows."""
+    import numpy as np
     ordered = np.sort(degree_rows(graphs), axis=1)[:, ::-1]
     _check_degrees(ordered.shape[1], int(ordered[:, 0].max()))
     return _degree_table(ordered)
 
 
-def _degree_profiles(rows: list[tuple[int, ...]]) -> list[_DegreeProfile]:
-    """The profiles of degree tuples of one length, each sorted non-increasing,
-    from one degree pass over all of them."""
-    _check_degrees(len(rows[0]), max(row[0] for row in rows))  # before numpy holds them
-    table = _degree_table(np.array(rows, np.int64))
-    columns = [column.tolist() for column in table.values()]
-    return [_DegreeProfile(degrees, zip(table, values)) for degrees, values in zip(rows, zip(*columns))]
-
-
 def _degree_profile(source) -> _DegreeProfile:
-    """The profile of a Graph or a degree list: one row of the degree pass."""
-    return _degree_profiles([_degree_list(source)])[0]
+    """The profile of a Graph or a degree list."""
+    return _DegreeProfile(_degree_list(source))
 
 
 def _edge_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
     """albertson, sigma and the Randic index of B graphs of one order n, from
     their edges a chunk at a time; each Randic index is added left to right
     over the edges in pair order, as the single-graph walk adds it."""
+    import numpy as np
     degrees = degree_rows(graphs)
     count, n = degrees.shape
     _check_int64(int(degrees.sum(axis=1).max()) * int(degrees.max()) ** 2, n)  # sigma <= max^2 * 2m

@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, adjacency_stack, is_connected
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -59,6 +61,7 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     tolerance, and its row leaves the active set, so its iteration count and
     residual are its own.  Returns per graph a SpectralResult or ConvergenceError.
     """
+    import numpy as np
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if max_iterations < 1:
@@ -135,6 +138,7 @@ class Lambda1Batch:
         per block at the first call, and later calls read the kept columns."""
         columns = self._columns.get(block_columns)
         if columns is None:
+            import numpy as np
             columns = {}
             for block in self.blocks:
                 for name, values in block_columns([self.graphs[p] for p in block]).items():
@@ -146,6 +150,7 @@ class Lambda1Batch:
 
     @cached_property
     def _outcomes(self) -> list[SpectralResult | ConvergenceError]:
+        import numpy as np
         graphs = self.graphs
         # one buffer, sized for the largest block, holds each block's stack in turn
         buffer = np.empty(max((len(block) * graphs[block[0]].n ** 2 for block in self.blocks),

@@ -1,10 +1,12 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -423,6 +425,40 @@ def test_generate_huge_n_as_edgelist_fails_before_listing_pairs(family):
     )
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", f"error: vertex count must be in 1..{sys.maxsize}, got n={HUGE_N}\n")
+
+
+# Runs in a fresh interpreter: main's stdout digest and whether numpy is
+# loaded, after each command in turn.
+NUMPY_PROBE = """
+import contextlib, hashlib, io, shlex, sys
+from graphirr import cli
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(shlex.split(argv))
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), "numpy" in sys.modules)
+"""
+
+
+def test_verify_and_generate_never_import_numpy(tmp_path):
+    # numpy is loaded only for batches: verify and generate run without it and
+    # print what they printed when they loaded it, while compute still loads it
+    corpus = tmp_path / "p3.g6"
+    corpus.write_text("Bg\n")
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, "verify --claims all --n 3-8 --output json",
+         "generate --family antiregular --n 9", shlex.join(["compute", str(corpus), "--output", "csv"])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.stderr == ""
+    path_csv = (b"n,m,irr_t,degset_minus_1,cs,albertson,sigma,var,s,gini,rho,n0,ira,irb\n"
+                b"3,2,2,1,0.081,2,2,0.222,1.333,0.167,1.000,1,2.000,0.667\n")
+    assert done.stdout.splitlines() == [
+        "0 e49dbf9fecce47bf6b138c6896611a67282fa775adf79d68c13a6804d80b1ee9 False",
+        "0 4ae30543ac2d5223f848a0b59ef9368b3967ac97dcbf57a4692f0d7c9d657129 False",
+        f"0 {hashlib.sha256(path_csv).hexdigest()} True",
+    ]
 
 
 @pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])

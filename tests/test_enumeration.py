@@ -117,13 +117,19 @@ def test_orbits_tile_the_connected_masks():
         assert sorted(itertools.chain.from_iterable(orbits)) == walked
 
 
-def test_pair_powers_identity_row_is_each_pair_bit():
-    # row 0 is the identity permutation: pair k maps to itself, 2^k, in int64
-    # up to bit 27, whatever dtype the exponents' gather is promoted through
-    for n in range(3, 9):
-        powers = enumeration._pair_powers(n)
-        assert powers.dtype == np.int64
-        assert powers[0].tolist() == [1 << k for k in range(math.comb(n, 2))], n
+def test_orbits_are_every_image_of_their_first_mask():
+    # brute force over all n! relabelings: the closure under two generators
+    # must reach every image of an orbit's first mask, and nothing else
+    for n in range(3, 7):
+        pairs = pair_order(n)
+        index = {pair: k for k, pair in enumerate(pairs)}
+        relabelings = [[index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+                       for p in itertools.permutations(range(n))]
+        for orbits in table_with_every_orbit(n).orbits.values():
+            for orbit in orbits:
+                edges = [k for k in range(len(pairs)) if orbit[0] >> k & 1]
+                images = {sum(1 << relabel[k] for k in edges) for relabel in relabelings}
+                assert orbit == sorted(images), (n, orbit[0])
 
 
 def test_enumerate_predicate_filter():
@@ -615,16 +621,49 @@ def test_identities_catch_corrupted_pair_counts(monkeypatch):
 
 def test_sec3_identities_compare_the_rank_form(monkeypatch):
     # a rank form off by one on every class: the pairwise form cannot agree
-    degree_table = measures._degree_table
-
-    def off_by_one(ordered):
-        table = degree_table(ordered)
-        return {**table, "irr_t": table["irr_t"] + 1}
-
-    monkeypatch.setattr(measures, "_degree_table", off_by_one)
+    rank_irr_t = measures._rank_irr_t
+    monkeypatch.setattr(measures, "_rank_irr_t", lambda degrees: rank_irr_t(degrees) + 1)
     table = scanned_table(5)
     report = decide("sec3_identities", table)
     assert report.violations == report.graphs_checked == 728
+
+
+def test_identity_claims_share_each_class_pair_forms(monkeypatch):
+    # eq2_identity and sec3_identities read one nk_spectrum per class and table
+    calls = []
+    monkeypatch.setattr(enumeration, "nk_spectrum", lambda d: calls.append(d.degrees) or nk_spectrum(d))
+    enumeration._verify_all.__wrapped__(7)
+    assert len(calls) == len(set(calls)) == 236
+
+
+# Rows whose every broken condition is counted, one by one: the exact
+# verdicts must fire on their own, apart from the integer and float checks.
+EXACT_ROWS = [
+    # n0 = 0 < 1, and irb = 1 above 1 - 2/20: the interval is decided apart from n0's range
+    ("prop_bounds", (4, 3, 2, 1, 0), 2),
+    # odd degree sum: irr_t/(2mn) with m = 7 misses the rank form, exactly and in floats
+    ("sec3_identities", (4, 3, 3, 3, 2), 2),
+    # the same gap at a relative 1/(degree sum), about 2e-14, which only the exact check sees
+    ("sec3_identities", (10 ** 13,) * 4 + (10 ** 13 - 1,), 1),
+]
+
+
+@pytest.mark.parametrize("claim_id, row, broken", EXACT_ROWS,
+                         ids=["prop_bounds-n0-0", "sec3_identities-odd-sum", "sec3_identities-gap-2e-14"])
+def test_exact_verdicts_count_each_broken_condition(claim_id, row, broken):
+    table = scanned_table(5)
+    table.counts[row] = 1
+    assert decide(claim_id, table).violations == broken
+
+
+def test_prop_bounds_decides_the_interval_exactly(monkeypatch):
+    # irb raised by 2^-60, an offset lost when rounded to a double near 0.9:
+    # only an exact comparison sees the upper bound broken at n0 = 1
+    offset = Fraction(1, 2 ** 60)
+    monkeypatch.setattr(enumeration, "_irb", lambda n, n0_value: measures._irb(n, n0_value) + offset)
+    assert float(measures._irb(5, Fraction(1)) + offset) == measures._irb(5, 1)
+    report = decide("prop_bounds", scanned_table(5))
+    assert report.violations == report.details["upper_equality_count"] == 60
 
 
 def assert_profile_matches_oracle(profile):
@@ -644,7 +683,7 @@ def test_class_profiles_match_the_degree_oracle():
 
 
 def test_rows_added_after_counting_get_a_profile():
-    # an injected row of another length, or with a 0 degree, gets a pass of its own
+    # an injected row of another length, or with a 0 degree, gets a profile of its own
     table = scanned_table(5)
     for row in ((4, 4, 3, 3, 2, 1), (4, 3, 2, 1, 0)):
         table.counts[row] = 1
@@ -841,10 +880,10 @@ def test_degree_determined_details_match_the_degree_sequence_oracle():
 def degree_sequence_table(n):
     """A class table that counts every connected degree sequence once, in table
     order, with its edge-deleted classes, no orbits and one profile per
-    sequence, all from one degree pass."""
+    sequence."""
     sequences = sorted(connected_degree_sequences(n), reverse=True)
     deleted = [seq for seq in sequences if seq == (seq[0],) * (n - 2) + (seq[0] - 1,) * 2]
-    profiles = dict(zip(sequences, measures._degree_profiles(sequences)))
+    profiles = {seq: enumeration._ClassProfile(seq) for seq in sequences}
     return types.SimpleNamespace(n=n, counts=dict.fromkeys(sequences, 1),
                                  orbits_of=lambda degrees: [],
                                  deletions=dict.fromkeys(deleted, 1),

@@ -15,7 +15,7 @@ from graphirr import (
     parse_graph6,
 )
 from graphirr.generators import complete, gnp, path, star
-from graphirr.io import GRAPH6_MAX_N, _emit_graph6_rows
+from graphirr.io import GRAPH6_MAX_N, _emit_graph6_mask
 
 
 def test_parse_graph6_known_strings():
@@ -115,11 +115,6 @@ def test_emit_graph6_matches_networkx_for_every_order():
         assert emit_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip(), n
 
 
-def pair_bit_rows(n, masks):
-    """One row of 0/1 pair flags over pair_order(n) per mask, bit k being pair k."""
-    return ((np.array(masks, np.int64)[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(np.uint8)
-
-
 def networkx_graph6(nx, n, mask):
     h = nx.Graph()
     h.add_nodes_from(range(n))
@@ -127,7 +122,7 @@ def networkx_graph6(nx, n, mask):
     return nx.to_graph6_bytes(h, header=False).decode().strip()
 
 
-def test_graph6_row_encoder_matches_networkx():
+def test_graph6_mask_encoder_matches_networkx():
     # every mask up to n = 5, and seeded samples at n = 6..8; at n = 8 the 28
     # pair bits leave two pad bits in the last 6-bit group
     nx = pytest.importorskip("networkx")
@@ -135,7 +130,7 @@ def test_graph6_row_encoder_matches_networkx():
     for n in range(1, 9):
         pairs = n * (n - 1) // 2
         masks = list(range(1 << pairs)) if n <= 5 else rng.integers(0, 1 << pairs, 500).tolist()
-        assert _emit_graph6_rows(n, pair_bit_rows(n, masks)) == [
+        assert [_emit_graph6_mask(n, mask) for mask in masks] == [
             networkx_graph6(nx, n, mask) for mask in masks], n
 
 

@@ -410,6 +410,21 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
     assert calls == after_both
 
 
+def test_integer_measures_of_a_degree_list_need_no_degree_pass(monkeypatch):
+    # irr_t, n0, ira, irb, gini and degree_set_size come from the list and its
+    # histogram in Python; var, s and discrepancy read the one-row pass
+    def refuse(ordered):
+        raise AssertionError("the degree pass ran")
+
+    monkeypatch.setattr(measures, "_degree_table", refuse)
+    d = degree_sequence(star(6))
+    assert (irr_t(d), n0(d), ira(d), degree_set_size(d)) == (20, 10, 0.5, 2)
+    assert (irb(d), gini(d)) == (1 - 2 * 10 / 30, 20 / (10 * 6))
+    for measure in (variance, discrepancy, degree_deviation):
+        with pytest.raises(AssertionError, match="the degree pass ran"):
+            measure(d)
+
+
 @pytest.mark.parametrize("degrees", [[2 ** 62, 2 ** 62, 1], [2 ** 63, 1]], ids=["sum", "degree"])
 def test_degree_lists_past_int64_are_refused(degrees):
     # a degree list takes the numpy pass too: irr_t <= n * n * max must fit, and so must each degree
