@@ -456,16 +456,21 @@ class _PropBounds(_Claim):
     claim_id = "prop_bounds"
     summary = "ira/irb bounds with regular and antiregular equality cases"
 
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._outside: dict[int, bool] = {}  # n0 -> whether ira or irb leaves its interval
+
     def bad(self, d):
-        n = self.n
-        pairs_total = math.comb(n, 2)
-        ira = _ira(n, Fraction(max(d.n0, 1)))
-        irb = _irb(n, Fraction(d.n0))
+        n, pairs_total = self.n, math.comb(self.n, 2)
+        if d.n0 not in self._outside:  # many classes share an n0: each is decided once
+            ira = _ira(n, Fraction(max(d.n0, 1)))
+            irb = _irb(n, Fraction(d.n0))
+            self._outside[d.n0] = ira < 0 or ira > pairs_total - 1 or irb < 0 or irb > 1 - Fraction(2, n * (n - 1))
         return (
             # bound checks in exact integers: 1 <= n0 <= C(n,2)
             (d.n0 < 1 or d.n0 > pairs_total)
             # the exact values must sit inside the stated interval
-            + (ira < 0 or ira > pairs_total - 1 or irb < 0 or irb > 1 - Fraction(2, n * (n - 1)))
+            + self._outside[d.n0]
             # lower equality (value 0) exactly on regular graphs
             + ((d.max_degree == d.min_degree) != (d.n0 == pairs_total))
         )

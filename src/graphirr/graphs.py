@@ -1,7 +1,13 @@
-"""Immutable simple graphs: construction, degrees, connectivity."""
+"""Immutable simple graphs: construction, degrees, connectivity.
+
+A graph parsed from graph6 holds its bitmask over pair_order(n) and counts
+its degrees from it; its neighbour masks are decoded with numpy at the first
+read, for a whole block of graphs of one order where a pass asks (_masks).
+"""
 
 from __future__ import annotations
 
+import functools
 import sys
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -32,11 +38,12 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored as one neighbor bitmask per vertex.  Instances are
-    treated as immutable: no method mutates a graph after construction.
+    Adjacency is stored as one neighbor bitmask per vertex, ``_adj``, or
+    until its first read as a pair mask, ``_pairs`` (None once ``_adj`` is
+    set).  Instances are treated as immutable: no method changes the graph.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_order(n)
@@ -50,6 +57,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
+        self._pairs = None
 
     @classmethod
     def from_pair_mask(cls, n: int, mask: int) -> "Graph":
@@ -60,11 +68,18 @@ class Graph:
         return cls(n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
 
     @classmethod
-    def _from_masks(cls, n: int, masks: list[int]) -> "Graph":
-        """Build a graph from its n neighbour masks, taken as given."""
-        g = cls(n)  # checks n before anything is sized by it
-        g._adj = tuple(masks)
+    def _from_pairs(cls, n: int, pairs: int) -> "Graph":
+        """The graph on 1 <= n <= 62 vertices with bitmask ``pairs`` over pair_order(n)."""
+        g = cls.__new__(cls)
+        g.n, g._pairs = n, pairs
         return g
+
+    def __getattr__(self, name: str):
+        # only an unset _adj gets here: a graph held as a pair mask decodes it
+        if name != "_adj":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _decode([self])
+        return self._adj
 
     @property
     def m(self) -> int:
@@ -73,7 +88,10 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degrees in vertex order (not sorted)."""
-        return tuple(a.bit_count() for a in self._adj)
+        pairs = self._pairs
+        if pairs is None:
+            return tuple(a.bit_count() for a in self._adj)
+        return tuple([(pairs & incident).bit_count() for incident in _incidences(self.n)])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self._adj[u] >> v) & 1)
@@ -129,7 +147,41 @@ def is_connected(g: Graph) -> bool:
 _CHUNK_BYTES = 1 << 18
 
 
+@functools.cache
+def _incidences(n: int) -> tuple[int, ...]:
+    """Per vertex v, the bitmask over pair_order(n) of the pairs that hold v:
+    pairs (i, v), i < v, are the v bits from C(v, 2) on, and pairs (v, j),
+    j > v, bit v past each C(j, 2)."""
+    incident, firsts = [], 0  # firsts: a bit at C(j, 2) for each j > v
+    for v in reversed(range(n)):
+        incident.append(((1 << v) - 1) << v * (v - 1) // 2 | firsts << v)
+        firsts |= 1 << v * (v - 1) // 2
+    return tuple(reversed(incident))
+
+
+def _decode(graphs: Sequence[Graph]) -> None:
+    """Give graphs of one order n <= 62, held as pair masks, their neighbour
+    masks, in one gather of their bits: entry (v, u) of the (n, 64) table is
+    pair {u, v}'s bit, so row v packs into v's mask; entries with u = v or
+    u >= n name bit C(n, 2), the first past the pairs, which is clear."""
+    import numpy as np
+    n = graphs[0].n
+    v, u = np.indices((n, 64))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    table = np.where((u != v) & (u < n), hi * (hi - 1) // 2 + lo, n * (n - 1) // 2)
+    width = n * (n - 1) // 2 // 8 + 1  # bytes that hold every pair and the clear bit
+    packed = np.frombuffer(b"".join(g._pairs.to_bytes(width, "little") for g in graphs), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(graphs), width), axis=1, bitorder="little")
+    rows = np.packbits(np.take(bits, table, axis=1), axis=2, bitorder="little")
+    for g, masks in zip(graphs, rows.view("<u8")[:, :, 0].tolist()):
+        g._adj, g._pairs = tuple(masks), None
+
+
 def _masks(graphs: Sequence[Graph]) -> list[int]:
+    """The neighbour masks of graphs of one order, decoding pair masks together."""
+    held = [g for g in graphs if g._pairs is not None]
+    if held:
+        _decode(held)
     return list(chain.from_iterable(g._adj for g in graphs))
 
 
@@ -138,24 +190,17 @@ def adjacency_stack(graphs: Sequence[Graph], out: np.ndarray) -> np.ndarray:
     import numpy as np
     n = graphs[0].n
     width = (n + 7) // 8
-    rows = b"".join(mask.to_bytes(width, "little") for g in graphs for mask in g._adj)
+    rows = b"".join(mask.to_bytes(width, "little") for mask in _masks(graphs))
     packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
     out[...] = np.unpackbits(packed, axis=2, count=n, bitorder="little")
     return out
-
-
-def degree_rows(graphs: Sequence[Graph]) -> np.ndarray:
-    """The degrees of B graphs of one order n in vertex order, shape (B, n)."""
-    import numpy as np
-    count, n = len(graphs), graphs[0].n
-    return np.fromiter(map(int.bit_count, _masks(graphs)), np.int64, count * n).reshape(count, n)
 
 
 def edge_chunks(graphs: Sequence[Graph], degrees: np.ndarray
                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The edges (i, j), i < j, of B graphs of one order n, a chunk of their B*n masks at a time.
 
-    ``degrees`` are the graphs' degree_rows, which size the chunks: each
+    ``degrees``, the graphs' degree rows as a (B, n) array, size the chunks: each
     holds one mask, or as many as fit in _CHUNK_BYTES.  Each chunk yields two
     index arrays, the row b*n + j and the column i of every edge of graph b
     whose mask j it holds, ordered by graph and then in pair order.  Only the

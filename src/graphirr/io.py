@@ -8,29 +8,30 @@ order (0,1),(0,2),(1,2),(0,3),... packed big-endian into 6-bit groups, each
 group emitted as one byte offset by 63 and zero-padded at the end.  That
 column order is pair_order(n), so a graph's bitmask over it, pair k in bit k,
 is the payload: the encoder writes a mask's 6-bit groups in plain Python,
-each through a table of bit-reversed values.  The decoder gathers a whole
-string's bits with numpy, which it imports when first called.
+each through a table of bit-reversed values.  The decoder reads the mask
+back in plain Python: the payload reversed, each byte turned into the
+base64 character of its bit-reversed group, and decoded by binascii as one
+big-endian number.  The graph it returns holds that mask and decodes its
+neighbour masks only when something reads them.
 """
 
 from __future__ import annotations
 
-import functools
+import binascii
 import sys
-from typing import TYPE_CHECKING
 
 from .graphs import Graph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["FormatError", "parse_edgelist", "emit_edgelist", "parse_graph6", "emit_graph6"]
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62
 _GRAPH6_BYTES = bytes(range(63, 127))
-# the graph6 character of each 6-bit group of a pair mask: the group's bit k
-# (pair 6g + k) becomes bit 5 - k of the character's code, which is offset by 63
-_GRAPH6_GROUPS = tuple(chr(63 + int(f"{value:06b}"[::-1], 2)) for value in range(64))
+# group g of a pair mask holds pair 6g + k in bit k, its graph6 character (minus 63) in bit 5 - k
+_REVERSED = [int(f"{value:06b}"[::-1], 2) for value in range(64)]
+_GRAPH6_GROUPS = tuple(chr(63 + value) for value in _REVERSED)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GROUPS_BASE64 = bytes.maketrans(_GRAPH6_BYTES, bytes(_BASE64[value] for value in _REVERSED))
 
 
 class FormatError(ValueError):
@@ -103,25 +104,11 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 bit field for n={n} needs {expected} bytes, got {len(data) - 1}"
         )
-    import numpy as np
-    bits = np.unpackbits(np.frombuffer(data, np.uint8) - 63)
-    rows = np.packbits(bits[_gather_table(n)], axis=1, bitorder="little")
-    return Graph._from_masks(n, rows.view("<u8")[:, 0].tolist())
-
-
-@functools.cache
-def _gather_table(n: int) -> np.ndarray:
-    """(n, 64) positions in a graph6 string's unpacked bits, header included:
-    entry (v, u) is pair {u, v}'s bit, so row v packs into v's neighbour mask.
-    Pair k is unpacked bit 2 + k % 6 of byte 1 + k // 6.  Entries with u = v or
-    u >= n are 0, the header's top bit, clear because the header minus 63 is n."""
-    import numpy as np
-    v, u = np.indices((n, 64))
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    k = hi * (hi - 1) // 2 + lo
-    table = np.where((u != v) & (u < n), 8 + 8 * (k // 6) + 2 + k % 6, 0)
-    table.flags.writeable = False
-    return table
+    # the last group first, each as the base64 digit of its value, led by
+    # zero digits to a whole number of 4-digit quanta
+    digits = data[:0:-1].translate(_GROUPS_BASE64)
+    pairs = int.from_bytes(binascii.a2b_base64(b"A" * (-expected % 4) + digits), "big")
+    return Graph._from_pairs(n, pairs & ((1 << n * (n - 1) // 2) - 1))  # padding bits cleared
 
 
 def emit_graph6(g: Graph) -> str:

@@ -7,20 +7,22 @@ with equal degrees: ira is the odds that a random pair has distinct degrees,
 irb the probability of the same event.  ira, irb, gini and the other derived
 measures come from one row of degree columns, in _DegreeMeasures (the edges
 add albertson, sigma, cs and rho), and the row has two sources, chosen by the
-input: a batch of graphs or one degree list.
+input: a batch of graphs or one degree list.  Either way the integer
+columns come from _integer_row in plain Python, and var and s from the numpy
+deviation pass, _degree_table.
 
 A MeasureReport reads its graph's position in columns that its Lambda1Batch
-keeps over all of its graphs: the batch runs the numpy degree pass over its
-vertex-order blocks at the first read of a degree measure, the edge pass at
-the first read of an edge measure, and power iteration on the same blocks at
-the first cs read.  The passes add every float sum left to right in the order
-of the single-graph formulas, so each value has the bits they give.  numpy is
-imported by these passes only, when first run.
+keeps over all of its graphs: the batch runs the Python degree pass over its
+vertex-order blocks at the first read of an integer measure, the deviation
+pass at the first read of var or s, the edge pass at the first read of an
+edge measure, and power iteration at the first cs read.  The passes add
+every float sum left to right in the order of the single-graph formulas, so
+each value has the bits they give.  numpy is imported by the numpy passes
+only, so ranking by an integer measure never loads it.
 
 A _DegreeProfile, which the single-measure functions and the verifier's
-class table read, computes the integer columns of one degree list in plain
-Python from the list and its histogram, and var and s, the float columns, by
-the degree pass on that one row when first read.
+class table read, computes the integer columns of one degree list at the
+first read of any, and var and s by the deviation pass at the first of either.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 from itertools import combinations, repeat
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, degree_rows, degree_sequence, edge_chunks, is_connected
+from .graphs import Graph, degree_sequence, edge_chunks, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
 if TYPE_CHECKING:
@@ -183,26 +185,36 @@ class _DegreeMeasures:
         return getattr(self, name)
 
 
-def _rank_irr_t(degrees: tuple[int, ...]) -> int:
-    """irr_t of a non-increasing degree list in the rank form: sum of (n - 1 - 2i) * d_i."""
+_INTEGER_COLUMNS = ("total", "irr_t", "equal_pairs", "degree_set_size", "min_degree", "max_degree")
+
+
+def _integer_row(degrees: tuple[int, ...], multiplicities: Counter) -> tuple[int, ...]:
+    """The _INTEGER_COLUMNS of a non-increasing degree list with the given
+    histogram: irr_t in the rank form, sum of (n - 1 - 2i) * d_i, and
+    equal_pairs as the sum of C(c, 2) over the histogram's counts."""
     n = len(degrees)
-    return sum((n - 1 - 2 * i) * d for i, d in enumerate(degrees))
+    return (sum(degrees), sum(map(operator.mul, range(n - 1, -n, -2), degrees)),
+            sum(c * (c - 1) // 2 for c in multiplicities.values()), len(multiplicities),
+            degrees[-1], degrees[0])
 
 
 class _DegreeProfile(_DegreeMeasures):
     """One degree list, sorted non-increasing, with its integer columns
-    computed in Python from the list and its histogram, and var and s from
-    the degree pass on the one row when either is first read."""
+    computed from the list and its histogram when any is first read, and var
+    and s from the deviation pass on the one row when either is first read."""
 
     def __init__(self, degrees: tuple[int, ...]):
         self.degrees, self.n = degrees, len(degrees)
-        _check_degrees(self.n, degrees[0])  # refused where the batch pass refuses it
-        self.multiplicities = Counter(degrees)  # degree value -> number of vertices
-        self.total = sum(degrees)
-        self.irr_t = _rank_irr_t(degrees)
-        self.equal_pairs = sum(c * (c - 1) // 2 for c in self.multiplicities.values())
-        self.degree_set_size = len(self.multiplicities)
-        self.min_degree, self.max_degree = degrees[-1], degrees[0]
+        _check_degrees(self.n, degrees[0])  # refused where the batch passes refuse it
+
+    def __getattr__(self, name: str):
+        # only the histogram (degree value -> number of vertices) and the
+        # integer columns get here, before any of them is read: all are kept at once
+        if name != "multiplicities" and name not in _INTEGER_COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.multiplicities = Counter(self.degrees)
+        self.__dict__.update(zip(_INTEGER_COLUMNS, _integer_row(self.degrees, self.multiplicities)))
+        return self.__dict__[name]
 
     @cached_property
     def _float_row(self) -> dict[str, float]:
@@ -370,43 +382,38 @@ def _check_degrees(n: int, top: int) -> None:
 
 
 def _degree_table(ordered: np.ndarray) -> dict[str, np.ndarray]:
-    """The degree sum, irr_t, n0, the degree-set size, the extreme degrees,
-    var and s of each row of a (B, n) int64 matrix of non-increasing degrees.
+    """var and s of each row of a (B, n) int64 matrix of non-increasing degrees.
 
-    var and s are added left to right over each row, with each deviation
-    squared by libm pow, as ``x ** 2`` on a float squares it.
+    Both are added left to right over each row, with each deviation squared
+    by libm pow, as ``x ** 2`` on a float squares it.
     """
     import numpy as np
     n = ordered.shape[1]
-    total = ordered.sum(axis=1, keepdims=True)
-    rank = np.arange(n)
     new_value = np.empty(ordered.shape, bool)
     new_value[:, 0] = True
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_value[:, 1:])
-    run_start = np.maximum.accumulate(rank * new_value, axis=1)
-    deviations = ordered - total / n
+    deviations = ordered - ordered.sum(axis=1, keepdims=True) / n
     # pow(x, 2) on a float calls libm pow, where numpy's squares can differ in
     # the last bit: once per run of equal degrees
     squares = np.array(list(map(pow, deviations[new_value].tolist(), repeat(2))))
     squares = squares[new_value.cumsum() - 1].reshape(deviations.shape)
-    return {
-        "total": total[:, 0],
-        "irr_t": ordered @ (rank[::-1] - rank),  # the rank form, with weights n - 1 - 2i
-        "equal_pairs": (rank - run_start).sum(axis=1),  # each vertex pairs with the equal ones before it
-        "degree_set_size": new_value.sum(axis=1),
-        "min_degree": ordered[:, -1],
-        "max_degree": ordered[:, 0],
-        "var": _left_to_right(squares) / n,
-        "s": _left_to_right(np.abs(deviations)),
-    }
+    return {"var": _left_to_right(squares) / n, "s": _left_to_right(np.abs(deviations))}
 
 
-def _degree_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
-    """The degree table of B graphs of one order n, from their sorted degree rows."""
+def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
+    """The _INTEGER_COLUMNS of B graphs of one order n, in plain Python, from their degree rows."""
+    ordered = [sorted(row, reverse=True) for row in degrees]
+    _check_degrees(graphs[0].n, max(row[0] for row in ordered))
+    rows = [_integer_row(row, Counter(row)) for row in ordered]
+    return dict(zip(_INTEGER_COLUMNS, map(list, zip(*rows))))
+
+
+def _deviation_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
+    """var and s of B graphs of one order n, from their sorted degree rows."""
     import numpy as np
-    ordered = np.sort(degree_rows(graphs), axis=1)[:, ::-1]
-    _check_degrees(ordered.shape[1], int(ordered[:, 0].max()))
-    return _degree_table(ordered)
+    ordered = np.sort(np.array(degrees, np.int64), axis=1)[:, ::-1]
+    _check_degrees(graphs[0].n, int(ordered[:, 0].max()))
+    return {name: values.tolist() for name, values in _degree_table(ordered).items()}
 
 
 def _degree_profile(source) -> _DegreeProfile:
@@ -414,12 +421,12 @@ def _degree_profile(source) -> _DegreeProfile:
     return _DegreeProfile(_degree_list(source))
 
 
-def _edge_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
+def _edge_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
     """albertson, sigma and the Randic index of B graphs of one order n, from
-    their edges a chunk at a time; each Randic index is added left to right
-    over the edges in pair order, as the single-graph walk adds it."""
+    their degree rows and edges a chunk at a time; each Randic index is added
+    left to right over the edges in pair order, as the single-graph walk does."""
     import numpy as np
-    degrees = degree_rows(graphs)
+    degrees = np.array(degrees, np.int64)
     count, n = degrees.shape
     _check_int64(int(degrees.sum(axis=1).max()) * int(degrees.max()) ** 2, n)  # sigma <= max^2 * 2m
     flat = degrees.ravel()
@@ -442,12 +449,12 @@ def _edge_columns(graphs: list[Graph]) -> dict[str, np.ndarray]:
         index = np.arange(len(graph)) - np.repeat(np.cumsum(counts) - counts, counts)
         terms[index + 1, graph - first] = 1.0 / np.sqrt(low * high)
         randic[span] = np.add.accumulate(terms)[-1]  # each column added top to bottom
-    return {"albertson": albertson, "sigma": sigma, "randic": randic}
+    return {"albertson": albertson.tolist(), "sigma": sigma.tolist(), "randic": randic.tolist()}
 
 
 def _column(block_columns, name: str) -> property:
     """A report field read at the report's position in a column of its batch."""
-    return property(lambda report: report._batch.columns(block_columns)[name].item(report._position))
+    return property(lambda report: report._batch.columns(block_columns)[name][report._position])
 
 
 # The columns compute prints by default, in order.
@@ -460,10 +467,10 @@ CSV_COLUMNS = (
 class MeasureReport(_DegreeMeasures):
     """Every measure of one graph: a view of its position in its batch's columns.
 
-    The first read of a degree measure of any report of a Lambda1Batch
-    makes the batch run the degree pass over all of its graphs, the first
-    read of an edge measure the edge pass, and the first cs read power
-    iteration, checking its settings, for all of them; cs is computed even
+    The first read of an integer degree measure of any report of a
+    Lambda1Batch makes the batch run the degree pass over all of its graphs,
+    of var or s the deviation pass, of an edge measure the edge pass, and of
+    cs power iteration, checking its settings, for all of them; cs is computed even
     for disconnected input, which ``connected`` flags.  Undefined measures
     raise ValueError when read, as a profile's do; rho is None where
     undefined (it needs n >= 3 and no isolated vertex).
@@ -481,8 +488,8 @@ class MeasureReport(_DegreeMeasures):
     degree_set_size = _column(_degree_columns, "degree_set_size")
     min_degree = _column(_degree_columns, "min_degree")
     max_degree = _column(_degree_columns, "max_degree")
-    var = _column(_degree_columns, "var")
-    s = _column(_degree_columns, "s")
+    var = _column(_deviation_columns, "var")
+    s = _column(_deviation_columns, "s")
     albertson = _column(_edge_columns, "albertson")
     sigma = _column(_edge_columns, "sigma")
     _randic = _column(_edge_columns, "randic")

@@ -5,7 +5,9 @@ shift matters: a connected bipartite graph has -lambda1 tied with lambda1 in
 magnitude, so unshifted iteration oscillates, while A + I is nonnegative and
 irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
 Graphs of one order iterate together as one stack; a single graph is a stack
-of one.  A batch runs the measures' column passes on the same blocks.
+of one.  A batch runs the measures' column passes on the same blocks, with
+each block's degree rows counted once for all of them, and finds its own
+graphs by identity, so a report per graph hashes and decodes nothing.
 """
 
 from __future__ import annotations
@@ -132,19 +134,23 @@ class Lambda1Batch:
         return [group[start:start + _BLOCK] for group in by_order.values()
                 for start in range(0, len(group), _BLOCK)]
 
-    def columns(self, block_columns) -> dict[str, np.ndarray]:
+    @cached_property
+    def _degree_rows(self) -> list[list[tuple[int, ...]]]:
+        """Each block's degrees in vertex order, counted once for every column pass."""
+        return [[self.graphs[p].degrees() for p in block] for block in self.blocks]
+
+    def columns(self, block_columns) -> dict[str, list]:
         """The named columns that ``block_columns`` gives for the graphs of one
-        block, over all of the batch's graphs by position: the pass runs once
-        per block at the first call, and later calls read the kept columns."""
+        block and their degree rows, as lists over all of the batch's graphs:
+        the pass runs once per block at the first call, later calls read them."""
         columns = self._columns.get(block_columns)
         if columns is None:
-            import numpy as np
             columns = {}
-            for block in self.blocks:
-                for name, values in block_columns([self.graphs[p] for p in block]).items():
-                    if name not in columns:
-                        columns[name] = np.empty(len(self.graphs), values.dtype)
-                    columns[name][block] = values
+            for block, degrees in zip(self.blocks, self._degree_rows):
+                for name, values in block_columns([self.graphs[p] for p in block], degrees).items():
+                    column = columns.setdefault(name, [None] * len(self.graphs))
+                    for position, value in zip(block, values):
+                        column[position] = value
             self._columns[block_columns] = columns  # kept only once every block has run
         return columns
 
@@ -165,14 +171,21 @@ class Lambda1Batch:
         return outcomes
 
     @cached_property
+    def _identities(self) -> dict[int, int]:
+        return {id(h): position for position, h in enumerate(self.graphs)}
+
+    @cached_property
     def _positions(self) -> dict[Graph, int]:
         return {h: position for position, h in enumerate(self.graphs)}
 
     def position(self, g: Graph) -> int:
-        """The position of g, or of a graph equal to it, among the batch's graphs."""
-        position = self._positions.get(g)
+        """The position of g among the batch's graphs, or, for a graph that is
+        not one of them, of a graph equal to it."""
+        position = self._identities.get(id(g))
         if position is None:
-            raise ValueError(f"{g!r} is not one of the batch's graphs")
+            position = self._positions.get(g)
+            if position is None:
+                raise ValueError(f"{g!r} is not one of the batch's graphs")
         return position
 
     def result(self, g: Graph) -> SpectralResult:

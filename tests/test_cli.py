@@ -461,6 +461,34 @@ def test_verify_and_generate_never_import_numpy(tmp_path):
     ]
 
 
+def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):
+    # graph6 decodes in Python, and the integer measures and pair counts are
+    # Python too; var is a numpy pass
+    corpus = tmp_path / "p3.g6"
+    corpus.write_text("Bg\n")
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, shlex.join(["rank", str(corpus), "--by", "ira"]),
+         shlex.join(["spectrum", str(corpus)]),
+         shlex.join(["rank", str(corpus), "--by", "var", "--output", "csv"])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.stderr == ""
+    outputs = [b"rank  ira      input\n1     2.000    Bg\n", b"Bg  0:1 1:2\n",
+               b"rank,var,tie,input\n1,0.222,false,Bg\n"]
+    assert done.stdout.splitlines() == [
+        f"0 {hashlib.sha256(out).hexdigest()} {loaded}"
+        for out, loaded in zip(outputs, (False, False, True))]
+
+
+def test_duplicate_lines_give_identical_rows(tmp_path, capsys):
+    # each line is its own graph of the batch, found by identity, and equal lines agree
+    lines = [A6_G6, "Bg", A6_G6, "Bg", A6_G6]
+    code, out, _ = run(capsys, ["compute", write_lines(tmp_path, "dup.g6", lines), "--output", "csv"])
+    rows = out.splitlines()[1:]
+    assert code == 0 and rows[0] == rows[2] == rows[4] != rows[1] == rows[3]
+
+
 @pytest.mark.parametrize("spec", ["3-", "3-x", "abc", "4,-5"])
 def test_verify_bad_n_spec_names_the_part(capsys, spec):
     code, out, err = run(capsys, ["verify", "--claims", "lemma_n0", "--n", spec])

@@ -621,8 +621,13 @@ def test_identities_catch_corrupted_pair_counts(monkeypatch):
 
 def test_sec3_identities_compare_the_rank_form(monkeypatch):
     # a rank form off by one on every class: the pairwise form cannot agree
-    rank_irr_t = measures._rank_irr_t
-    monkeypatch.setattr(measures, "_rank_irr_t", lambda degrees: rank_irr_t(degrees) + 1)
+    integer_row = measures._integer_row
+
+    def off_by_one(degrees, multiplicities):
+        total, irr_t, *rest = integer_row(degrees, multiplicities)
+        return (total, irr_t + 1, *rest)
+
+    monkeypatch.setattr(measures, "_integer_row", off_by_one)
     table = scanned_table(5)
     report = decide("sec3_identities", table)
     assert report.violations == report.graphs_checked == 728
@@ -664,6 +669,18 @@ def test_prop_bounds_decides_the_interval_exactly(monkeypatch):
     assert float(measures._irb(5, Fraction(1)) + offset) == measures._irb(5, 1)
     report = decide("prop_bounds", scanned_table(5))
     assert report.violations == report.details["upper_equality_count"] == 60
+
+
+def test_prop_bounds_decides_each_n0_once(monkeypatch):
+    # n0 takes at most C(n, 2) + 1 values, so 236 classes at n = 7 need 12 decisions
+    decided = []
+    monkeypatch.setattr(enumeration, "_ira", lambda n, n0_value: decided.append(n0_value)
+                        or measures._ira(n, n0_value))
+    table = scanned_table(7)
+    assert decide("prop_bounds", table).violations == 0
+    n0_values = sorted({table.profile(degrees).n0 for degrees in table.counts})
+    assert (len(table.counts), len(n0_values)) == (236, 12)
+    assert sorted(decided) == n0_values
 
 
 def assert_profile_matches_oracle(profile):

@@ -1,5 +1,6 @@
 """graph6 and edge-list parsing and emission."""
 
+import random
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from graphirr import (
     parse_edgelist,
     parse_graph6,
 )
+from graphirr import graphs
 from graphirr.generators import complete, gnp, path, star
 from graphirr.io import GRAPH6_MAX_N, _emit_graph6_mask
 
@@ -91,6 +93,30 @@ def test_graph6_set_padding_bits_leave_a_graph_edgeless():
         if pairs % 6:
             payload = "?" * (pairs // 6) + chr(63 + (1 << (6 - pairs % 6)) - 1)
             assert parse_graph6(chr(63 + n) + payload) == Graph(n), n
+
+
+def test_graph6_decoder_matches_a_bit_by_bit_oracle():
+    # random payloads, padding bits included, at every order graph6 takes: pair
+    # k is bit 5 - k % 6 of payload byte k // 6, read here without the decoder
+    rng = random.Random(24)
+    lines, expected = [], []
+    for n in range(1, GRAPH6_MAX_N + 1):
+        pairs = pair_order(n)
+        for _ in range(4):
+            payload = bytes(rng.randrange(64) for _ in range((len(pairs) + 5) // 6))
+            lines.append(chr(63 + n) + bytes(63 + byte for byte in payload).decode())
+            expected.append(Graph(n, (pair for k, pair in enumerate(pairs)
+                                      if payload[k // 6] >> 5 - k % 6 & 1)))
+    for line, h in zip(lines, expected):
+        g = parse_graph6(line)
+        assert g._pairs is not None and g.degrees() == h.degrees() and g.m == h.m, line
+        assert g == h and hash(g) == hash(h), line  # equality reads the decoded neighbour masks
+        assert g._pairs is None and g.degrees() == h.degrees(), line
+    # a block decode gives each graph the masks it gets when decoded alone
+    for n in range(1, GRAPH6_MAX_N + 1):
+        block = [parse_graph6(line) for line in lines if line[0] == chr(63 + n)]
+        assert graphs._masks(block) == [mask for line in lines if line[0] == chr(63 + n)
+                                        for mask in parse_graph6(line)._adj], n
 
 
 def test_graph6_length_must_be_exact():

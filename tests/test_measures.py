@@ -32,6 +32,7 @@ from graphirr import (
 )
 from graphirr import graphs, measures, spectral
 from graphirr.generators import complete, complete_minus_edge, cycle, gnp, path, star
+from graphirr.io import emit_graph6, parse_graph6
 from graphirr.spectral import Lambda1Batch
 
 
@@ -315,10 +316,12 @@ def test_ira_irb_strictly_decrease_in_n0():
 
 
 def block_columns(batch):
-    """Every column of the block pass over a batch, by name, as Python values per graph."""
-    passes = (measures._degree_columns, measures._edge_columns)
-    return {name: values.tolist() for column_pass in passes
-            for name, values in batch.columns(column_pass).items()}
+    """Every column of the block passes over a batch, by name, as Python values per graph."""
+    passes = (measures._degree_columns, measures._deviation_columns, measures._edge_columns)
+    columns = {name: values for column_pass in passes
+               for name, values in batch.columns(column_pass).items()}
+    assert all(type(values) is list for values in columns.values())
+    return columns
 
 
 def assert_block_pass_matches_oracle(graph_list):
@@ -374,40 +377,60 @@ def test_reports_read_their_rows_by_position():
         compute_all(cycle(5), batch=batch)
 
 
+def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
+    # a batch finds its own graphs without hashing them, so no neighbour mask
+    # is decoded; an equal graph from outside, in either stored form, still resolves
+    lines = [emit_graph6(g) for g in (path(4), star(5), path(4))]
+    own = [parse_graph6(line) for line in lines]
+    batch = Lambda1Batch(own)
+    reports = [compute_all(g, batch=batch) for g in own]
+    assert [batch.position(g) for g in own] == [0, 1, 2]
+    assert [(r.ira, r.irr_t) for r in reports] == [(ira(g), irr_t(g)) for g in (path(4), star(5), path(4))]
+    assert all(g._pairs is not None for g in own)  # still held as pair masks
+    for outsider in (path(4), parse_graph6(lines[0])):
+        report = compute_all(outsider, batch=batch)
+        assert (report.ira, report.albertson, report.cs) == (reports[0].ira, 2, reports[0].cs)
+
+
 def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
     # more graphs of one order than a block holds, and graphs of a second order
-    calls = {"degree_rows": 0, "edge_chunks": 0}
+    calls = {"degrees": 0, "_degree_table": 0, "edge_chunks": 0}
 
-    def counted(name):
-        inner = getattr(measures, name)
+    def counted(owner, name):
+        inner = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return inner(*args)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(measures, name, counted(name))
+    counted(Graph, "degrees")
+    counted(measures, "_degree_table")
+    counted(measures, "edge_chunks")
     sample = [gnp(10, 0.3, seed=k) for k in range(spectral._BLOCK + 10)]
     sample += [gnp(7, 0.5, seed=k) for k in range(5)]
     batch = Lambda1Batch(sample)
-    assert len(batch.blocks) == 3
+    blocks = len(batch.blocks)
+    assert blocks == 3
     reports = [compute_all(g, batch=batch) for g in sample]
-    assert calls == {"degree_rows": 0, "edge_chunks": 0}
-    degree_fields = ("m", "irr_t", "n0", "degree_set_size", "min_degree", "max_degree", "var", "s")
+    assert calls == {"degrees": 0, "_degree_table": 0, "edge_chunks": 0}
+    integer_fields = ("m", "irr_t", "n0", "degree_set_size", "min_degree", "max_degree")
     for report in reports:
-        for name in degree_fields:
+        for name in integer_fields:
             getattr(report, name)
-    assert calls == {"degree_rows": len(batch.blocks), "edge_chunks": 0}
+    # each graph's degrees are counted once, for every pass
+    assert calls == {"degrees": len(sample), "_degree_table": 0, "edge_chunks": 0}
+    for report in reports:
+        report.var, report.s
+    assert calls == {"degrees": len(sample), "_degree_table": blocks, "edge_chunks": 0}
     for report in reports:
         report.albertson
-    # the edge pass reads each block's degree rows too
-    after_both = {"degree_rows": 2 * len(batch.blocks), "edge_chunks": len(batch.blocks)}
-    assert calls == after_both
+    after_all = {"degrees": len(sample), "_degree_table": blocks, "edge_chunks": blocks}
+    assert calls == after_all
     for report in reports:
-        for name in degree_fields + ("albertson", "sigma", "rho"):
+        for name in integer_fields + ("var", "s", "albertson", "sigma", "rho"):
             getattr(report, name)
-    assert calls == after_both
+    assert calls == after_all
 
 
 def test_integer_measures_of_a_degree_list_need_no_degree_pass(monkeypatch):
@@ -436,9 +459,10 @@ def test_degree_lists_past_int64_are_refused(degrees):
 
 
 def test_block_pass_refuses_sums_past_int64(monkeypatch):
-    # no graph that fits in memory gets here; the check keeps numpy from wrapping around
+    # no graph that fits in memory gets here; the checks refuse in every pass
+    # what numpy's int64 sums would wrap around
     g = star(4)
-    monkeypatch.setattr(measures, "degree_rows", lambda graphs: np.array([[2 ** 61, 1, 1, 1]]))
-    for measure in ("irr_t", "sigma"):
+    monkeypatch.setattr(Graph, "degrees", lambda graph: (2 ** 61, 1, 1, 1))
+    for measure in ("irr_t", "var", "sigma"):
         with pytest.raises(ValueError, match="overflow 64-bit integers"):
             getattr(compute_all(g), measure)
