@@ -111,8 +111,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix as float64."""
-        import numpy as np
-        return adjacency_stack([self], np.empty((1, self.n, self.n)))[0]
+        return adjacency_stack([self])[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -185,15 +184,14 @@ def _masks(graphs: Sequence[Graph]) -> list[int]:
     return list(chain.from_iterable(g._adj for g in graphs))
 
 
-def adjacency_stack(graphs: Sequence[Graph], out: np.ndarray) -> np.ndarray:
-    """Write the 0/1 adjacency matrices of B graphs of one order n into out, shape (B, n, n)."""
+def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The float64 0/1 adjacency matrices of B graphs of one order n, shape (B, n, n)."""
     import numpy as np
     n = graphs[0].n
     width = (n + 7) // 8
     rows = b"".join(mask.to_bytes(width, "little") for mask in _masks(graphs))
     packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
-    out[...] = np.unpackbits(packed, axis=2, count=n, bitorder="little")
-    return out
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(np.float64)
 
 
 def edge_chunks(graphs: Sequence[Graph], degrees: np.ndarray

@@ -5,16 +5,18 @@ shift matters: a connected bipartite graph has -lambda1 tied with lambda1 in
 magnitude, so unshifted iteration oscillates, while A + I is nonnegative and
 irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
 Graphs of one order iterate together as one stack; a single graph is a stack
-of one.  A batch runs the measures' column passes on the same blocks, with
-each block's degree rows counted once for all of them, and finds its own
-graphs by identity, so a report per graph hashes and decodes nothing.
+of one, tested for convergence once per window of steps.  Power iteration is
+one of a batch's column passes, on the same blocks as the measures' degree,
+deviation and edge passes, with each block's degree rows counted once for all
+of them.  A batch finds its own graphs by identity, so a report per graph
+hashes and decodes nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 from .graphs import Graph, adjacency_stack, is_connected
@@ -33,6 +35,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 _BLOCK = 256  # graphs per stack, so the stack's memory is bounded whatever the input's size
+_WINDOW = 16  # steps between convergence tests: a converged graph runs at most 15 discarded steps
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +63,11 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     The all-ones start is never orthogonal to the positive Perron vector, so
     every connected graph converges (connectivity is not checked here): both
     its Rayleigh-quotient delta and its infinity-norm residual fall within
-    tolerance, and its row leaves the active set, so its iteration count and
-    residual are its own.  Returns per graph a SpectralResult or ConvergenceError.
+    tolerance.  They are tested once per window of _WINDOW steps, at each
+    graph's first step that passes both, and the graphs that pass leave the
+    stack together, so each iteration count and residual is the graph's own;
+    one that reaches max_iterations keeps its last step's.  Returns per graph
+    a SpectralResult or ConvergenceError.
     """
     import numpy as np
     if not tolerance > 0:
@@ -71,34 +77,31 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     count, n, _ = stack.shape
     stack[:, range(n), range(n)] += 1.0
     x = np.full((count, n), 1.0 / math.sqrt(n))
-    prev = np.full(count, np.nan)  # no delta to test at the first iteration
+    rayleigh = np.full(count, np.nan)  # no delta to test at the first step
     active = np.arange(count)  # input position of each row still iterating
     outcomes: list = [None] * count
-    for iteration in range(1, max_iterations + 1):
-        y = np.matmul(stack, x[:, :, None])[:, :, 0]
-        # batched matmul gives each row the BLAS dot of a 1-D x @ y, and numpy 1.22 has it
-        rayleigh = np.matmul(x[:, None], y[:, :, None])[:, 0, 0]
-        residual = np.abs(y - rayleigh[:, None] * x).max(axis=1)
-        done = residual <= tolerance  # seldom true, so the Rayleigh delta is tested only then
+    for start in range(0, max_iterations, _WINDOW):
+        steps = min(_WINDOW, max_iterations - start)
+        rayleighs = np.empty((steps + 1, len(active)))  # the last quotient, then each step's
+        residuals = np.empty((steps, len(active)))
+        rayleighs[0] = rayleigh
+        for step in range(steps):
+            y = np.matmul(stack, x[:, :, None])[:, :, 0]
+            # batched matmul gives each row the BLAS dot of a 1-D x @ y, and numpy 1.22 has it
+            rayleigh = rayleighs[step + 1] = np.matmul(x[:, None], y[:, :, None])[:, 0, 0]
+            residual = residuals[step] = np.abs(y - rayleigh[:, None] * x).max(axis=1)
+            x = y / np.sqrt(np.matmul(y[:, None], y[:, :, None]))[:, 0]
+        passed = (residuals <= tolerance) & (np.abs(np.diff(rayleighs, axis=0)) <= tolerance)
+        done = passed.any(axis=0)
+        for k, step in zip(np.flatnonzero(done).tolist(), passed.argmax(axis=0)[done].tolist()):
+            outcomes[active[k]] = SpectralResult(
+                float(rayleighs[step + 1, k]) - 1.0, start + step + 1, float(residuals[step, k]))
+        if done.all():
+            return outcomes
         if done.any():
-            done &= np.abs(rayleigh - prev) <= tolerance
-        if done.any():
-            for k in np.flatnonzero(done):
-                outcomes[active[k]] = SpectralResult(
-                    float(rayleigh[k]) - 1.0, iteration, float(residual[k]))
-            if done.all():
-                return outcomes
-            # refill the converged rows of the first `live` with live rows from past them,
-            # so the stack shrinks in place to a prefix view
-            live = count - int(done.sum())
-            holes, movers = np.flatnonzero(done[:live]), np.flatnonzero(~done[live:]) + live
-            stack[holes] = stack[movers]
-            order = np.arange(live)
-            order[holes] = movers
-            stack, count = stack[:live], live
-            y, rayleigh, residual, active = y[order], rayleigh[order], residual[order], active[order]
-        prev = rayleigh
-        x = y / np.sqrt(np.matmul(y[:, None], y[:, :, None]))[:, 0]
+            keep = ~done
+            stack, x, rayleigh, residual, active = (
+                stack[keep], x[keep], rayleigh[keep], residual[keep], active[keep])
     for k, position in enumerate(active):
         estimate, last = float(rayleigh[k]) - 1.0, float(residual[k])
         outcomes[position] = ConvergenceError(
@@ -107,15 +110,21 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     return outcomes
 
 
+def _lambda1_column(tolerance: float, max_iterations: int, graphs: list[Graph],
+                    degrees: list) -> dict[str, list]:
+    """The column pass of power iteration: each graph's outcome, from a stack of the block."""
+    return {"outcome": _power_batch(adjacency_stack(graphs), tolerance, max_iterations)}
+
+
 class Lambda1Batch:
     """lambda1 of each of a list of graphs, all run together at the first ``result`` read.
 
-    The run takes the graphs of one vertex count in turn, in the batch's
-    ``blocks`` of at most _BLOCK graphs; each graph keeps its SpectralResult
-    or the ConvergenceError that every read of it raises.  A disconnected
-    graph gets the largest lambda1 over its components.  ``columns`` runs a
-    per-block column pass, such as the measures' degree and edge passes, on
-    the same blocks and keeps the columns it gives.
+    ``columns`` runs a per-block column pass on the batch's ``blocks`` of at
+    most _BLOCK graphs of one vertex count and keeps the columns it gives.
+    Power iteration is one such pass, as are the measures' degree and edge
+    passes: each block builds its own stack, and each graph keeps its
+    SpectralResult or the ConvergenceError that every read of it raises.  A
+    disconnected graph gets the largest lambda1 over its components.
     """
 
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
@@ -123,6 +132,8 @@ class Lambda1Batch:
         self.graphs = graphs
         self.settings = (tolerance, max_iterations)
         self._columns: dict = {}  # each column pass run so far -> its columns
+        # a partial, not a bound method, so that _columns holds no reference back to the batch
+        self._lambda1_column = partial(_lambda1_column, *self.settings)
 
     @cached_property
     def blocks(self) -> list[list[int]]:
@@ -142,7 +153,8 @@ class Lambda1Batch:
     def columns(self, block_columns) -> dict[str, list]:
         """The named columns that ``block_columns`` gives for the graphs of one
         block and their degree rows, as lists over all of the batch's graphs:
-        the pass runs once per block at the first call, later calls read them."""
+        the pass runs once per block at the first call, later calls read them.
+        Power iteration is one such pass, which ignores the degree rows."""
         columns = self._columns.get(block_columns)
         if columns is None:
             columns = {}
@@ -153,22 +165,6 @@ class Lambda1Batch:
                         column[position] = value
             self._columns[block_columns] = columns  # kept only once every block has run
         return columns
-
-    @cached_property
-    def _outcomes(self) -> list[SpectralResult | ConvergenceError]:
-        import numpy as np
-        graphs = self.graphs
-        # one buffer, sized for the largest block, holds each block's stack in turn
-        buffer = np.empty(max((len(block) * graphs[block[0]].n ** 2 for block in self.blocks),
-                              default=0))
-        outcomes: list = [None] * len(graphs)
-        for block in self.blocks:
-            n = graphs[block[0]].n
-            members = [graphs[position] for position in block]
-            stack = adjacency_stack(members, buffer[:len(block) * n * n].reshape(-1, n, n))
-            for position, outcome in zip(block, _power_batch(stack, *self.settings)):
-                outcomes[position] = outcome
-        return outcomes
 
     @cached_property
     def _identities(self) -> dict[int, int]:
@@ -190,7 +186,7 @@ class Lambda1Batch:
 
     def result(self, g: Graph) -> SpectralResult:
         """The SpectralResult of g, one of the batch's graphs."""
-        outcome = self._outcomes[self.position(g)]
+        outcome = self.columns(self._lambda1_column)["outcome"][self.position(g)]
         if isinstance(outcome, ConvergenceError):
             raise outcome.with_traceback(None)  # a fresh traceback, not one grown on every read
         return outcome

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_power
 from graphirr import (
     ConvergenceError,
     Graph,
@@ -148,8 +149,7 @@ def test_rho_nonnegative_on_connected_samples():
 
 
 def stack_of(graphs):
-    n = graphs[0].n
-    return adjacency_stack(graphs, np.empty((len(graphs), n, n)))
+    return adjacency_stack(graphs)
 
 
 def mixed_graphs():
@@ -254,3 +254,26 @@ def test_batch_stacks_hold_at_most_one_block(monkeypatch):
     for g in graphs:
         assert batch.result(g) == _power_batch(stack_of([g]), 1e-10, 100_000)[0], g
     assert calls == [(2, 4, 4), (2, 4, 4), (1, 4, 4)]
+
+
+def outcome_key(outcome):
+    """A SpectralResult as it is, a ConvergenceError by its message and its state."""
+    if isinstance(outcome, ConvergenceError):
+        return str(outcome), outcome.estimate, outcome.iterations, outcome.residual
+    return outcome
+
+
+def test_batch_matches_the_one_graph_reference_loop_exactly():
+    # caps on both sides of the first 16-step convergence windows, and one that no graph reaches
+    graphs = list(mixed_graphs()) + [gnp(n, min(0.9, 4 / (n - 1)), seed=seed)
+                                     for n in range(3, 63, 6) for seed in range(8)]
+    for tolerance in (1e-10, 1e-13):
+        for cap in (1, 15, 16, 17, 33, 100_000):
+            batch = Lambda1Batch(graphs, tolerance, cap)
+            for g in graphs:
+                try:
+                    outcome = batch.result(g)
+                except ConvergenceError as err:
+                    outcome = err
+                expected = reference_power.power(g, tolerance, cap)
+                assert outcome_key(outcome) == outcome_key(expected), (g, tolerance, cap)
