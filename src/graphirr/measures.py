@@ -7,9 +7,9 @@ with equal degrees: ira is the odds that a random pair has distinct degrees,
 irb the probability of the same event.  ira, irb, gini and the other derived
 measures come from one row of degree columns, in _DegreeMeasures (the edges
 add albertson, sigma, cs and rho), and the row has two sources, chosen by the
-input: a batch of graphs or one degree list.  Either way the integer
-columns come from _integer_row in plain Python, and var and s from the numpy
-deviation pass, _degree_table.
+input: a batch of graphs or one degree list.  Either way the row comes from
+plain Python: the integer columns from _integer_row, and var and s from
+_deviation_row.
 
 A MeasureReport reads its graph's position in columns that its Lambda1Batch
 keeps over all of its graphs: the batch runs the Python degree pass over its
@@ -17,12 +17,12 @@ vertex-order blocks at the first read of an integer measure, the deviation
 pass at the first read of var or s, the edge pass at the first read of an
 edge measure, and power iteration at the first cs read.  The passes add
 every float sum left to right in the order of the single-graph formulas, so
-each value has the bits they give.  numpy is imported by the numpy passes
-only, so ranking by an integer measure never loads it.
+each value has the bits they give.  Only the edge pass and power iteration
+import numpy, so ranking by a degree measure never loads it.
 
 A _DegreeProfile, which the single-measure functions and the verifier's
 class table read, computes the integer columns of one degree list at the
-first read of any, and var and s by the deviation pass at the first of either.
+first read of any, and var and s by _deviation_row at the first of either.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cached_property
-from itertools import combinations, repeat
-from typing import TYPE_CHECKING
+from itertools import combinations
 
 from .graphs import Graph, degree_sequence, edge_chunks, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CSV_COLUMNS",
@@ -201,7 +197,7 @@ def _integer_row(degrees: tuple[int, ...], multiplicities: Counter) -> tuple[int
 class _DegreeProfile(_DegreeMeasures):
     """One degree list, sorted non-increasing, with its integer columns
     computed from the list and its histogram when any is first read, and var
-    and s from the deviation pass on the one row when either is first read."""
+    and s from the same _deviation_row as the batch's when either is first read."""
 
     def __init__(self, degrees: tuple[int, ...]):
         self.degrees, self.n = degrees, len(degrees)
@@ -217,18 +213,16 @@ class _DegreeProfile(_DegreeMeasures):
         return self.__dict__[name]
 
     @cached_property
-    def _float_row(self) -> dict[str, float]:
-        import numpy as np
-        table = _degree_table(np.array([self.degrees], np.int64))
-        return {"var": table["var"].item(), "s": table["s"].item()}
+    def _deviations(self) -> tuple[float, float]:
+        return _deviation_row(self.degrees)
 
     @property
     def var(self) -> float:
-        return self._float_row["var"]
+        return self._deviations[0]
 
     @property
     def s(self) -> float:
-        return self._float_row["s"]
+        return self._deviations[1]
 
 
 @dataclass(frozen=True)
@@ -364,12 +358,6 @@ def degree_set_size(d) -> int:
     return _degree_profile(d).degree_set_size
 
 
-def _left_to_right(terms: np.ndarray) -> np.ndarray:
-    """The sum of each row of a 2-D array, added strictly left to right."""
-    import numpy as np
-    return np.add.accumulate(terms, axis=1)[:, -1]
-
-
 def _check_int64(bound: int, n: int) -> None:
     """Refuse a block whose integer sums could reach ``bound``, past int64."""
     if bound >= 2 ** 63:
@@ -381,23 +369,22 @@ def _check_degrees(n: int, top: int) -> None:
     _check_int64(n * n * top, n)  # irr_t <= n * total <= n * n * top
 
 
-def _degree_table(ordered: np.ndarray) -> dict[str, np.ndarray]:
-    """var and s of each row of a (B, n) int64 matrix of non-increasing degrees.
+def _deviation_row(degrees) -> tuple[float, float]:
+    """var and s of a non-increasing degree list.
 
-    Both are added left to right over each row, with each deviation squared
-    by libm pow, as ``x ** 2`` on a float squares it.
+    The mean is the exact integer sum divided once by n.  Both sums add
+    their terms strictly left to right, not by ``sum``, which compensates
+    float sums from Python 3.12 on; each deviation is squared by libm pow,
+    as ``x ** 2`` on a float squares it.
     """
-    import numpy as np
-    n = ordered.shape[1]
-    new_value = np.empty(ordered.shape, bool)
-    new_value[:, 0] = True
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_value[:, 1:])
-    deviations = ordered - ordered.sum(axis=1, keepdims=True) / n
-    # pow(x, 2) on a float calls libm pow, where numpy's squares can differ in
-    # the last bit: once per run of equal degrees
-    squares = np.array(list(map(pow, deviations[new_value].tolist(), repeat(2))))
-    squares = squares[new_value.cumsum() - 1].reshape(deviations.shape)
-    return {"var": _left_to_right(squares) / n, "s": _left_to_right(np.abs(deviations))}
+    n = len(degrees)
+    mean = sum(degrees) / n
+    squares = absolute = 0.0
+    for d in degrees:
+        deviation = d - mean
+        squares += deviation ** 2
+        absolute += abs(deviation)
+    return squares / n, absolute
 
 
 def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
@@ -410,10 +397,10 @@ def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict
 
 def _deviation_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
     """var and s of B graphs of one order n, from their sorted degree rows."""
-    import numpy as np
-    ordered = np.sort(np.array(degrees, np.int64), axis=1)[:, ::-1]
-    _check_degrees(graphs[0].n, int(ordered[:, 0].max()))
-    return {name: values.tolist() for name, values in _degree_table(ordered).items()}
+    ordered = [sorted(row, reverse=True) for row in degrees]
+    # Python sums cannot wrap, but every pass refuses the same lists
+    _check_degrees(graphs[0].n, max(row[0] for row in ordered))
+    return dict(zip(("var", "s"), map(list, zip(*map(_deviation_row, ordered)))))
 
 
 def _degree_profile(source) -> _DegreeProfile:

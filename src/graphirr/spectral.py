@@ -5,7 +5,8 @@ shift matters: a connected bipartite graph has -lambda1 tied with lambda1 in
 magnitude, so unshifted iteration oscillates, while A + I is nonnegative and
 irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
 Graphs of one order iterate together as one stack; a single graph is a stack
-of one, tested for convergence once per window of steps.  Power iteration is
+of one.  Each step only multiplies and normalises, and the convergence tests
+of a window of steps are computed together, after it.  Power iteration is
 one of a batch's column passes, on the same blocks as the measures' degree,
 deviation and edge passes, with each block's degree rows counted once for all
 of them.  A batch finds its own graphs by identity, so a report per graph
@@ -63,11 +64,12 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     The all-ones start is never orthogonal to the positive Perron vector, so
     every connected graph converges (connectivity is not checked here): both
     its Rayleigh-quotient delta and its infinity-norm residual fall within
-    tolerance.  They are tested once per window of _WINDOW steps, at each
-    graph's first step that passes both, and the graphs that pass leave the
-    stack together, so each iteration count and residual is the graph's own;
-    one that reaches max_iterations keeps its last step's.  Returns per graph
-    a SpectralResult or ConvergenceError.
+    tolerance.  A step computes only the next iterate; both tests are
+    computed for all steps of a window of _WINDOW steps at once, after it.
+    Each graph stops at its first step that passes both, and the graphs that
+    pass leave the stack together, so each iteration count and residual is
+    the graph's own; one that reaches max_iterations keeps its last step's.
+    Returns per graph a SpectralResult or ConvergenceError.
     """
     import numpy as np
     if not tolerance > 0:
@@ -76,26 +78,29 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     count, n, _ = stack.shape
     stack[:, range(n), range(n)] += 1.0
-    x = np.full((count, n), 1.0 / math.sqrt(n))
+    x = np.full((count, n, 1), 1.0 / math.sqrt(n))
     rayleigh = np.full(count, np.nan)  # no delta to test at the first step
     active = np.arange(count)  # input position of each row still iterating
     outcomes: list = [None] * count
     for start in range(0, max_iterations, _WINDOW):
         steps = min(_WINDOW, max_iterations - start)
-        rayleighs = np.empty((steps + 1, len(active)))  # the last quotient, then each step's
-        residuals = np.empty((steps, len(active)))
-        rayleighs[0] = rayleigh
+        xs = np.empty((steps + 1, len(active), n, 1))  # each step's iterate, then the next one
+        ys = np.empty((steps, len(active), n, 1))  # each step's (A + I) x
+        xs[0] = x
         for step in range(steps):
-            y = np.matmul(stack, x[:, :, None])[:, :, 0]
-            # batched matmul gives each row the BLAS dot of a 1-D x @ y, and numpy 1.22 has it
-            rayleigh = rayleighs[step + 1] = np.matmul(x[:, None], y[:, :, None])[:, 0, 0]
-            residual = residuals[step] = np.abs(y - rayleigh[:, None] * x).max(axis=1)
-            x = y / np.sqrt(np.matmul(y[:, None], y[:, :, None]))[:, 0]
-        passed = (residuals <= tolerance) & (np.abs(np.diff(rayleighs, axis=0)) <= tolerance)
+            y = np.matmul(stack, xs[step], out=ys[step])
+            np.divide(y, np.sqrt(np.matmul(y.transpose(0, 2, 1), y)), out=xs[step + 1])
+        # every step's Rayleigh quotient and residual at once; batched matmul gives
+        # each (1, n) @ (n, 1) the BLAS dot of a 1-D x @ y, and numpy 1.22 has it
+        rayleighs = np.matmul(xs[:steps].transpose(0, 1, 3, 2), ys)[:, :, 0, 0]
+        residuals = np.abs(ys - rayleighs[:, :, None, None] * xs[:steps]).max(axis=2)[:, :, 0]
+        deltas = np.abs(np.diff(rayleighs, axis=0, prepend=rayleigh[None]))
+        passed = (residuals <= tolerance) & (deltas <= tolerance)
+        x, rayleigh, residual = xs[steps], rayleighs[-1], residuals[-1]
         done = passed.any(axis=0)
         for k, step in zip(np.flatnonzero(done).tolist(), passed.argmax(axis=0)[done].tolist()):
             outcomes[active[k]] = SpectralResult(
-                float(rayleighs[step + 1, k]) - 1.0, start + step + 1, float(residuals[step, k]))
+                float(rayleighs[step, k]) - 1.0, start + step + 1, float(residuals[step, k]))
         if done.all():
             return outcomes
         if done.any():

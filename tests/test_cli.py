@@ -462,23 +462,30 @@ def test_verify_and_generate_never_import_numpy(tmp_path):
 
 
 def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):
-    # graph6 decodes in Python, and the integer measures and pair counts are
-    # Python too; var is a numpy pass
+    # graph6 decodes in Python, and every degree measure and the pair counts
+    # are Python too: var, s and disc as well as the integer measures, so
+    # compute without the edge measures and cs runs without numpy as well
     corpus = tmp_path / "p3.g6"
     corpus.write_text("Bg\n")
+    degree_measures = "n,m,irr_t,var,s,disc,gini,n0,ira,irb"
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, shlex.join(["rank", str(corpus), "--by", "ira"]),
          shlex.join(["spectrum", str(corpus)]),
-         shlex.join(["rank", str(corpus), "--by", "var", "--output", "csv"])],
+         shlex.join(["rank", str(corpus), "--by", "var", "--output", "csv"]),
+         shlex.join(["rank", str(corpus), "--by", "s"]),
+         shlex.join(["rank", str(corpus), "--by", "disc"]),
+         shlex.join(["compute", str(corpus), "--measures", degree_measures, "--no-spectral"])],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"},
     )
     assert done.stderr == ""
     outputs = [b"rank  ira      input\n1     2.000    Bg\n", b"Bg  0:1 1:2\n",
-               b"rank,var,tie,input\n1,0.222,false,Bg\n"]
-    assert done.stdout.splitlines() == [
-        f"0 {hashlib.sha256(out).hexdigest()} {loaded}"
-        for out, loaded in zip(outputs, (False, False, True))]
+               b"rank,var,tie,input\n1,0.222,false,Bg\n",
+               b"rank  s        input\n1     1.333    Bg\n",
+               b"rank  disc     input\n1     0.444    Bg\n",
+               b"input  n  m  irr_t  var    s      disc   gini   n0  ira    irb\n"
+               b"Bg     3  2  2      0.222  1.333  0.444  0.167  1   2.000  0.667\n"]
+    assert done.stdout.splitlines() == [f"0 {hashlib.sha256(out).hexdigest()} False" for out in outputs]
 
 
 def test_duplicate_lines_give_identical_rows(tmp_path, capsys):

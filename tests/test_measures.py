@@ -394,7 +394,7 @@ def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
 
 def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
     # more graphs of one order than a block holds, and graphs of a second order
-    calls = {"degrees": 0, "_degree_table": 0, "edge_chunks": 0}
+    calls = {"degrees": 0, "_deviation_columns": 0, "edge_chunks": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -403,29 +403,35 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
             calls[name] += 1
             return inner(*args)
         monkeypatch.setattr(owner, name, wrapper)
+        return wrapper
 
     counted(Graph, "degrees")
-    counted(measures, "_degree_table")
     counted(measures, "edge_chunks")
+    # the reports hold the deviation pass itself, so it is counted where the batch runs it
+    deviation_pass = measures._deviation_columns
+    counted_pass = counted(measures, "_deviation_columns")
+    columns = Lambda1Batch.columns
+    monkeypatch.setattr(Lambda1Batch, "columns", lambda batch, block_columns: columns(
+        batch, counted_pass if block_columns is deviation_pass else block_columns))
     sample = [gnp(10, 0.3, seed=k) for k in range(spectral._BLOCK + 10)]
     sample += [gnp(7, 0.5, seed=k) for k in range(5)]
     batch = Lambda1Batch(sample)
     blocks = len(batch.blocks)
     assert blocks == 3
     reports = [compute_all(g, batch=batch) for g in sample]
-    assert calls == {"degrees": 0, "_degree_table": 0, "edge_chunks": 0}
+    assert calls == {"degrees": 0, "_deviation_columns": 0, "edge_chunks": 0}
     integer_fields = ("m", "irr_t", "n0", "degree_set_size", "min_degree", "max_degree")
     for report in reports:
         for name in integer_fields:
             getattr(report, name)
     # each graph's degrees are counted once, for every pass
-    assert calls == {"degrees": len(sample), "_degree_table": 0, "edge_chunks": 0}
+    assert calls == {"degrees": len(sample), "_deviation_columns": 0, "edge_chunks": 0}
     for report in reports:
         report.var, report.s
-    assert calls == {"degrees": len(sample), "_degree_table": blocks, "edge_chunks": 0}
+    assert calls == {"degrees": len(sample), "_deviation_columns": blocks, "edge_chunks": 0}
     for report in reports:
         report.albertson
-    after_all = {"degrees": len(sample), "_degree_table": blocks, "edge_chunks": blocks}
+    after_all = {"degrees": len(sample), "_deviation_columns": blocks, "edge_chunks": blocks}
     assert calls == after_all
     for report in reports:
         for name in integer_fields + ("var", "s", "albertson", "sigma", "rho"):
@@ -435,16 +441,16 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
 
 def test_integer_measures_of_a_degree_list_need_no_degree_pass(monkeypatch):
     # irr_t, n0, ira, irb, gini and degree_set_size come from the list and its
-    # histogram in Python; var, s and discrepancy read the one-row pass
-    def refuse(ordered):
-        raise AssertionError("the degree pass ran")
+    # histogram; var, s and discrepancy read the deviation row
+    def refuse(degrees):
+        raise AssertionError("the deviation row ran")
 
-    monkeypatch.setattr(measures, "_degree_table", refuse)
+    monkeypatch.setattr(measures, "_deviation_row", refuse)
     d = degree_sequence(star(6))
     assert (irr_t(d), n0(d), ira(d), degree_set_size(d)) == (20, 10, 0.5, 2)
     assert (irb(d), gini(d)) == (1 - 2 * 10 / 30, 20 / (10 * 6))
     for measure in (variance, discrepancy, degree_deviation):
-        with pytest.raises(AssertionError, match="the degree pass ran"):
+        with pytest.raises(AssertionError, match="the deviation row ran"):
             measure(d)
 
 
@@ -456,6 +462,23 @@ def test_degree_lists_past_int64_are_refused(degrees):
             measure(degrees)
     # the pair counts stay exact Python integers
     assert nk_spectrum(degrees).weighted_sum == sum(abs(a - b) for a, b in itertools.combinations(degrees, 2))
+
+
+@pytest.mark.parametrize("degrees", [
+    [860545759281226513, 826136348227868590, 725674187856095877],
+    # n * n * max just below 2^63, the largest lists the int64 check accepts
+    [1024819115206086200, 1024819115205949931, 1024819115205255354],
+    [368934881474191032, 368934881474046052, 368934881473862047, 368934881473856735,
+     368934881473700927],
+], ids=["spread", "n3_at_bound", "n5_at_bound"])
+def test_deviations_of_degree_sums_past_2_to_53_match_the_oracle(monkeypatch, degrees):
+    # the mean is the exact integer sum divided once by n: rounding the sum to
+    # a float first, then dividing, moves s and var in their last bits
+    var, s = reference_measures.deviations(degrees)
+    assert (variance(degrees), degree_deviation(degrees), discrepancy(degrees)) == (var, s, s / len(degrees))
+    monkeypatch.setattr(Graph, "degrees", lambda graph: tuple(degrees))
+    report = compute_all(star(len(degrees)))
+    assert (report.var, report.s) == (var, s)
 
 
 def test_block_pass_refuses_sums_past_int64(monkeypatch):
