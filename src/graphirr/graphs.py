@@ -1,16 +1,17 @@
 """Immutable simple graphs: construction, degrees, connectivity.
 
-A graph parsed from graph6 holds its bitmask over pair_order(n) and counts
-its degrees from it; its neighbour masks are decoded with numpy at the first
-read, for a whole block of graphs of one order where a pass asks (_masks).
+A graph parsed from graph6 holds its bitmask over pair_order(n) and reads its
+degrees and lower neighbour masks (_lower: edges, m, hash, equality) off it;
+its full neighbour masks are decoded with numpy at the first read, for a
+whole block of graphs of one order where power iteration asks (_masks).
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,10 +82,23 @@ class Graph:
         _decode([self])
         return self._adj
 
+    def _lower(self) -> tuple[int, ...]:
+        """Per vertex j, the mask of its neighbours i < j.  A graph held as a
+        pair mask reads them off it, decoding nothing: column j of pair_order(n)
+        is the j pairs (i, j) from bit C(j, 2) on."""
+        pairs = self._pairs
+        if pairs is None:
+            return tuple([adj & ((1 << j) - 1) for j, adj in enumerate(self._adj)])
+        lower = []
+        for j in range(self.n):
+            lower.append(pairs & ((1 << j) - 1))
+            pairs >>= j  # column j + 1 starts j bits later
+        return tuple(lower)
+
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(a.bit_count() for a in self._adj) // 2
+        return sum(lower.bit_count() for lower in self._lower())
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degrees in vertex order (not sorted)."""
@@ -102,8 +116,7 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, listed in pair order."""
         edges = []
-        for j, adj in enumerate(self._adj):
-            lower = adj & ((1 << j) - 1)  # neighbours i < j, visited lowest first
+        for j, lower in enumerate(self._lower()):  # neighbours i < j, visited lowest first
             while lower:
                 edges.append(((lower & -lower).bit_length() - 1, j))
                 lower &= lower - 1
@@ -116,10 +129,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._lower() == other._lower()
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._lower()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -139,11 +152,6 @@ def is_connected(g: Graph) -> bool:
             break
         reach = grown
     return reach == (1 << g.n) - 1
-
-
-# the working memory of one edge chunk: about 64 bytes per neighbour entry
-# and four times the packed row per mask, so no n x n array is ever built
-_CHUNK_BYTES = 1 << 18
 
 
 @functools.cache
@@ -192,36 +200,6 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     rows = b"".join(mask.to_bytes(width, "little") for mask in _masks(graphs))
     packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
     return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(np.float64)
-
-
-def edge_chunks(graphs: Sequence[Graph], degrees: np.ndarray
-                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The edges (i, j), i < j, of B graphs of one order n, a chunk of their B*n masks at a time.
-
-    ``degrees``, the graphs' degree rows as a (B, n) array, size the chunks: each
-    holds one mask, or as many as fit in _CHUNK_BYTES.  Each chunk yields two
-    index arrays, the row b*n + j and the column i of every edge of graph b
-    whose mask j it holds, ordered by graph and then in pair order.  Only the
-    non-zero bytes of the packed masks are unpacked.
-    """
-    import numpy as np
-    n = graphs[0].n
-    masks = _masks(graphs)
-    width = (n + 7) // 8
-    spent = np.cumsum(64 * degrees.ravel() + 4 * width)
-    first = 0
-    while first < len(masks):
-        budget = (spent[first - 1] if first else 0) + _CHUNK_BYTES
-        last = max(first + 1, int(np.searchsorted(spent, budget, "right")))
-        packed = np.frombuffer(b"".join(map(int.to_bytes, masks[first:last], repeat(width),
-                                            repeat("little"))), np.uint8)
-        at = np.flatnonzero(packed != 0)
-        hits = np.flatnonzero(np.unpackbits(packed[at, None], axis=1, bitorder="little").view(bool))
-        bit = at[hits >> 3] << 3 | hits & 7  # the bit's place among the chunk's 8*width-bit rows
-        rows, columns = bit // (8 * width) + first, bit % (8 * width)
-        below = columns < rows % n  # each edge once, from the mask of its higher vertex
-        yield rows[below], columns[below]
-        first = last
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:

@@ -116,7 +116,7 @@ def emit_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
     # vertex j's neighbours i < j are pairs C(j,2) + i of pair_order(n)
-    mask = sum((g.neighbor_mask(j) & ((1 << j) - 1)) << j * (j - 1) // 2 for j in range(g.n))
+    mask = sum(lower << j * (j - 1) // 2 for j, lower in enumerate(g._lower()))
     return _emit_graph6_mask(g.n, mask)
 
 

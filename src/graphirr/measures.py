@@ -15,10 +15,11 @@ A MeasureReport reads its graph's position in columns that its Lambda1Batch
 keeps over all of its graphs: the batch runs the Python degree pass over its
 vertex-order blocks at the first read of an integer measure, the deviation
 pass at the first read of var or s, the edge pass at the first read of an
-edge measure, and power iteration at the first cs read.  The passes add
-every float sum left to right in the order of the single-graph formulas, so
-each value has the bits they give.  Only the edge pass and power iteration
-import numpy, so ranking by a degree measure never loads it.
+edge measure, and power iteration at the first cs read.  The edge pass walks
+each graph's lower neighbour masks.  The passes add every float sum left to
+right in the order of the single-graph formulas, so each value has the bits
+they give, and every integer sum is a Python int, which cannot wrap.  Only
+power iteration imports numpy, so every measure but cs is computed without it.
 
 A _DegreeProfile, which the single-measure functions and the verifier's
 class table read, computes the integer columns of one degree list at the
@@ -35,7 +36,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import Graph, degree_sequence, edge_chunks, is_connected
+from .graphs import Graph, degree_sequence, is_connected
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
 __all__ = [
@@ -201,7 +202,6 @@ class _DegreeProfile(_DegreeMeasures):
 
     def __init__(self, degrees: tuple[int, ...]):
         self.degrees, self.n = degrees, len(degrees)
-        _check_degrees(self.n, degrees[0])  # refused where the batch passes refuse it
 
     def __getattr__(self, name: str):
         # only the histogram (degree value -> number of vertices) and the
@@ -358,17 +358,6 @@ def degree_set_size(d) -> int:
     return _degree_profile(d).degree_set_size
 
 
-def _check_int64(bound: int, n: int) -> None:
-    """Refuse a block whose integer sums could reach ``bound``, past int64."""
-    if bound >= 2 ** 63:
-        raise ValueError(f"the measures of degrees this large (n={n}) overflow 64-bit integers")
-
-
-def _check_degrees(n: int, top: int) -> None:
-    """Refuse n degrees of at most ``top`` whose sums could pass int64."""
-    _check_int64(n * n * top, n)  # irr_t <= n * total <= n * n * top
-
-
 def _deviation_row(degrees) -> tuple[float, float]:
     """var and s of a non-increasing degree list.
 
@@ -390,7 +379,6 @@ def _deviation_row(degrees) -> tuple[float, float]:
 def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
     """The _INTEGER_COLUMNS of B graphs of one order n, in plain Python, from their degree rows."""
     ordered = [sorted(row, reverse=True) for row in degrees]
-    _check_degrees(graphs[0].n, max(row[0] for row in ordered))
     rows = [_integer_row(row, Counter(row)) for row in ordered]
     return dict(zip(_INTEGER_COLUMNS, map(list, zip(*rows))))
 
@@ -398,8 +386,6 @@ def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict
 def _deviation_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
     """var and s of B graphs of one order n, from their sorted degree rows."""
     ordered = [sorted(row, reverse=True) for row in degrees]
-    # Python sums cannot wrap, but every pass refuses the same lists
-    _check_degrees(graphs[0].n, max(row[0] for row in ordered))
     return dict(zip(("var", "s"), map(list, zip(*map(_deviation_row, ordered)))))
 
 
@@ -410,33 +396,29 @@ def _degree_profile(source) -> _DegreeProfile:
 
 def _edge_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
     """albertson, sigma and the Randic index of B graphs of one order n, from
-    their degree rows and edges a chunk at a time; each Randic index is added
-    left to right over the edges in pair order, as the single-graph walk does."""
-    import numpy as np
-    degrees = np.array(degrees, np.int64)
-    count, n = degrees.shape
-    _check_int64(int(degrees.sum(axis=1).max()) * int(degrees.max()) ** 2, n)  # sigma <= max^2 * 2m
-    flat = degrees.ravel()
-    albertson, sigma = np.zeros(count, np.int64), np.zeros(count, np.int64)
-    randic = np.zeros(count)
-    for rows, columns in edge_chunks(graphs, degrees):
-        if not len(rows):
-            continue
-        graph = rows // n
-        high, low = flat[rows], flat[graph * n + columns]
-        difference = high - low
-        np.add.at(albertson, graph, np.abs(difference))
-        np.add.at(sigma, graph, difference * difference)
-        # each graph's running sum, then its terms in pair order, in a column of its own
-        first = graph[0]
-        counts = np.bincount(graph - first)  # edges per graph of the chunk, which holds them in turn
-        span = slice(first, first + len(counts))
-        terms = np.zeros((counts.max() + 1, len(counts)))
-        terms[0] = randic[span]
-        index = np.arange(len(graph)) - np.repeat(np.cumsum(counts) - counts, counts)
-        terms[index + 1, graph - first] = 1.0 / np.sqrt(low * high)
-        randic[span] = np.add.accumulate(terms)[-1]  # each column added top to bottom
-    return {"albertson": albertson.tolist(), "sigma": sigma.tolist(), "randic": randic.tolist()}
+    their degree rows and one walk per graph over its lower neighbour masks:
+    the edges (i, j), i < j, come in pair order, and each Randic index is
+    added left to right over them, as the single-graph walk does."""
+    # 1/sqrt(a * b) for any two of the block's nonzero degree values: distinct
+    # positive degrees that sum to at most 2m number fewer than 2 sqrt(m), so
+    # this holds at most 4m entries for the block's m edges (three on a path)
+    values = {d for row in degrees for d in row if d}
+    roots = {a * b: 1.0 / math.sqrt(a * b) for a in values for b in values}
+    rows = []
+    for g, row in zip(graphs, degrees):
+        absolute = squares = 0
+        total = 0.0
+        for j, lower in enumerate(g._lower()):
+            high = row[j]
+            while lower:
+                low = row[(lower & -lower).bit_length() - 1]
+                lower &= lower - 1
+                difference = high - low
+                absolute += abs(difference)
+                squares += difference * difference
+                total += roots[low * high]
+        rows.append((absolute, squares, total))
+    return dict(zip(("albertson", "sigma", "randic"), map(list, zip(*rows))))
 
 
 def _column(block_columns, name: str) -> property:

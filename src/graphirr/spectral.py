@@ -9,8 +9,8 @@ of one.  Each step only multiplies and normalises, and the convergence tests
 of a window of steps are computed together, after it.  Power iteration is
 one of a batch's column passes, on the same blocks as the measures' degree,
 deviation and edge passes, with each block's degree rows counted once for all
-of them.  A batch finds its own graphs by identity, so a report per graph
-hashes and decodes nothing.
+of them; it alone runs numpy.  A batch finds its own graphs by identity and
+others by a hash of their lower neighbour masks, so no lookup decodes a graph.
 """
 
 from __future__ import annotations

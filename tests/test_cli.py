@@ -100,8 +100,8 @@ def test_bad_settings_give_one_line_error(tmp_path, capsys, command, flags, mess
 
 
 def test_large_sparse_edgelist_in_bounded_chunks(tmp_path, capsys):
-    # a 20,000-vertex path: the edges are read a chunk of masks at a time,
-    # never from an n x n array
+    # a 20,000-vertex path: the edges are walked over each vertex's lower
+    # neighbour mask, with one reciprocal root per degree product, never an n x n array
     n = 20000
     target = tmp_path / "path.txt"
     target.write_text(f"n {n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
@@ -247,7 +247,7 @@ def test_unread_measures_are_never_computed(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(f"graphirr.measures.{name}", not_asked_for)
     g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
     with monkeypatch.context() as rank_only:  # ira is a degree measure: rank walks no edge
-        rank_only.setattr("graphirr.measures.edge_chunks", not_asked_for)
+        rank_only.setattr("graphirr.graphs.Graph._lower", not_asked_for)
         assert run(capsys, ["rank", g6_file, "--by", "ira"])[0] == 0
     code, out, _ = run(capsys, ["compute", g6_file, "--no-spectral", "--output", "csv"])
     assert code == 0
@@ -462,9 +462,9 @@ def test_verify_and_generate_never_import_numpy(tmp_path):
 
 
 def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):
-    # graph6 decodes in Python, and every degree measure and the pair counts
-    # are Python too: var, s and disc as well as the integer measures, so
-    # compute without the edge measures and cs runs without numpy as well
+    # graph6 decodes in Python, and every degree and edge measure and the pair
+    # counts are Python too: var, s and disc as well as the integer measures,
+    # and albertson, sigma and rho, so compute without cs runs without numpy as well
     corpus = tmp_path / "p3.g6"
     corpus.write_text("Bg\n")
     degree_measures = "n,m,irr_t,var,s,disc,gini,n0,ira,irb"
@@ -474,7 +474,11 @@ def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):
          shlex.join(["rank", str(corpus), "--by", "var", "--output", "csv"]),
          shlex.join(["rank", str(corpus), "--by", "s"]),
          shlex.join(["rank", str(corpus), "--by", "disc"]),
-         shlex.join(["compute", str(corpus), "--measures", degree_measures, "--no-spectral"])],
+         shlex.join(["compute", str(corpus), "--measures", degree_measures, "--no-spectral"]),
+         shlex.join(["rank", str(corpus), "--by", "albertson"]),
+         shlex.join(["rank", str(corpus), "--by", "sigma"]),
+         shlex.join(["rank", str(corpus), "--by", "rho"]),
+         shlex.join(["compute", str(corpus), "--no-spectral"])],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"},
     )
@@ -484,7 +488,12 @@ def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):
                b"rank  s        input\n1     1.333    Bg\n",
                b"rank  disc     input\n1     0.444    Bg\n",
                b"input  n  m  irr_t  var    s      disc   gini   n0  ira    irb\n"
-               b"Bg     3  2  2      0.222  1.333  0.444  0.167  1   2.000  0.667\n"]
+               b"Bg     3  2  2      0.222  1.333  0.444  0.167  1   2.000  0.667\n",
+               b"rank  albertson    input\n1     2            Bg\n",
+               b"rank  sigma    input\n1     2        Bg\n",
+               b"rank  rho      input\n1     1.000    Bg\n",
+               b"input  n  m  irr_t  degset_minus_1  cs  albertson  sigma  var    s      gini   rho  n0  ira    irb\n"
+               b"Bg     3  2  2      1               -   2          2      0.222  1.333  0.167  -    1   2.000  0.667\n"]
     assert done.stdout.splitlines() == [f"0 {hashlib.sha256(out).hexdigest()} False" for out in outputs]
 
 

@@ -110,8 +110,10 @@ def test_graph6_decoder_matches_a_bit_by_bit_oracle():
     for line, h in zip(lines, expected):
         g = parse_graph6(line)
         assert g._pairs is not None and g.degrees() == h.degrees() and g.m == h.m, line
-        assert g == h and hash(g) == hash(h), line  # equality reads the decoded neighbour masks
-        assert g._pairs is None and g.degrees() == h.degrees(), line
+        assert g == h and hash(g) == hash(h), line  # both read the lower masks off the pair mask
+        assert g._pairs is not None and g.edges() == h.edges(), line
+        assert g._adj == h._adj and g._pairs is None, line  # the decoded neighbour masks
+        assert g.degrees() == h.degrees(), line
     # a block decode gives each graph the masks it gets when decoded alone
     for n in range(1, GRAPH6_MAX_N + 1):
         block = [parse_graph6(line) for line in lines if line[0] == chr(63 + n)]

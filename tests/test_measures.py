@@ -30,7 +30,7 @@ from graphirr import (
     sigma,
     variance,
 )
-from graphirr import graphs, measures, spectral
+from graphirr import measures, spectral
 from graphirr.generators import complete, complete_minus_edge, cycle, gnp, path, star
 from graphirr.io import emit_graph6, parse_graph6
 from graphirr.spectral import Lambda1Batch
@@ -353,9 +353,8 @@ def test_block_pass_matches_oracle_on_gnp_graphs():
     assert_block_pass_matches_oracle(sample)
 
 
-def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one(monkeypatch):
-    # more graphs of one order than a block holds, each against a batch of its own;
-    # then every mask in its own edge chunk
+def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one():
+    # more graphs of one order than a block holds, each against a batch of its own
     assert spectral._BLOCK < 300
     sample = [gnp(12, 0.1 + 0.8 * k / 300, seed=k) for k in range(300)]
     together = block_columns(Lambda1Batch(sample))
@@ -363,8 +362,6 @@ def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one(monkeypatch)
         alone = block_columns(Lambda1Batch([g]))
         assert {name: column[position] for name, column in together.items()} == \
             {name: column[0] for name, column in alone.items()}, g
-    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 1)
-    assert block_columns(Lambda1Batch(sample)) == together
 
 
 def test_reports_read_their_rows_by_position():
@@ -387,6 +384,10 @@ def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
     assert [batch.position(g) for g in own] == [0, 1, 2]
     assert [(r.ira, r.irr_t) for r in reports] == [(ira(g), irr_t(g)) for g in (path(4), star(5), path(4))]
     assert all(g._pairs is not None for g in own)  # still held as pair masks
+    # an outsider is found by hash and equality, which read lower masks off the pair masks
+    for outsider in (path(4), parse_graph6(lines[0])):
+        assert batch.graphs[batch.position(outsider)] == outsider
+    assert all(g._pairs is not None for g in own)
     for outsider in (path(4), parse_graph6(lines[0])):
         report = compute_all(outsider, batch=batch)
         assert (report.ira, report.albertson, report.cs) == (reports[0].ira, 2, reports[0].cs)
@@ -394,7 +395,7 @@ def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
 
 def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
     # more graphs of one order than a block holds, and graphs of a second order
-    calls = {"degrees": 0, "_deviation_columns": 0, "edge_chunks": 0}
+    calls = {"degrees": 0, "_deviation_columns": 0, "_edge_columns": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -406,32 +407,31 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
         return wrapper
 
     counted(Graph, "degrees")
-    counted(measures, "edge_chunks")
-    # the reports hold the deviation pass itself, so it is counted where the batch runs it
-    deviation_pass = measures._deviation_columns
-    counted_pass = counted(measures, "_deviation_columns")
+    # the reports hold the passes themselves, so each is counted where the batch runs it
+    passes = (measures._deviation_columns, measures._edge_columns)
+    counted_passes = {column_pass: counted(measures, column_pass.__name__) for column_pass in passes}
     columns = Lambda1Batch.columns
     monkeypatch.setattr(Lambda1Batch, "columns", lambda batch, block_columns: columns(
-        batch, counted_pass if block_columns is deviation_pass else block_columns))
+        batch, counted_passes.get(block_columns, block_columns)))
     sample = [gnp(10, 0.3, seed=k) for k in range(spectral._BLOCK + 10)]
     sample += [gnp(7, 0.5, seed=k) for k in range(5)]
     batch = Lambda1Batch(sample)
     blocks = len(batch.blocks)
     assert blocks == 3
     reports = [compute_all(g, batch=batch) for g in sample]
-    assert calls == {"degrees": 0, "_deviation_columns": 0, "edge_chunks": 0}
+    assert calls == {"degrees": 0, "_deviation_columns": 0, "_edge_columns": 0}
     integer_fields = ("m", "irr_t", "n0", "degree_set_size", "min_degree", "max_degree")
     for report in reports:
         for name in integer_fields:
             getattr(report, name)
     # each graph's degrees are counted once, for every pass
-    assert calls == {"degrees": len(sample), "_deviation_columns": 0, "edge_chunks": 0}
+    assert calls == {"degrees": len(sample), "_deviation_columns": 0, "_edge_columns": 0}
     for report in reports:
         report.var, report.s
-    assert calls == {"degrees": len(sample), "_deviation_columns": blocks, "edge_chunks": 0}
+    assert calls == {"degrees": len(sample), "_deviation_columns": blocks, "_edge_columns": 0}
     for report in reports:
         report.albertson
-    after_all = {"degrees": len(sample), "_deviation_columns": blocks, "edge_chunks": blocks}
+    after_all = {"degrees": len(sample), "_deviation_columns": blocks, "_edge_columns": blocks}
     assert calls == after_all
     for report in reports:
         for name in integer_fields + ("var", "s", "albertson", "sigma", "rho"):
@@ -455,11 +455,21 @@ def test_integer_measures_of_a_degree_list_need_no_degree_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("degrees", [[2 ** 62, 2 ** 62, 1], [2 ** 63, 1]], ids=["sum", "degree"])
-def test_degree_lists_past_int64_are_refused(degrees):
-    # a degree list takes the numpy pass too: irr_t <= n * n * max must fit, and so must each degree
-    for measure in (irr_t, n0, ira, irb, gini, variance, discrepancy, degree_deviation, degree_set_size):
-        with pytest.raises(ValueError, match="overflow 64-bit integers"):
-            measure(degrees)
+def test_degree_lists_past_int64_match_the_oracle(degrees):
+    # every integer sum is a Python int, so a degree list past int64 gets its exact
+    # columns, and each float is one rounding of a ratio of them
+    expected = reference_measures.degree_measures(degrees)
+    n, pairs, equal = len(degrees), math.comb(len(degrees), 2), expected["equal_pairs"]
+    assert (irr_t(degrees), n0(degrees), degree_set_size(degrees)) == \
+        (expected["irr_t"], equal, expected["degree_set_size"])
+    assert (irb(degrees), gini(degrees)) == (1 - equal / pairs, expected["irr_t"] / (expected["total"] * n))
+    assert (variance(degrees), degree_deviation(degrees), discrepancy(degrees)) == \
+        (expected["var"], expected["s"], expected["s"] / n)
+    if equal:
+        assert ira(degrees) == pairs / equal - 1
+    else:
+        with pytest.raises(ValueError, match="no two degrees are equal"):
+            ira(degrees)
     # the pair counts stay exact Python integers
     assert nk_spectrum(degrees).weighted_sum == sum(abs(a - b) for a, b in itertools.combinations(degrees, 2))
 
@@ -481,11 +491,14 @@ def test_deviations_of_degree_sums_past_2_to_53_match_the_oracle(monkeypatch, de
     assert (report.var, report.s) == (var, s)
 
 
-def test_block_pass_refuses_sums_past_int64(monkeypatch):
-    # no graph that fits in memory gets here; the checks refuse in every pass
-    # what numpy's int64 sums would wrap around
+def test_block_pass_sums_past_int64_match_the_oracle(monkeypatch):
+    # no graph that fits in memory gets here; every pass holds its integer sums
+    # in Python ints, where a fixed-width sum would wrap sigma, 3 * (2^61 - 1)^2
     g = star(4)
     monkeypatch.setattr(Graph, "degrees", lambda graph: (2 ** 61, 1, 1, 1))
-    for measure in ("irr_t", "var", "sigma"):
-        with pytest.raises(ValueError, match="overflow 64-bit integers"):
-            getattr(compute_all(g), measure)
+    expected = reference_measures.columns(g)
+    report = compute_all(g)
+    assert [getattr(report, measure) for measure in ("irr_t", "var", "sigma")] == \
+        [expected["irr_t"], expected["var"], expected["sigma"]]
+    columns = block_columns(Lambda1Batch([g]))
+    assert {name: columns[name][0] for name in expected} == expected

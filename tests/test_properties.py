@@ -4,6 +4,7 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_measures
 from graphirr import (
     FormatError,
     Graph,
@@ -16,9 +17,12 @@ from graphirr import (
     irr_t,
     n0,
     nk_spectrum,
+    pair_order,
     parse_edgelist,
     parse_graph6,
 )
+from graphirr import measures
+from graphirr.spectral import Lambda1Batch
 
 
 @st.composite
@@ -53,6 +57,22 @@ def graph6_of_mask(n, mask):
 def test_graph6_decode_matches_from_pair_mask(case):
     n, mask = case
     assert parse_graph6(graph6_of_mask(n, mask)) == Graph.from_pair_mask(n, mask)
+
+
+@given(orders_and_masks())
+@settings(max_examples=200, deadline=None)
+def test_edge_walk_is_the_same_on_a_pair_mask_and_on_neighbour_masks(case):
+    # a graph parsed from graph6 reads its lower masks off its pair mask, one
+    # built from edges off its neighbour masks: the same edges, hash and edge sums
+    n, mask = case
+    parsed, built = parse_graph6(graph6_of_mask(n, mask)), Graph.from_pair_mask(n, mask)
+    assert parsed._pairs is not None and built._pairs is None
+    assert parsed._lower() == built._lower() and hash(parsed) == hash(built)
+    assert parsed.edges() == built.edges() == [pair for k, pair in enumerate(pair_order(n)) if mask >> k & 1]
+    columns = Lambda1Batch([parsed, built]).columns(measures._edge_columns)
+    rows = list(zip(columns["albertson"], columns["sigma"], columns["randic"]))
+    assert rows == [reference_measures.edge_sums(built)] * 2
+    assert parsed._pairs is not None  # nothing was decoded
 
 
 @given(graphs())
