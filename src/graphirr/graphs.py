@@ -1,16 +1,17 @@
 """Immutable simple graphs: construction, degrees, connectivity.
 
 A graph parsed from graph6 holds its bitmask over pair_order(n) and reads its
-degrees and lower neighbour masks (_lower: edges, m, hash, equality) off it;
-its full neighbour masks are decoded with numpy at the first read, for a
-whole block of graphs of one order where power iteration asks (_masks).
+degrees and lower neighbour masks (_lower: edges, m, hash, equality, and the
+adjacency stacks of power iteration) off it.  Its full neighbour masks are
+decoded in plain Python, from the lower masks, only when a neighbour read
+(has_edge, neighbor_mask, is_connected) asks for them.  numpy is imported
+only to build adjacency stacks.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -70,16 +71,25 @@ class Graph:
 
     @classmethod
     def _from_pairs(cls, n: int, pairs: int) -> "Graph":
-        """The graph on 1 <= n <= 62 vertices with bitmask ``pairs`` over pair_order(n)."""
+        """The graph on 1 <= n <= 62 vertices with bitmask ``pairs`` over
+        pair_order(n): graph6 holds no more, and the per-order tables
+        _incidences and _columns are cached for those orders only."""
         g = cls.__new__(cls)
         g.n, g._pairs = n, pairs
         return g
 
     def __getattr__(self, name: str):
-        # only an unset _adj gets here: a graph held as a pair mask decodes it
+        # only an unset _adj gets here: a graph held as a pair mask decodes it,
+        # each edge (i, j), i < j, of its lower masks adding j to i's mask
         if name != "_adj":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _decode([self])
+        lower = self._lower()
+        adj = list(lower)
+        for j, below in enumerate(lower):
+            while below:
+                adj[(below & -below).bit_length() - 1] |= 1 << j
+                below &= below - 1
+        self._adj, self._pairs = tuple(adj), None
         return self._adj
 
     def _lower(self) -> tuple[int, ...]:
@@ -89,11 +99,7 @@ class Graph:
         pairs = self._pairs
         if pairs is None:
             return tuple([adj & ((1 << j) - 1) for j, adj in enumerate(self._adj)])
-        lower = []
-        for j in range(self.n):
-            lower.append(pairs & ((1 << j) - 1))
-            pairs >>= j  # column j + 1 starts j bits later
-        return tuple(lower)
+        return tuple([pairs >> first & below for first, below in _columns(self.n)])
 
     @property
     def m(self) -> int:
@@ -107,11 +113,16 @@ class Graph:
             return tuple(a.bit_count() for a in self._adj)
         return tuple([(pairs & incident).bit_count() for incident in _incidences(self.n)])
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._adj[u] >> v) & 1)
+        return bool((self._adj[self._vertex(u)] >> self._vertex(v)) & 1)
 
     def neighbor_mask(self, v: int) -> int:
-        return self._adj[v]
+        return self._adj[self._vertex(v)]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, listed in pair order."""
@@ -140,6 +151,7 @@ class Graph:
 
 def is_connected(g: Graph) -> bool:
     """Return True when a sweep from vertex 0 reaches every vertex."""
+    adj = g._adj
     reach = 1
     while True:
         frontier = reach
@@ -147,7 +159,7 @@ def is_connected(g: Graph) -> bool:
         while frontier:
             v = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
-            grown |= g.neighbor_mask(v)
+            grown |= adj[v]
         if grown == reach:
             break
         reach = grown
@@ -166,40 +178,24 @@ def _incidences(n: int) -> tuple[int, ...]:
     return tuple(reversed(incident))
 
 
-def _decode(graphs: Sequence[Graph]) -> None:
-    """Give graphs of one order n <= 62, held as pair masks, their neighbour
-    masks, in one gather of their bits: entry (v, u) of the (n, 64) table is
-    pair {u, v}'s bit, so row v packs into v's mask; entries with u = v or
-    u >= n name bit C(n, 2), the first past the pairs, which is clear."""
-    import numpy as np
-    n = graphs[0].n
-    v, u = np.indices((n, 64))
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    table = np.where((u != v) & (u < n), hi * (hi - 1) // 2 + lo, n * (n - 1) // 2)
-    width = n * (n - 1) // 2 // 8 + 1  # bytes that hold every pair and the clear bit
-    packed = np.frombuffer(b"".join(g._pairs.to_bytes(width, "little") for g in graphs), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(graphs), width), axis=1, bitorder="little")
-    rows = np.packbits(np.take(bits, table, axis=1), axis=2, bitorder="little")
-    for g, masks in zip(graphs, rows.view("<u8")[:, :, 0].tolist()):
-        g._adj, g._pairs = tuple(masks), None
-
-
-def _masks(graphs: Sequence[Graph]) -> list[int]:
-    """The neighbour masks of graphs of one order, decoding pair masks together."""
-    held = [g for g in graphs if g._pairs is not None]
-    if held:
-        _decode(held)
-    return list(chain.from_iterable(g._adj for g in graphs))
+@functools.cache
+def _columns(n: int) -> tuple[tuple[int, int], ...]:
+    """Per vertex j, where column j of pair_order(n) starts, C(j, 2), and the
+    mask 2^j - 1 of its j pairs (i, j)."""
+    return tuple((j * (j - 1) // 2, (1 << j) - 1) for j in range(n))
 
 
 def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The float64 0/1 adjacency matrices of B graphs of one order n, shape (B, n, n)."""
+    """The float64 0/1 adjacency matrices of B graphs of one order n, shape (B, n, n):
+    their lower masks unpacked and mirrored in uint8, then converted once."""
     import numpy as np
     n = graphs[0].n
     width = (n + 7) // 8
-    rows = b"".join(mask.to_bytes(width, "little") for mask in _masks(graphs))
+    rows = b"".join(lower.to_bytes(width, "little") for g in graphs for lower in g._lower())
     packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
-    return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(np.float64)
+    stack = np.unpackbits(packed, axis=2, count=n, bitorder="little")
+    stack |= stack.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    return stack.astype(np.float64)
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:

@@ -9,8 +9,9 @@ of one.  Each step only multiplies and normalises, and the convergence tests
 of a window of steps are computed together, after it.  Power iteration is
 one of a batch's column passes, on the same blocks as the measures' degree,
 deviation and edge passes, with each block's degree rows counted once for all
-of them; it alone runs numpy.  A batch finds its own graphs by identity and
-others by a hash of their lower neighbour masks, so no lookup decodes a graph.
+of them; it alone runs numpy.  Its stacks and a batch's lookups of graphs
+from outside (by hash) read lower neighbour masks, off a graph6 graph's pair
+mask, and its own graphs are found by identity, so neither decodes a graph.
 """
 
 from __future__ import annotations

@@ -439,10 +439,21 @@ for argv in sys.argv[1:]:
     print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), "numpy" in sys.modules)
 """
 
+# Runs in a fresh interpreter: the neighbour reads of a graph6 graph (the
+# path 0-1-2), then whether numpy is loaded.
+NEIGHBOUR_PROBE = """
+import sys
+from graphirr import compute_all, is_connected, parse_graph6
+g = parse_graph6("Bg")
+print(is_connected(g), g.has_edge(0, 2), g.has_edge(2, 1), g.neighbor_mask(1),
+      compute_all(parse_graph6("Bg")).connected, g._pairs, "numpy" in sys.modules)
+"""
+
 
 def test_verify_and_generate_never_import_numpy(tmp_path):
     # numpy is loaded only for batches: verify and generate run without it and
-    # print what they printed when they loaded it, while compute still loads it
+    # print what they printed when they loaded it, while compute still loads it;
+    # a graph6 graph's neighbour masks are decoded in Python, without it too
     corpus = tmp_path / "p3.g6"
     corpus.write_text("Bg\n")
     done = subprocess.run(
@@ -459,6 +470,9 @@ def test_verify_and_generate_never_import_numpy(tmp_path):
         "0 4ae30543ac2d5223f848a0b59ef9368b3967ac97dcbf57a4692f0d7c9d657129 False",
         f"0 {hashlib.sha256(path_csv).hexdigest()} True",
     ]
+    reads = subprocess.run([sys.executable, "-c", NEIGHBOUR_PROBE], capture_output=True, text=True,
+                           timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (reads.stderr, reads.stdout) == ("", "True False True 5 True None False\n")
 
 
 def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):

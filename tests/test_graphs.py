@@ -8,11 +8,13 @@ import pytest
 from graphirr import (
     Graph,
     degree_sequence,
+    emit_graph6,
     irr_t,
     is_connected,
     n0,
     nk_spectrum,
     pair_order,
+    parse_graph6,
 )
 from graphirr.generators import complete, cycle, path, star
 
@@ -168,3 +170,15 @@ def test_neighbor_mask():
     g = path(3)
     assert g.neighbor_mask(1) == 0b101
     assert g.neighbor_mask(0) == 0b010
+
+
+def test_vertex_reads_refuse_an_index_outside_the_graph():
+    # unchecked, -1 read vertex 3, 9 a bit past the masks, and a negative
+    # shift count failed; a graph still held as a pair mask refuses them too
+    for g in (path(4), parse_graph6(emit_graph6(path(4)))):
+        for v in (-1, 4, 9):
+            for read in (lambda: g.has_edge(v, 2), lambda: g.has_edge(0, v), lambda: g.neighbor_mask(v)):
+                with pytest.raises(ValueError, match=rf"^vertex {v} out of range 0\.\.3$"):
+                    read()
+        assert [g.has_edge(0, v) for v in range(4)] == [False, True, False, False]
+        assert [g.neighbor_mask(v) for v in range(4)] == [0b10, 0b101, 0b1010, 0b100]

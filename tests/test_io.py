@@ -114,11 +114,13 @@ def test_graph6_decoder_matches_a_bit_by_bit_oracle():
         assert g._pairs is not None and g.edges() == h.edges(), line
         assert g._adj == h._adj and g._pairs is None, line  # the decoded neighbour masks
         assert g.degrees() == h.degrees(), line
-    # a block decode gives each graph the masks it gets when decoded alone
+    # a block's adjacency stack, built off the pair masks, is the edge-built
+    # graphs' to the byte, and leaves every graph held as its pair mask
     for n in range(1, GRAPH6_MAX_N + 1):
         block = [parse_graph6(line) for line in lines if line[0] == chr(63 + n)]
-        assert graphs._masks(block) == [mask for line in lines if line[0] == chr(63 + n)
-                                        for mask in parse_graph6(line)._adj], n
+        oracle = [h for line, h in zip(lines, expected) if line[0] == chr(63 + n)]
+        assert graphs.adjacency_stack(block).tobytes() == graphs.adjacency_stack(oracle).tobytes(), n
+        assert all(g._pairs is not None for g in block), n
 
 
 def test_graph6_length_must_be_exact():

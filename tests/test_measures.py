@@ -376,7 +376,8 @@ def test_reports_read_their_rows_by_position():
 
 def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
     # a batch finds its own graphs without hashing them, so no neighbour mask
-    # is decoded; an equal graph from outside, in either stored form, still resolves
+    # is decoded; an equal graph from outside, in either stored form, still
+    # resolves, and the cs reads leave every own graph held as its pair mask
     lines = [emit_graph6(g) for g in (path(4), star(5), path(4))]
     own = [parse_graph6(line) for line in lines]
     batch = Lambda1Batch(own)
@@ -391,6 +392,7 @@ def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
     for outsider in (path(4), parse_graph6(lines[0])):
         report = compute_all(outsider, batch=batch)
         assert (report.ira, report.albertson, report.cs) == (reports[0].ira, 2, reports[0].cs)
+    assert all(g._pairs is not None for g in own)  # power iteration stacked them off the pair masks
 
 
 def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):

@@ -22,6 +22,7 @@ from graphirr import (
     parse_graph6,
 )
 from graphirr import measures
+from graphirr.graphs import adjacency_stack
 from graphirr.spectral import Lambda1Batch
 
 
@@ -72,6 +73,7 @@ def test_edge_walk_is_the_same_on_a_pair_mask_and_on_neighbour_masks(case):
     columns = Lambda1Batch([parsed, built]).columns(measures._edge_columns)
     rows = list(zip(columns["albertson"], columns["sigma"], columns["randic"]))
     assert rows == [reference_measures.edge_sums(built)] * 2
+    assert adjacency_stack([parsed]).tobytes() == adjacency_stack([built]).tobytes()
     assert parsed._pairs is not None  # nothing was decoded
 
 
