@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 parse or domain errors, 2 failed verification claims.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from collections import Counter
@@ -98,9 +99,11 @@ def _parse_names(text: str, kind: str, choices, everything) -> list[str]:
     names = [token.strip() for token in text.split(",") if token.strip()]
     if not names:
         raise ValueError(f"empty {kind} selection")
-    for name in names:
+    for pos, name in enumerate(names):
         if name not in choices:
             raise ValueError(f"unknown {kind} {name!r}; choices: {', '.join(choices)}")
+        if name in names[:pos]:
+            raise ValueError(f"repeated {kind} {name!r}")
     return names
 
 
@@ -204,10 +207,10 @@ def _cmd_rank(args) -> int:
     entries = [{"rank": rank, "input": label, args.by: value, "tie": tie_sizes[rank] > 1}
                for rank, (label, value) in zip(ranks, scored)]
     if args.output == "csv":
-        print(f"rank,{args.by},tie,input")
-        for e in entries:
-            print(f"{e['rank']},{format_value(e[args.by], args.decimals)},"
-                  f"{str(e['tie']).lower()},{e['input']}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes a label that holds a comma
+        writer.writerow(["rank", args.by, "tie", "input"])
+        writer.writerows([e["rank"], format_value(e[args.by], args.decimals),
+                          str(e["tie"]).lower(), e["input"]] for e in entries)
     elif args.output == "json":
         payload = [{**e, args.by: _json_value(e[args.by], args.decimals)} for e in entries]
         print(json.dumps(payload, indent=2))
@@ -245,10 +248,10 @@ def _cmd_spectrum(args) -> int:
         ]
         print(json.dumps(payload, indent=2))
     elif args.output == "csv":
-        print("input,k,count")
-        for label, spec in spectra:
-            for k in sorted(spec.counts):
-                print(f"{label},{k},{spec.counts[k]}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes a label that holds a comma
+        writer.writerow(["input", "k", "count"])
+        writer.writerows([label, k, spec.counts[k]]
+                         for label, spec in spectra for k in sorted(spec.counts))
     else:
         for label, spec in spectra:
             pairs = " ".join(f"{k}:{spec.counts[k]}" for k in sorted(spec.counts))

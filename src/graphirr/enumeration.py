@@ -215,6 +215,9 @@ def _orbits(degrees: tuple[int, ...]) -> list[list[int]]:
             extend(k + 1, mask)
 
     extend(0, 0)
+    # extend reaches itself through its closure, a cycle that would keep seen,
+    # orbits and residual alive until a GC pass
+    del extend
     return sorted(orbits)
 
 
@@ -316,7 +319,9 @@ def is_isomorphic_to(g: Graph, h: Graph) -> bool:
             used[w] = False
         return False
 
-    return extend(0)
+    found = extend(0)
+    del extend  # as in _orbits, so the closure's cycle does not keep g and h alive until a GC pass
+    return found
 
 
 def _iso_classes(table: _ClassTable, accepts: Callable[[_ClassProfile], bool]

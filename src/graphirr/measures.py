@@ -33,7 +33,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from functools import cached_property
 from itertools import combinations
 
 from .graphs import Graph, degree_sequence, is_connected
@@ -204,25 +203,16 @@ class _DegreeProfile(_DegreeMeasures):
         self.degrees, self.n = degrees, len(degrees)
 
     def __getattr__(self, name: str):
-        # only the histogram (degree value -> number of vertices) and the
-        # integer columns get here, before any of them is read: all are kept at once
-        if name != "multiplicities" and name not in _INTEGER_COLUMNS:
+        # only a row not yet read gets here, kept whole at its first read: the histogram
+        # (degree value -> number of vertices) with the integer columns, or var and s
+        if name == "var" or name == "s":
+            self.var, self.s = _deviation_row(self.degrees)
+        elif name == "multiplicities" or name in _INTEGER_COLUMNS:
+            self.multiplicities = Counter(self.degrees)
+            self.__dict__.update(zip(_INTEGER_COLUMNS, _integer_row(self.degrees, self.multiplicities)))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.multiplicities = Counter(self.degrees)
-        self.__dict__.update(zip(_INTEGER_COLUMNS, _integer_row(self.degrees, self.multiplicities)))
         return self.__dict__[name]
-
-    @cached_property
-    def _deviations(self) -> tuple[float, float]:
-        return _deviation_row(self.degrees)
-
-    @property
-    def var(self) -> float:
-        return self._deviations[0]
-
-    @property
-    def s(self) -> float:
-        return self._deviations[1]
 
 
 @dataclass(frozen=True)

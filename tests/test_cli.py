@@ -92,6 +92,8 @@ def test_compute_no_spectral(tmp_path, capsys):
     ("compute", ["--decimals", "-1"], "decimals must be in 0..15, got -1"),
     ("rank", ["--decimals", "16"], "decimals must be in 0..15, got 16"),
     ("rank", ["--by", "cs", "--tolerance", "0"], "tolerance must be positive, got 0.0"),
+    ("compute", ["--measures", "n,n,ira"], "repeated measure 'n'"),
+    ("compute", ["--measures", "ira, m,ira", "--output", "json"], "repeated measure 'ira'"),
 ])
 def test_bad_settings_give_one_line_error(tmp_path, capsys, command, flags, message):
     g6_file = write_lines(tmp_path, "a6.g6", [A6_G6])
@@ -308,6 +310,19 @@ def test_spectrum_outputs(tmp_path, capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", [["rank", "--by", "irr_t"], ["spectrum"]])
+def test_csv_keeps_a_label_with_a_comma_in_one_field(tmp_path, capsys, command):
+    folder = tmp_path / "q"
+    folder.mkdir()
+    target = folder / "a,b.txt"
+    target.write_text("n 3\n0 1\n1 2\n")
+    code, out, err = run(capsys, [*command, str(target), "--format", "edgelist", "--output", "csv"])
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    label = header.index("input")
+    assert rows and all(len(row) == len(header) and row[label] == str(target) for row in rows)
+
+
 def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, ["verify", "--claims", "all", "--n", "3"])
     assert code == 0
@@ -367,6 +382,7 @@ def test_verify_checks_whole_request_before_scanning(capsys, monkeypatch):
         (["--claims", "lemma_n0,table_rows", "--n", "6-7"],
          "claim table_rows supports 6 <= n <= 6, got n=7"),
         (["--n", "3-100000"], "claim lemma_n0 supports 3 <= n <= 8, got n=9"),
+        (["--claims", "lemma_n0,lemma_n0", "--n", "3-4"], "repeated claim 'lemma_n0'"),
     ):
         code, out, err = run(capsys, ["verify", *flags])
         assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
@@ -145,6 +146,23 @@ def test_orbits_leave_out_disconnected_realizations():
     orbits = enumeration._orbits((2,) * 6)
     assert [len(orbit) for orbit in orbits] == [60]
     assert all(is_connected(Graph.from_pair_mask(6, mask)) for mask in orbits[0])
+
+
+def test_searches_free_their_closures_without_a_gc_pass():
+    # each search calls itself through its closure; once it returns, no
+    # reference cycle keeps it (and the masks or graphs it holds) alive
+    def alive(qualname):
+        return [f for f in gc.get_objects() if getattr(f, "__qualname__", None) == qualname]
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumeration._orbits((3, 3, 2, 2, 1, 1))) > 0
+        assert not alive("_orbits.<locals>.extend")
+        assert is_isomorphic_to(path(4), Graph(4, [(2, 0), (0, 3), (3, 1)]))
+        assert not alive("is_isomorphic_to.<locals>.extend")
+    finally:
+        gc.enable()
 
 
 def test_enumerate_spectral_reports():

@@ -443,9 +443,13 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
 
 def test_integer_measures_of_a_degree_list_need_no_degree_pass(monkeypatch):
     # irr_t, n0, ira, irb, gini and degree_set_size come from the list and its
-    # histogram; var, s and discrepancy read the deviation row
+    # histogram; var, s and discrepancy read the deviation row, and neither
+    # row is computed for a measure that reads only the other
     def refuse(degrees):
         raise AssertionError("the deviation row ran")
+
+    def refuse_integers(degrees, multiplicities):
+        raise AssertionError("the integer row ran")
 
     monkeypatch.setattr(measures, "_deviation_row", refuse)
     d = degree_sequence(star(6))
@@ -454,6 +458,14 @@ def test_integer_measures_of_a_degree_list_need_no_degree_pass(monkeypatch):
     for measure in (variance, discrepancy, degree_deviation):
         with pytest.raises(AssertionError, match="the deviation row ran"):
             measure(d)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(measures, "_integer_row", refuse_integers)
+    expected = reference_measures.degree_measures(d)
+    assert (variance(d), degree_deviation(d), discrepancy(d)) == \
+        (expected["var"], expected["s"], expected["s"] / len(d))
+    with pytest.raises(AssertionError, match="the integer row ran"):
+        irr_t(d)
 
 
 @pytest.mark.parametrize("degrees", [[2 ** 62, 2 ** 62, 1], [2 ** 63, 1]], ids=["sum", "degree"])

@@ -1,11 +1,12 @@
 """The package's public surface: graphirr.__all__ is the union of the module lists."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import graphirr
-from graphirr import enumeration, generators, graphs, io, measures, spectral
+from graphirr import cli, enumeration, generators, graphs, io, measures, spectral
 
 MODULES = (graphs, io, measures, spectral, generators, enumeration)
 
@@ -102,3 +103,20 @@ def test_readme_quick_start_runs(capsys):
         "0.5",
         "claim problem1_ira_irb at n=6: passed (26704 graphs checked, 0 violations)",
     ]
+
+
+def test_readme_usage_matches_the_parser():
+    # each subcommand's usage lines in README name the parser's options, no
+    # more and no fewer, and PATH... where the command takes several inputs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    usage = dict(re.findall(r"^graphirr (\w+)(.*(?:\n .*)*)", block, re.M))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert usage.keys() == subparsers.choices.keys()
+    for name, parser in subparsers.choices.items():
+        flags = {option for action in parser._actions for option in action.option_strings
+                 if option.startswith("--")} - {"--help"}
+        assert set(re.findall(r"--[\w-]+", usage[name])) == flags, name
+        several = any(action.nargs == "+" for action in parser._actions if not action.option_strings)
+        assert ("PATH..." in usage[name]) == several, name
