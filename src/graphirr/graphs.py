@@ -1,16 +1,16 @@
 """Immutable simple graphs: construction, degrees, connectivity.
 
-A graph parsed from graph6 holds its bitmask over pair_order(n) and reads its
-degrees and lower neighbour masks (_lower: edges, m, hash, equality, and the
-adjacency stacks of power iteration) off it.  Its full neighbour masks are
-decoded in plain Python, from the lower masks, only when a neighbour read
-(has_edge, neighbor_mask, is_connected) asks for them.  numpy is imported
-only to build adjacency stacks.
+A graph built from its bitmask over pair_order(n) keeps it for life and reads
+its degrees and lower neighbour masks (_lower: edges, m, hash, equality, and
+the adjacency stacks of power iteration) off it.  Its full neighbour masks are
+decoded in plain Python, from the lower masks, at the first neighbour read
+(has_edge, neighbor_mask, is_connected) and kept beside the mask.  numpy is
+imported only to build adjacency stacks.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -40,9 +40,10 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored as one neighbor bitmask per vertex, ``_adj``, or
-    until its first read as a pair mask, ``_pairs`` (None once ``_adj`` is
-    set).  Instances are treated as immutable: no method changes the graph.
+    Adjacency is stored as one neighbor bitmask per vertex, ``_adj``, or as
+    a pair mask, ``_pairs``, beside which ``_adj`` stays None until the first
+    neighbour read decodes it.  Instances are treated as immutable: no method
+    changes the graph, and no read changes the form it is held in.
     """
 
     __slots__ = ("n", "_adj", "_pairs")
@@ -63,33 +64,25 @@ class Graph:
 
     @classmethod
     def from_pair_mask(cls, n: int, mask: int) -> "Graph":
-        """Build a graph from a bitmask over pair_order(n); bit k set means pair k is an edge."""
-        pairs = pair_order(n)
-        if not 0 <= mask < (1 << len(pairs)):
-            raise ValueError(f"mask {mask} out of range for n={n}")
-        return cls(n, (pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
+        """Build a graph from a bitmask over pair_order(n); bit k set means pair k is an edge.
 
-    @classmethod
-    def _from_pairs(cls, n: int, pairs: int) -> "Graph":
-        """The graph on 1 <= n <= 62 vertices with bitmask ``pairs`` over
-        pair_order(n): graph6 holds no more, and the per-order tables
-        _incidences and _columns are cached for those orders only."""
+        Up to 62 vertices, as far as _COLUMNS and _INCIDENCES reach, the graph
+        holds the mask; above, its neighbour masks are decoded now and the mask dropped."""
+        _check_order(n)
+        mask = operator.index(mask)
+        if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
+            raise ValueError(f"mask {mask} out of range for n={n}")
         g = cls.__new__(cls)
-        g.n, g._pairs = n, pairs
+        g.n, g._adj, g._pairs = n, None, mask
+        if n > 62:
+            lower = [mask >> j * (j - 1) // 2 & (1 << j) - 1 for j in range(n)]
+            g._adj, g._pairs = _mirrored(lower), None
         return g
 
-    def __getattr__(self, name: str):
-        # only an unset _adj gets here: a graph held as a pair mask decodes it,
-        # each edge (i, j), i < j, of its lower masks adding j to i's mask
-        if name != "_adj":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lower = self._lower()
-        adj = list(lower)
-        for j, below in enumerate(lower):
-            while below:
-                adj[(below & -below).bit_length() - 1] |= 1 << j
-                below &= below - 1
-        self._adj, self._pairs = tuple(adj), None
+    def _neighbours(self) -> tuple[int, ...]:
+        """Per vertex, its neighbours' mask: a pair mask's are decoded at the first call and kept."""
+        if self._adj is None:
+            self._adj = _mirrored(self._lower())
         return self._adj
 
     def _lower(self) -> tuple[int, ...]:
@@ -99,7 +92,7 @@ class Graph:
         pairs = self._pairs
         if pairs is None:
             return tuple([adj & ((1 << j) - 1) for j, adj in enumerate(self._adj)])
-        return tuple([pairs >> first & below for first, below in _columns(self.n)])
+        return tuple([pairs >> first & below for first, below in _COLUMNS[:self.n]])
 
     @property
     def m(self) -> int:
@@ -111,7 +104,7 @@ class Graph:
         pairs = self._pairs
         if pairs is None:
             return tuple(a.bit_count() for a in self._adj)
-        return tuple([(pairs & incident).bit_count() for incident in _incidences(self.n)])
+        return tuple([(pairs & incident).bit_count() for incident in _INCIDENCES[:self.n]])
 
     def _vertex(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -119,10 +112,10 @@ class Graph:
         return v
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._adj[self._vertex(u)] >> self._vertex(v)) & 1)
+        return bool((self._neighbours()[self._vertex(u)] >> self._vertex(v)) & 1)
 
     def neighbor_mask(self, v: int) -> int:
-        return self._adj[self._vertex(v)]
+        return self._neighbours()[self._vertex(v)]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, listed in pair order."""
@@ -151,7 +144,7 @@ class Graph:
 
 def is_connected(g: Graph) -> bool:
     """Return True when a sweep from vertex 0 reaches every vertex."""
-    adj = g._adj
+    adj = g._neighbours()
     reach = 1
     while True:
         frontier = reach
@@ -166,23 +159,23 @@ def is_connected(g: Graph) -> bool:
     return reach == (1 << g.n) - 1
 
 
-@functools.cache
-def _incidences(n: int) -> tuple[int, ...]:
-    """Per vertex v, the bitmask over pair_order(n) of the pairs that hold v:
-    pairs (i, v), i < v, are the v bits from C(v, 2) on, and pairs (v, j),
-    j > v, bit v past each C(j, 2)."""
-    incident, firsts = [], 0  # firsts: a bit at C(j, 2) for each j > v
-    for v in reversed(range(n)):
-        incident.append(((1 << v) - 1) << v * (v - 1) // 2 | firsts << v)
-        firsts |= 1 << v * (v - 1) // 2
-    return tuple(reversed(incident))
+def _mirrored(lower: Sequence[int]) -> tuple[int, ...]:
+    """Full neighbour masks: each edge (i, j), i < j, of lower mask j adds j to i's mask."""
+    adj = list(lower)
+    for j, below in enumerate(lower):
+        while below:
+            adj[(below & -below).bit_length() - 1] |= 1 << j
+            below &= below - 1
+    return tuple(adj)
 
 
-@functools.cache
-def _columns(n: int) -> tuple[tuple[int, int], ...]:
-    """Per vertex j, where column j of pair_order(n) starts, C(j, 2), and the
-    mask 2^j - 1 of its j pairs (i, j)."""
-    return tuple((j * (j - 1) // 2, (1 << j) - 1) for j in range(n))
+# Per vertex v of the 62 that a held pair mask allows: where column v of pair_order
+# starts, C(v, 2), and the mask 2^v - 1 of its v pairs (i, v); and the mask of the pairs
+# that hold v, its column and bit v past each later C(j, 2).  pair_order(n) is the first
+# C(n, 2) pairs of pair_order(62), so a graph of order n reads the first n of each.
+_COLUMNS = tuple((v * (v - 1) // 2, (1 << v) - 1) for v in range(62))
+_INCIDENCES = tuple(below << first | sum(1 << j * (j - 1) // 2 + v for j in range(v + 1, 62))
+                    for v, (first, below) in enumerate(_COLUMNS))
 
 
 def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:

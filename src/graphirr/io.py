@@ -11,8 +11,8 @@ is the payload: the encoder writes a mask's 6-bit groups in plain Python,
 each through a table of bit-reversed values.  The decoder reads the mask
 back in plain Python: the payload reversed, each byte turned into the
 base64 character of its bit-reversed group, and decoded by binascii as one
-big-endian number.  The graph it returns holds that mask and decodes its
-neighbour masks only when something reads them.
+big-endian number.  The graph it returns holds that mask for its whole
+life, and decodes its neighbour masks beside it at the first neighbour read.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def parse_graph6(text: str) -> Graph:
     # zero digits to a whole number of 4-digit quanta
     digits = data[:0:-1].translate(_GROUPS_BASE64)
     pairs = int.from_bytes(binascii.a2b_base64(b"A" * (-expected % 4) + digits), "big")
-    return Graph._from_pairs(n, pairs & ((1 << n * (n - 1) // 2) - 1))  # padding bits cleared
+    return Graph.from_pair_mask(n, pairs & ((1 << n * (n - 1) // 2) - 1))  # padding bits cleared
 
 
 def emit_graph6(g: Graph) -> str:

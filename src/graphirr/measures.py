@@ -36,7 +36,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import combinations
 
 from .graphs import Graph, degree_sequence, is_connected
-from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
+from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch, lambda1
 
 __all__ = [
     "CSV_COLUMNS",
@@ -326,7 +326,7 @@ def cs_index(
     """Spectral irregularity lambda1 - 2m/n of a connected graph; zero exactly on regular graphs."""
     if not is_connected(g):
         raise ValueError("cs_index requires a connected graph")
-    return compute_all(g, batch=Lambda1Batch([g], tolerance, max_iterations)).cs
+    return lambda1(g, tolerance, max_iterations).lambda1 - 2 * g.m / g.n
 
 
 def randic(g: Graph) -> float:

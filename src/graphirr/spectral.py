@@ -10,8 +10,8 @@ of a window of steps are computed together, after it.  Power iteration is
 one of a batch's column passes, on the same blocks as the measures' degree,
 deviation and edge passes, with each block's degree rows counted once for all
 of them; it alone runs numpy.  Its stacks and a batch's lookups of graphs
-from outside (by hash) read lower neighbour masks, off a graph6 graph's pair
-mask, and its own graphs are found by identity, so neither decodes a graph.
+from outside (by hash) read lower neighbour masks, off a held pair mask,
+and its own graphs are found by identity, so neither decodes a graph.
 """
 
 from __future__ import annotations
@@ -136,10 +136,9 @@ class Lambda1Batch:
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
                  max_iterations: int = DEFAULT_MAX_ITERATIONS):
         self.graphs = graphs
-        self.settings = (tolerance, max_iterations)
         self._columns: dict = {}  # each column pass run so far -> its columns
         # a partial, not a bound method, so that _columns holds no reference back to the batch
-        self._lambda1_column = partial(_lambda1_column, *self.settings)
+        self._lambda1_column = partial(_lambda1_column, tolerance, max_iterations)
 
     @cached_property
     def blocks(self) -> list[list[int]]:

@@ -456,7 +456,7 @@ for argv in sys.argv[1:]:
 """
 
 # Runs in a fresh interpreter: the neighbour reads of a graph6 graph (the
-# path 0-1-2), then whether numpy is loaded.
+# path 0-1-2), its pair mask after them, then whether numpy is loaded.
 NEIGHBOUR_PROBE = """
 import sys
 from graphirr import compute_all, is_connected, parse_graph6
@@ -488,7 +488,7 @@ def test_verify_and_generate_never_import_numpy(tmp_path):
     ]
     reads = subprocess.run([sys.executable, "-c", NEIGHBOUR_PROBE], capture_output=True, text=True,
                            timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert (reads.stderr, reads.stdout) == ("", "True False True 5 True None False\n")
+    assert (reads.stderr, reads.stdout) == ("", "True False True 5 True 5 False\n")  # the mask is still held
 
 
 def test_rank_by_a_degree_count_and_spectrum_never_import_numpy(tmp_path):

@@ -1,6 +1,10 @@
 """Graph container, connectivity, degree sequences."""
 
+import copy
+import pickle
+import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +103,66 @@ def test_pair_mask_out_of_range_is_value_error():
     for mask in (-1, 8):
         with pytest.raises(ValueError, match=f"mask {mask} out of range for n=3"):
             Graph.from_pair_mask(3, mask)
+
+
+@pytest.mark.parametrize("make", [lambda: parse_graph6("Dhc"), lambda: Graph.from_pair_mask(5, 0b1001101011)],
+                         ids=["graph6", "from_pair_mask"])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_the_form_a_graph_is_held_in(make, duplicate):
+    # copying reads no neighbour mask: the original and its copy both keep the
+    # pair mask, and each decodes its neighbour masks beside it at its first read
+    g = make()
+    mask, h = g._pairs, duplicate(g)
+    assert mask is not None
+    for graph in (g, h):
+        assert graph._pairs == mask and graph._adj is None
+    assert h == g and h is not g
+    for graph in (g, h):
+        assert graph.neighbor_mask(0) == graph._adj[0] and graph._pairs == mask
+
+
+def test_a_pair_mask_graph_is_the_edge_built_graph_in_either_form():
+    # up to 62 vertices the mask is held; above, the neighbour masks are
+    # decoded at construction and the mask dropped
+    rng = random.Random(30)
+    for n in (1, 2, 7, 61, 62, 63, 200):
+        pairs = pair_order(n)
+        full = (1 << len(pairs)) - 1
+        sparse = rng.getrandbits(len(pairs)) & rng.getrandbits(len(pairs)) & rng.getrandbits(len(pairs))
+        for mask in (0, full, rng.getrandbits(len(pairs)), sparse, sparse & rng.getrandbits(len(pairs))):
+            g = Graph.from_pair_mask(n, mask)
+            h = Graph(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+            if n <= 62:
+                assert g._pairs == mask and g._adj is None, n
+            else:
+                assert g._pairs is None and g._adj == h._adj, n
+            assert g == h and hash(g) == hash(h) and g.degrees() == h.degrees(), n
+            assert g.edges() == h.edges() and is_connected(g) == is_connected(h) == oracle_connected(n, h.edges())
+
+
+def test_a_numpy_integer_mask_reads_as_python_ints():
+    # numpy integers pass the range check; the graph reads a Python int, so no
+    # numpy scalar reaches the degrees, lower masks or edge count
+    for mask in (np.int64(5), np.uint64(5), np.int8(5)):
+        g = Graph.from_pair_mask(3, mask)
+        assert g == Graph(3, [(0, 1), (1, 2)]) and emit_graph6(g) == "Bg"
+        assert all(type(x) is int for x in g._lower() + g.degrees() + (g.m,))
+    with pytest.raises(ValueError, match="mask 8 out of range for n=3"):
+        Graph.from_pair_mask(3, np.int64(8))
+
+
+def test_a_large_pair_mask_graph_lists_no_pairs():
+    # C(2000, 2) pairs would take about 190 MB as a list; the mask is decoded
+    # from its lower masks instead
+    tracemalloc.start()
+    try:
+        g = Graph.from_pair_mask(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    assert g.edges() == [(0, 1)] and g.degrees()[:3] == (1, 1, 0) and g.m == 1
 
 
 def test_vertex_count_beyond_maxsize_is_value_error():

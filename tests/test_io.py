@@ -112,7 +112,7 @@ def test_graph6_decoder_matches_a_bit_by_bit_oracle():
         assert g._pairs is not None and g.degrees() == h.degrees() and g.m == h.m, line
         assert g == h and hash(g) == hash(h), line  # both read the lower masks off the pair mask
         assert g._pairs is not None and g.edges() == h.edges(), line
-        assert g._adj == h._adj and g._pairs is None, line  # the decoded neighbour masks
+        assert g._neighbours() == h._adj and g._pairs is not None, line  # decoded beside the mask
         assert g.degrees() == h.degrees(), line
     # a block's adjacency stack, built off the pair masks, is the edge-built
     # graphs' to the byte, and leaves every graph held as its pair mask

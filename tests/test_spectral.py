@@ -12,10 +12,12 @@ from graphirr import (
     SpectralResult,
     compute_all,
     cs_index,
+    is_connected,
     lambda1,
     randic,
     rho,
 )
+from graphirr import measures
 from graphirr.generators import antiregular, complete, complete_split, cycle, gnp, path, star
 from graphirr.graphs import adjacency_stack
 from graphirr.spectral import Lambda1Batch, _power_batch
@@ -116,6 +118,22 @@ def test_disconnected_input_errors_name_the_function_called():
 def test_cs_index_star():
     # lambda1 = sqrt(5), mean degree 10/6
     assert cs_index(star(6)) == pytest.approx(math.sqrt(5) - 10 / 6, abs=1e-9)
+
+
+def test_cs_index_is_the_reports_cs_without_the_degree_pass(monkeypatch):
+    # cs_index reads lambda1 and m alone: the report's cs to the bit, at two
+    # settings, while the integer degree pass refuses to run
+    connected = [g for g in mixed_graphs() if is_connected(g)]
+    settings = ((1e-10, 100_000), (1e-6, 500))
+    expected = [[compute_all(g, batch=Lambda1Batch([g], *pair)).cs for g in connected] for pair in settings]
+
+    def refuse(degrees, multiplicities):
+        raise AssertionError("the integer degree pass ran")
+
+    monkeypatch.setattr(measures, "_integer_row", refuse)
+    assert [[cs_index(g, *pair) for g in connected] for pair in settings] == expected
+    with pytest.raises(AssertionError, match="the integer degree pass ran"):
+        compute_all(star(6)).cs
 
 
 def test_randic_values():
