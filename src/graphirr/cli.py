@@ -1,6 +1,6 @@
 """Command-line front end: compute, rank, generate, spectrum, verify.
 
-Exit codes: 0 success, 1 parse or domain errors, 2 failed verification claims.
+Exit codes: 0 success, 1 parse or domain errors or a missing numpy, 2 failed verification claims.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.subcommand](args)
-    except (FormatError, ConvergenceError, ValueError, OSError) as exc:
+    except (FormatError, ConvergenceError, ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -12,10 +12,10 @@ plain Python: the integer columns from _integer_row, and var and s from
 _deviation_row.
 
 A MeasureReport reads its graph's position in columns that its Lambda1Batch
-keeps over all of its graphs: the batch runs the Python degree pass over its
-vertex-order blocks at the first read of an integer measure, the deviation
-pass at the first read of var or s, the edge pass at the first read of an
-edge measure, and power iteration at the first cs read.  The edge pass walks
+keeps over all of its graphs: the batch runs the Python degree pass once over
+all of them at the first read of an integer measure, the deviation pass at
+the first read of var or s, the edge pass at the first read of an edge
+measure, and power iteration at the first cs read.  The edge pass walks
 each graph's lower neighbour masks.  The passes add every float sum left to
 right in the order of the single-graph formulas, so each value has the bits
 they give, and every integer sum is a Python int, which cannot wrap.  Only
@@ -367,15 +367,15 @@ def _deviation_row(degrees) -> tuple[float, float]:
 
 
 def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
-    """The _INTEGER_COLUMNS of B graphs of one order n, in plain Python, from their degree rows."""
-    ordered = [sorted(row, reverse=True) for row in degrees]
+    """The _INTEGER_COLUMNS of a batch's graphs, in plain Python, from their degree rows."""
+    ordered = (sorted(row, reverse=True) for row in degrees)
     rows = [_integer_row(row, Counter(row)) for row in ordered]
     return dict(zip(_INTEGER_COLUMNS, map(list, zip(*rows))))
 
 
 def _deviation_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
-    """var and s of B graphs of one order n, from their sorted degree rows."""
-    ordered = [sorted(row, reverse=True) for row in degrees]
+    """var and s of a batch's graphs, from their sorted degree rows."""
+    ordered = (sorted(row, reverse=True) for row in degrees)
     return dict(zip(("var", "s"), map(list, zip(*map(_deviation_row, ordered)))))
 
 
@@ -385,13 +385,13 @@ def _degree_profile(source) -> _DegreeProfile:
 
 
 def _edge_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
-    """albertson, sigma and the Randic index of B graphs of one order n, from
-    their degree rows and one walk per graph over its lower neighbour masks:
+    """albertson, sigma and the Randic index of a batch's graphs, from their
+    degree rows and one walk per graph over its lower neighbour masks:
     the edges (i, j), i < j, come in pair order, and each Randic index is
     added left to right over them, as the single-graph walk does."""
-    # 1/sqrt(a * b) for any two of the block's nonzero degree values: distinct
-    # positive degrees that sum to at most 2m number fewer than 2 sqrt(m), so
-    # this holds at most 4m entries for the block's m edges (three on a path)
+    # 1/sqrt(a * b) for any two of the batch's nonzero degree values: k distinct
+    # positive degrees need a degree sum of at least k(k+1)/2 <= 2M, so this
+    # holds fewer than 4M entries for the batch's M edges (three on a path)
     values = {d for row in degrees for d in row if d}
     roots = {a * b: 1.0 / math.sqrt(a * b) for a in values for b in values}
     rows = []
@@ -411,9 +411,9 @@ def _edge_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[s
     return dict(zip(("albertson", "sigma", "randic"), map(list, zip(*rows))))
 
 
-def _column(block_columns, name: str) -> property:
+def _column(column_pass, name: str) -> property:
     """A report field read at the report's position in a column of its batch."""
-    return property(lambda report: report._batch.columns(block_columns)[name][report._position])
+    return property(lambda report: report._batch.columns(column_pass)[name][report._position])
 
 
 # The columns compute prints by default, in order.

@@ -4,14 +4,14 @@ The largest adjacency eigenvalue is found by power iteration on A + I.  The
 shift matters: a connected bipartite graph has -lambda1 tied with lambda1 in
 magnitude, so unshifted iteration oscillates, while A + I is nonnegative and
 irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
-Graphs of one order iterate together as one stack; a single graph is a stack
-of one.  Each step only multiplies and normalises, and the convergence tests
-of a window of steps are computed together, after it.  Power iteration is
-one of a batch's column passes, on the same blocks as the measures' degree,
-deviation and edge passes, with each block's degree rows counted once for all
-of them; it alone runs numpy.  Its stacks and a batch's lookups of graphs
-from outside (by hash) read lower neighbour masks, off a held pair mask,
-and its own graphs are found by identity, so neither decodes a graph.
+Graphs of one order iterate together, in stacks that take at most _STACK_BYTES
+of float64 or hold one graph.  Each step only multiplies and normalises, and
+the convergence tests of a window of steps are computed together, after it.
+Power iteration is one of a batch's column passes, each run once over all of
+its graphs and their degrees, counted once for every pass; it alone cuts
+stacks and runs numpy.  Its stacks and a batch's lookups of graphs from
+outside (by hash) read lower neighbour masks, off a held pair mask, and its
+own graphs are found by identity, so neither decodes a graph.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
-_BLOCK = 256  # graphs per stack, so the stack's memory is bounded whatever the input's size
+# float64 bytes of a stack's matrices, window iterates and products, n (n + 33) a graph,
+# unless it holds one graph: 4.5 MiB, 201 graphs at n = 40, the benchmark corpus's largest order
+_STACK_BYTES = 9 << 19
 _WINDOW = 16  # steps between convergence tests: a converged graph runs at most 15 discarded steps
 
 
@@ -118,19 +120,29 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
 
 def _lambda1_column(tolerance: float, max_iterations: int, graphs: list[Graph],
                     degrees: list) -> dict[str, list]:
-    """The column pass of power iteration: each graph's outcome, from a stack of the block."""
-    return {"outcome": _power_batch(adjacency_stack(graphs), tolerance, max_iterations)}
+    """The column pass of power iteration: each graph's outcome, from stacks of one vertex
+    count in order of first appearance, each of at most _STACK_BYTES of float64 or one graph."""
+    by_order: dict[int, list[int]] = {}
+    for position, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(position)
+    outcomes: dict[int, object] = {}
+    for n, group in by_order.items():
+        size = max(1, _STACK_BYTES // (8 * n * (n + 2 * _WINDOW + 1)))
+        for start in range(0, len(group), size):
+            positions = group[start:start + size]
+            stack = adjacency_stack([graphs[p] for p in positions])
+            outcomes.update(zip(positions, _power_batch(stack, tolerance, max_iterations)))
+    return {"outcome": [outcomes[p] for p in range(len(graphs))]}
 
 
 class Lambda1Batch:
     """lambda1 of each of a list of graphs, all run together at the first ``result`` read.
 
-    ``columns`` runs a per-block column pass on the batch's ``blocks`` of at
-    most _BLOCK graphs of one vertex count and keeps the columns it gives.
-    Power iteration is one such pass, as are the measures' degree and edge
-    passes: each block builds its own stack, and each graph keeps its
-    SpectralResult or the ConvergenceError that every read of it raises.  A
-    disconnected graph gets the largest lambda1 over its components.
+    ``columns`` runs a column pass once over all of the batch's graphs and
+    their degrees and keeps the columns it gives.  Power iteration is one such
+    pass, as are the measures' degree, deviation and edge passes: each graph
+    keeps its SpectralResult or the ConvergenceError that every read of it
+    raises.  A disconnected graph gets the largest lambda1 over its components.
     """
 
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
@@ -141,34 +153,17 @@ class Lambda1Batch:
         self._lambda1_column = partial(_lambda1_column, tolerance, max_iterations)
 
     @cached_property
-    def blocks(self) -> list[list[int]]:
-        """The graphs' positions by vertex count, in order of first appearance,
-        cut into runs of at most _BLOCK: one graph order per block."""
-        by_order: dict[int, list[int]] = {}
-        for position, h in enumerate(self.graphs):
-            by_order.setdefault(h.n, []).append(position)
-        return [group[start:start + _BLOCK] for group in by_order.values()
-                for start in range(0, len(group), _BLOCK)]
+    def _degrees(self) -> list[tuple[int, ...]]:
+        """Each graph's degrees in vertex order, counted once for every column pass."""
+        return [g.degrees() for g in self.graphs]
 
-    @cached_property
-    def _degree_rows(self) -> list[list[tuple[int, ...]]]:
-        """Each block's degrees in vertex order, counted once for every column pass."""
-        return [[self.graphs[p].degrees() for p in block] for block in self.blocks]
-
-    def columns(self, block_columns) -> dict[str, list]:
-        """The named columns that ``block_columns`` gives for the graphs of one
-        block and their degree rows, as lists over all of the batch's graphs:
-        the pass runs once per block at the first call, later calls read them.
-        Power iteration is one such pass, which ignores the degree rows."""
-        columns = self._columns.get(block_columns)
+    def columns(self, column_pass) -> dict[str, list]:
+        """The named columns, as lists, that ``column_pass`` gives for all of the batch's graphs
+        and their degrees: run at the first call, read later; power iteration ignores the degrees."""
+        columns = self._columns.get(column_pass)
         if columns is None:
-            columns = {}
-            for block, degrees in zip(self.blocks, self._degree_rows):
-                for name, values in block_columns([self.graphs[p] for p in block], degrees).items():
-                    column = columns.setdefault(name, [None] * len(self.graphs))
-                    for position, value in zip(block, values):
-                        column[position] = value
-            self._columns[block_columns] = columns  # kept only once every block has run
+            columns = column_pass(self.graphs, self._degrees)
+            self._columns[column_pass] = columns  # kept only once the pass has returned
         return columns
 
     @cached_property

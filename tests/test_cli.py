@@ -293,6 +293,20 @@ def test_generate_domain_error(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_missing_numpy_gives_one_line_error(tmp_path, capsys, monkeypatch):
+    # numpy is imported only by the commands that need arrays: with it missing
+    # they stop with one line and exit code 1, and the rest still run
+    g6_file = write_lines(tmp_path, "two.g6", [emit_graph6(path(4)), emit_graph6(star(5))])
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for argv in (["compute", g6_file], ["rank", g6_file, "--by", "cs"],
+                 ["generate", "--family", "gnp", "--n", "8", "--p", "0.5", "--seed", "11"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    code, out, err = run(capsys, ["rank", g6_file, "--by", "ira"])
+    assert code == 0 and not err and out.startswith("rank  ira")
+
+
 def test_spectrum_outputs(tmp_path, capsys):
     g6_file = write_lines(tmp_path, "star.g6", [emit_graph6(star(6))])
     code, out, _ = run(capsys, ["spectrum", g6_file])

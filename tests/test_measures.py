@@ -30,7 +30,7 @@ from graphirr import (
     sigma,
     variance,
 )
-from graphirr import measures, spectral
+from graphirr import measures
 from graphirr.generators import complete, complete_minus_edge, cycle, gnp, path, star
 from graphirr.io import emit_graph6, parse_graph6
 from graphirr.spectral import Lambda1Batch
@@ -316,7 +316,7 @@ def test_ira_irb_strictly_decrease_in_n0():
 
 
 def block_columns(batch):
-    """Every column of the block passes over a batch, by name, as Python values per graph."""
+    """Every column of the measure passes over a batch, by name, as Python values per graph."""
     passes = (measures._degree_columns, measures._deviation_columns, measures._edge_columns)
     columns = {name: values for column_pass in passes
                for name, values in batch.columns(column_pass).items()}
@@ -353,9 +353,8 @@ def test_block_pass_matches_oracle_on_gnp_graphs():
     assert_block_pass_matches_oracle(sample)
 
 
-def test_block_pass_is_the_same_in_blocks_chunks_and_batches_of_one():
-    # more graphs of one order than a block holds, each against a batch of its own
-    assert spectral._BLOCK < 300
+def test_column_passes_are_the_same_in_a_batch_and_in_batches_of_one():
+    # 300 graphs of one order in one batch, each against a batch of its own
     sample = [gnp(12, 0.1 + 0.8 * k / 300, seed=k) for k in range(300)]
     together = block_columns(Lambda1Batch(sample))
     for position, g in enumerate(sample):
@@ -395,9 +394,9 @@ def test_own_graphs_resolve_by_identity_and_outsiders_by_equality():
     assert all(g._pairs is not None for g in own)  # power iteration stacked them off the pair masks
 
 
-def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
-    # more graphs of one order than a block holds, and graphs of a second order
-    calls = {"degrees": 0, "_deviation_columns": 0, "_edge_columns": 0}
+def test_each_column_pass_runs_once_per_batch_and_only_when_read(monkeypatch):
+    # hundreds of graphs of one order and graphs of a second order, in one batch
+    calls = {"degrees": 0, "_degree_columns": 0, "_deviation_columns": 0, "_edge_columns": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -410,30 +409,28 @@ def test_each_column_pass_runs_once_per_block_and_only_when_read(monkeypatch):
 
     counted(Graph, "degrees")
     # the reports hold the passes themselves, so each is counted where the batch runs it
-    passes = (measures._deviation_columns, measures._edge_columns)
+    passes = (measures._degree_columns, measures._deviation_columns, measures._edge_columns)
     counted_passes = {column_pass: counted(measures, column_pass.__name__) for column_pass in passes}
     columns = Lambda1Batch.columns
-    monkeypatch.setattr(Lambda1Batch, "columns", lambda batch, block_columns: columns(
-        batch, counted_passes.get(block_columns, block_columns)))
-    sample = [gnp(10, 0.3, seed=k) for k in range(spectral._BLOCK + 10)]
+    monkeypatch.setattr(Lambda1Batch, "columns", lambda batch, column_pass: columns(
+        batch, counted_passes.get(column_pass, column_pass)))
+    sample = [gnp(10, 0.3, seed=k) for k in range(266)]
     sample += [gnp(7, 0.5, seed=k) for k in range(5)]
     batch = Lambda1Batch(sample)
-    blocks = len(batch.blocks)
-    assert blocks == 3
     reports = [compute_all(g, batch=batch) for g in sample]
-    assert calls == {"degrees": 0, "_deviation_columns": 0, "_edge_columns": 0}
+    assert calls == {"degrees": 0, "_degree_columns": 0, "_deviation_columns": 0, "_edge_columns": 0}
     integer_fields = ("m", "irr_t", "n0", "degree_set_size", "min_degree", "max_degree")
     for report in reports:
         for name in integer_fields:
             getattr(report, name)
     # each graph's degrees are counted once, for every pass
-    assert calls == {"degrees": len(sample), "_deviation_columns": 0, "_edge_columns": 0}
+    assert calls == {"degrees": len(sample), "_degree_columns": 1, "_deviation_columns": 0, "_edge_columns": 0}
     for report in reports:
         report.var, report.s
-    assert calls == {"degrees": len(sample), "_deviation_columns": blocks, "_edge_columns": 0}
+    assert calls == {"degrees": len(sample), "_degree_columns": 1, "_deviation_columns": 1, "_edge_columns": 0}
     for report in reports:
         report.albertson
-    after_all = {"degrees": len(sample), "_deviation_columns": blocks, "_edge_columns": blocks}
+    after_all = {"degrees": len(sample), "_degree_columns": 1, "_deviation_columns": 1, "_edge_columns": 1}
     assert calls == after_all
     for report in reports:
         for name in integer_fields + ("var", "s", "albertson", "sigma", "rho"):

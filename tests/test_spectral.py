@@ -20,7 +20,7 @@ from graphirr import (
 from graphirr import measures
 from graphirr.generators import antiregular, complete, complete_split, cycle, gnp, path, star
 from graphirr.graphs import adjacency_stack
-from graphirr.spectral import Lambda1Batch, _power_batch
+from graphirr.spectral import _WINDOW, Lambda1Batch, _power_batch
 
 
 def eigvalsh_lambda1(g):
@@ -261,17 +261,39 @@ def test_batch_runs_once_and_only_when_read(monkeypatch):
         batch.result(star(5))
 
 
-def test_batch_stacks_hold_at_most_one_block(monkeypatch):
+def test_batch_stacks_hold_at_most_stack_bytes(monkeypatch):
+    # a graph's matrix, window iterates and products take 8 n (n + 33) bytes:
+    # 2,368 bytes hold two graphs of 4 vertices (1,184 bytes each), one of 5 (1,520)
     calls = []
     monkeypatch.setattr("graphirr.spectral._power_batch",
                         lambda stack, *settings: calls.append(stack.shape) or
                         _power_batch(stack, *settings))
-    monkeypatch.setattr("graphirr.spectral._BLOCK", 2)
+    monkeypatch.setattr("graphirr.spectral._STACK_BYTES", 2368)
     graphs = [path(4), cycle(4), star(4), complete(4), Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])]
+    graphs += [path(5), cycle(5), star(5)]
     batch = Lambda1Batch(graphs)
     for g in graphs:
         assert batch.result(g) == _power_batch(stack_of([g]), 1e-10, 100_000)[0], g
-    assert calls == [(2, 4, 4), (2, 4, 4), (1, 4, 4)]
+    assert calls == [(2, 4, 4), (2, 4, 4), (1, 4, 4), (1, 5, 5), (1, 5, 5), (1, 5, 5)]
+
+
+def test_every_stack_of_mixed_orders_fits_its_bytes_or_holds_one_graph(monkeypatch):
+    # the bound is shrunk, not a large stack allocated: from n = 12 on, one graph
+    # takes more than half of 8,192 bytes, and the cut leaves every outcome as it was
+    graphs = [gnp(n, 0.5, seed=seed) for seed in range(6) for n in range(1, 19)]
+    expected = [Lambda1Batch(graphs).result(g) for g in graphs]
+    calls = []
+    monkeypatch.setattr("graphirr.spectral._power_batch",
+                        lambda stack, *settings: calls.append(stack.shape) or
+                        _power_batch(stack, *settings))
+    monkeypatch.setattr("graphirr.spectral._STACK_BYTES", 8192)
+    batch = Lambda1Batch(graphs)
+    assert [batch.result(g) for g in graphs] == expected
+    assert all(count == 1 or 8 * count * n * (n + 2 * _WINDOW + 1) <= 8192
+               for count, n, _ in calls), calls
+    assert [n for _, n, _ in calls] == sorted(n for _, n, _ in calls)  # in order of first appearance
+    assert sum(count for count, _, _ in calls) == len(graphs)
+    assert {(6, 4, 4), (3, 8, 8), (1, 12, 12)} <= set(calls)
 
 
 def outcome_key(outcome):
