@@ -162,31 +162,56 @@ def _json_value(value, decimals: int):
 
 
 def _reports(args):
-    """Check --decimals, read the input and return (label, report) pairs sharing one Lambda1Batch."""
+    """Check --decimals, read the input and return one Lambda1Batch of its graphs and the
+    (label, report) pairs that share it."""
     _quantum(args.decimals)  # reject a bad --decimals before reading input
     graphs = _read_graphs(args.paths, args.format)
     batch = Lambda1Batch([g for _, g in graphs], args.tolerance, args.max_iterations)
-    return ((label, compute_all(g, batch=batch)) for label, g in graphs)
+    return batch, ((label, compute_all(g, batch=batch)) for label, g in graphs)
+
+
+def _fill(rows, reports, measures, columns, cell, decimals):
+    """Format the given columns' cells of each row, in row-major order, until a read
+    raises ValueError or ConvergenceError; return (row, column, error) of that read, or None."""
+    for r, (row, report) in enumerate(zip(rows, reports)):
+        for c in columns:
+            try:
+                row[c] = cell(report.value(measures[c]), decimals)
+            except (ValueError, ConvergenceError) as error:
+                return r, c, error
+    return None
 
 
 def _cmd_compute(args) -> int:
     measures = _parse_names(args.measures, "measure", MEASURE_NAMES, CSV_COLUMNS)
     unread = () if args.spectral else SPECTRAL_MEASURES
-    # every value is read before the first line prints, so an error leaves stdout empty
-    results = [(label, [None if m in unread else report.value(m) for m in measures])
-               for label, report in _reports(args)]
+    cell = {"csv": format_value, "json": _json_value, "text": _cell}[args.output]
+    batch, pairs = _reports(args)
+    labels, reports = zip(*pairs)
+    rows = [[cell(None, args.decimals)] * len(measures) for _ in reports]
+    read = [c for c, m in enumerate(measures) if m not in unread]
+    late = [c for c in read if measures[c] == "cs"]  # read after power iteration's child is reaped
+    early = [c for c in read if c not in late]
+    # every cell is read before the first line prints, so an error leaves stdout empty
+    if late:
+        with batch.power_alongside():
+            error = _fill(rows, reports, measures, early, cell, args.decimals)
+        # then the cs cells that precede the first error in row-major order, whose errors precede it
+        before = len(rows) if error is None else error[0] + (late[0] < error[1])
+        error = _fill(rows[:before], reports, measures, late, cell, args.decimals) or error
+    else:
+        error = _fill(rows, reports, measures, early, cell, args.decimals)
+    if error is not None:
+        raise error[2]
     if args.output == "csv":
         print(",".join(measures))
-        for _, values in results:
-            print(",".join(format_value(v, args.decimals) for v in values))
+        for row in rows:
+            print(",".join(row))
     elif args.output == "json":
-        payload = [{"input": label, **{m: _json_value(v, args.decimals)
-                                       for m, v in zip(measures, values)}}
-                   for label, values in results]
+        payload = [{"input": label, **dict(zip(measures, row))} for label, row in zip(labels, rows)]
         print(json.dumps(payload, indent=2))
     else:
-        rows = [[label] + [_cell(v, args.decimals) for v in values] for label, values in results]
-        _print_table(["input"] + list(measures), rows)
+        _print_table(["input"] + list(measures), [[label] + row for label, row in zip(labels, rows)])
     return 0
 
 
@@ -194,7 +219,7 @@ def _cmd_rank(args) -> int:
     if args.by not in MEASURE_NAMES:
         raise ValueError(f"unknown measure {args.by!r}; choices: {', '.join(MEASURE_NAMES)}")
     scored = []
-    for label, report in _reports(args):
+    for label, report in _reports(args)[1]:
         value = report.value(args.by)
         if value is None:
             raise ValueError(f"measure {args.by} is undefined for input {label}")
@@ -292,7 +317,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.subcommand](args)
+        code = _DISPATCH[args.subcommand](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone, as after `| head`: nothing more to say
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
     except (FormatError, ConvergenceError, ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,12 +11,18 @@ Power iteration is one of a batch's column passes, each run once over all of
 its graphs and their degrees, counted once for every pass; it alone cuts
 stacks and runs numpy.  Its stacks and a batch's lookups of graphs from
 outside (by hash) read lower neighbour masks, off a held pair mask, and its
-own graphs are found by identity, so neither decodes a graph.
+own graphs are found by identity, so neither decodes a graph.  ``compute``
+runs the power pass in a forked child, which alone imports numpy, while it
+runs the other passes (``Lambda1Batch.power_alongside``); the child sends the
+outcomes back pickled, so SpectralResult and ConvergenceError pickle.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
@@ -40,6 +46,7 @@ DEFAULT_MAX_ITERATIONS = 100_000
 # unless it holds one graph: 4.5 MiB, 201 graphs at n = 40, the benchmark corpus's largest order
 _STACK_BYTES = 9 << 19
 _WINDOW = 16  # steps between convergence tests: a converged graph runs at most 15 discarded steps
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +57,9 @@ class SpectralResult:
     iterations: int
     residual: float
 
+    def __reduce__(self):  # half the bytes and time of the default for slots
+        return type(self), (self.lambda1, self.iterations, self.residual)
+
 
 class ConvergenceError(RuntimeError):
     """Power iteration failed to converge; carries the best estimate so far."""
@@ -59,6 +69,9 @@ class ConvergenceError(RuntimeError):
         self.estimate = estimate
         self.iterations = iterations
         self.residual = residual
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.estimate, self.iterations, self.residual)
 
 
 def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> list:
@@ -96,10 +109,12 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
         # every step's Rayleigh quotient and residual at once; batched matmul gives
         # each (1, n) @ (n, 1) the BLAS dot of a 1-D x @ y, and numpy 1.22 has it
         rayleighs = np.matmul(xs[:steps].transpose(0, 1, 3, 2), ys)[:, :, 0, 0]
-        residuals = np.abs(ys - rayleighs[:, :, None, None] * xs[:steps]).max(axis=2)[:, :, 0]
+        scratch = np.multiply(rayleighs[:, :, None, None], xs[:steps])  # each A x - r x, in place
+        residuals = np.abs(np.subtract(ys, scratch, out=scratch), out=scratch).max(axis=2)[:, :, 0]
         deltas = np.abs(np.diff(rayleighs, axis=0, prepend=rayleigh[None]))
         passed = (residuals <= tolerance) & (deltas <= tolerance)
-        x, rayleigh, residual = xs[steps], rayleighs[-1], residuals[-1]
+        x, rayleigh, residual = xs[steps].copy(), rayleighs[-1], residuals[-1]
+        del xs, ys, scratch  # freed before the next window's are allocated
         done = passed.any(axis=0)
         for k, step in zip(np.flatnonzero(done).tolist(), passed.argmax(axis=0)[done].tolist()):
             outcomes[active[k]] = SpectralResult(
@@ -143,6 +158,7 @@ class Lambda1Batch:
     pass, as are the measures' degree, deviation and edge passes: each graph
     keeps its SpectralResult or the ConvergenceError that every read of it
     raises.  A disconnected graph gets the largest lambda1 over its components.
+    Within ``power_alongside``, power iteration may run in a forked child instead.
     """
 
     def __init__(self, graphs: list[Graph], tolerance: float = DEFAULT_TOLERANCE,
@@ -165,6 +181,60 @@ class Lambda1Batch:
             columns = column_pass(self.graphs, self._degrees)
             self._columns[column_pass] = columns  # kept only once the pass has returned
         return columns
+
+    @contextmanager
+    def power_alongside(self):
+        """Run the power pass in a forked child while the block runs, and keep its column
+        if the child exits 0 with it.
+
+        It forks only where os.fork exists, the power column is not yet kept and numpy
+        is not yet loaded, so the child alone imports numpy, with one BLAS thread, and no
+        BLAS thread is copied into it.  Otherwise, or if the child fails in any way, it
+        keeps nothing, and the first ``result`` read runs the pass in this process and
+        raises what it raises.  The child is reaped before the block is left, and killed
+        first if the block raises.
+        """
+        if (self._lambda1_column in self._columns or not hasattr(os, "fork")
+                or "numpy" in sys.modules):
+            yield
+            return
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the pass runs here, at the first read
+            os.close(read)
+            os.close(write)
+            yield
+            return
+        if pid == 0:  # the child prints nothing, flushes no inherited stdio and never returns
+            code = 1
+            try:
+                os.close(read)
+                os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))  # read when numpy loads
+                import pickle
+                columns = self._lambda1_column(self.graphs, None)  # it ignores the degrees
+                with open(write, "wb") as pipe:
+                    pickle.dump(columns, pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with open(read, "rb") as pipe:
+            try:
+                yield
+                data = pipe.read()
+            except BaseException:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1]
+        if status == 0:
+            import pickle
+            try:
+                self._columns[self._lambda1_column] = pickle.loads(data)
+            except Exception:  # anything the child sent that does not unpickle is not kept
+                pass
 
     @cached_property
     def _identities(self) -> dict[int, int]:

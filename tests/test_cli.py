@@ -482,12 +482,16 @@ print(is_connected(g), g.has_edge(0, 2), g.has_edge(2, 1), g.neighbor_mask(1),
 
 def test_verify_and_generate_never_import_numpy(tmp_path):
     # numpy is loaded only for batches: verify and generate run without it and
-    # print what they printed when they loaded it, while compute still loads it;
+    # print what they printed when they loaded it; compute runs power iteration
+    # in a forked child, so only a library lambda1 call loads it here;
     # a graph6 graph's neighbour masks are decoded in Python, without it too
     corpus = tmp_path / "p3.g6"
     corpus.write_text("Bg\n")
+    lambda1_probe = ('from graphirr import lambda1, path\n'
+                     'print(lambda1(path(3)).iterations, "numpy" in sys.modules)\n')
     done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, "verify --claims all --n 3-8 --output json",
+        [sys.executable, "-W", "always::DeprecationWarning", "-c", NUMPY_PROBE + lambda1_probe,
+         "verify --claims all --n 3-8 --output json",
          "generate --family antiregular --n 9", shlex.join(["compute", str(corpus), "--output", "csv"])],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"},
@@ -498,7 +502,8 @@ def test_verify_and_generate_never_import_numpy(tmp_path):
     assert done.stdout.splitlines() == [
         "0 e49dbf9fecce47bf6b138c6896611a67282fa775adf79d68c13a6804d80b1ee9 False",
         "0 4ae30543ac2d5223f848a0b59ef9368b3967ac97dcbf57a4692f0d7c9d657129 False",
-        f"0 {hashlib.sha256(path_csv).hexdigest()} True",
+        f"0 {hashlib.sha256(path_csv).hexdigest()} False",
+        "14 True",  # the positive control: lambda1 in this process loads numpy
     ]
     reads = subprocess.run([sys.executable, "-c", NEIGHBOUR_PROBE], capture_output=True, text=True,
                            timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -594,3 +599,168 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
     code, out, _ = run(capsys, ["compute", g6_file, "--measures", "ira", "--output", "csv"])
     assert code == 0
     assert out.splitlines()[1] == "0.500"
+
+
+# Runs in a fresh interpreter, where numpy is not yet loaded, so compute runs
+# power iteration in a forked child.  argv[1] is a mode: "fork", "numpy" (load
+# numpy first, so compute runs it here), "kill" (a forked child kills itself at
+# its first stack) or "pinned" (a forked child fails at its first stack unless
+# its BLAS thread counts are 1).  Then, per command: main's exit code, stdout
+# digest and stderr, whether numpy is loaded and whether no child is left to reap.
+FORK_PROBE = """
+import contextlib, hashlib, io, os, shlex, signal, sys
+if sys.argv[1] == "numpy":
+    import numpy
+from graphirr import cli, spectral
+parent, power_batch = os.getpid(), spectral._power_batch
+def patched(*args):
+    if os.getpid() != parent and sys.argv[1] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if os.getpid() != parent and sys.argv[1] == "pinned":
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        if any(os.environ[name] != "1" for name in threads):
+            raise RuntimeError("BLAS threads not pinned")
+    return power_batch(*args)
+spectral._power_batch = patched
+for argv in sys.argv[2:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(shlex.split(argv))
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        reaped = False
+    except ChildProcessError:
+        reaped = True
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), repr(err.getvalue()),
+          "numpy" in sys.modules, reaped)
+"""
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+COMPUTE_GOLDENS = {
+    "compute.txt": [],
+    "compute.csv": ["--output", "csv"],
+    "compute.json": ["--output", "json"],
+    "compute_no_spectral_d6.csv": ["--no-spectral", "--decimals", "6", "--output", "csv"],
+}
+
+
+def fork_probe(mode, *argvs):
+    # -W always: on Python 3.12+, a fork from a process with threads warns on stderr
+    done = subprocess.run(
+        [sys.executable, "-W", "always::DeprecationWarning", "-c", FORK_PROBE, mode,
+         *(shlex.join(argv) for argv in argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "2",
+             "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"},
+    )
+    assert done.stderr == ""
+    return done.stdout.splitlines()
+
+
+def probe_line(code, out, err, numpy_loaded):
+    return f"{code} {hashlib.sha256(out).hexdigest()} {err!r} {numpy_loaded} True"
+
+
+@pytest.fixture(scope="module")
+def seed7_corpus(tmp_path_factory):
+    """The benchmark's 5,000-graph seed-7 corpus, as graph6 lines."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    script = ("import sys; from corpus import build_corpus; "
+              "sys.stdout.write(''.join(g.graph6 + '\\n' for g in build_corpus(7, 5000)))")
+    target = tmp_path_factory.mktemp("seed7") / "corpus.g6"
+    target.write_text(subprocess.run(
+        [sys.executable, "-c", script], cwd=bench, check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout)
+    return str(target)
+
+
+@pytest.mark.parametrize("mode", ["fork", "numpy"])
+def test_compute_goldens_through_the_child_and_in_process(mode):
+    # the same bytes whether power iteration runs in the forked child or, with
+    # numpy already loaded, in this process; no child outlives main
+    argvs = [["compute", os.path.join(GOLDEN, "corpus.g6"), *flags] for flags in COMPUTE_GOLDENS.values()]
+    expected = [probe_line(0, open(os.path.join(GOLDEN, name), "rb").read(), "", mode == "numpy")
+                for name in COMPUTE_GOLDENS]
+    assert fork_probe(mode, *argvs) == expected
+
+
+@pytest.mark.parametrize("mode", ["kill", "pinned"])
+def test_a_killed_child_falls_back_and_a_pinned_one_sends_its_outcomes(mode):
+    # numpy loaded after the run shows the pass ran here; unloaded, that the
+    # child, with one BLAS thread, sent it back
+    corpus = os.path.join(GOLDEN, "corpus.g6")
+    golden = open(os.path.join(GOLDEN, "compute.csv"), "rb").read()
+    assert fork_probe(mode, ["compute", corpus, "--output", "csv"]) == [
+        probe_line(0, golden, "", mode == "kill")]
+
+
+@pytest.mark.parametrize("mode", ["fork", "numpy"])
+def test_power_errors_through_the_child_are_todays(mode, seed7_corpus):
+    # a ConvergenceError comes back from the child pickled, so numpy stays unloaded;
+    # a bad tolerance fails the child, and the pass run here raises it
+    not_converged = ("error: power iteration did not converge in 30 iterations "
+                     "(estimate 9.80836539540405, residual 1.0282308338105395e-10)\n")
+    assert fork_probe(mode, ["compute", seed7_corpus, "--max-iterations", "30"],
+                      ["compute", seed7_corpus, "--tolerance", "0"]) == [
+        probe_line(1, b"", not_converged, mode == "numpy"),
+        probe_line(1, b"", "error: tolerance must be positive, got 0.0\n", True)]
+
+
+@pytest.mark.parametrize("mode", ["fork", "numpy"])
+def test_first_error_in_row_major_order_wins_through_the_child(mode, tmp_path):
+    # the cs cells are read after the others, yet a cs error before a later
+    # graph's ira error is the one reported, as is one before ira in the same
+    # row, while an earlier ira error beats it
+    cs_first = write_lines(tmp_path, "cs_first.g6", [A6_G6, "@"])
+    ira_first = write_lines(tmp_path, "ira_first.g6", ["@", A6_G6])
+    flags = ["--measures", "ira,cs", "--max-iterations", "3"]
+    not_converged = ("error: power iteration did not converge in 3 iterations "
+                     "(estimate 3.40156709108717, residual 0.07109191823966954)\n")
+    assert fork_probe(mode, ["compute", cs_first, *flags], ["compute", ira_first, *flags],
+                      ["compute", ira_first, "--measures", "cs,ira", "--tolerance", "0"]) == [
+        probe_line(1, b"", not_converged, mode == "numpy"),
+        probe_line(1, b"", "error: n0 needs n >= 2, got n=1\n", mode == "numpy"),
+        probe_line(1, b"", "error: tolerance must be positive, got 0.0\n", True)]
+
+
+# Runs in a fresh interpreter: a block that raises while the child's power
+# pass would take a minute; then whether the child is reaped, how soon, and
+# whether anything was kept.
+INTERRUPT_PROBE = """
+import os, time
+from graphirr import path, spectral
+spectral._power_batch = lambda *args: time.sleep(60)
+batch = spectral.Lambda1Batch([path(3)])
+start = time.perf_counter()
+try:
+    with batch.power_alongside():
+        raise KeyboardInterrupt
+except KeyboardInterrupt:
+    pass
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped", time.perf_counter() - start < 30, batch._columns)
+"""
+
+
+def test_an_interrupted_block_kills_and_reaps_the_child():
+    done = subprocess.run(
+        [sys.executable, "-W", "always::DeprecationWarning", "-c", INTERRUPT_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (done.stderr, done.stdout) == ("", "reaped True {}\n")
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # the reader closes after one line, while compute still has rows to write
+    corpus = tmp_path / "many.g6"
+    corpus.write_text(open(os.path.join(GOLDEN, "corpus.g6")).read() * 100)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphirr.cli", "compute", str(corpus), "--no-spectral",
+         "--output", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout.readline() == b"n,m,irr_t,degset_minus_1,cs,albertson,sigma,var,s,gini,rho,n0,ira,irb\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")

@@ -1,6 +1,8 @@
 """Power-iteration spectral radius against a dense eigensolver oracle."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,3 +319,42 @@ def test_batch_matches_the_one_graph_reference_loop_exactly():
                     outcome = err
                 expected = reference_power.power(g, tolerance, cap)
                 assert outcome_key(outcome) == outcome_key(expected), (g, tolerance, cap)
+
+
+def test_outcomes_survive_pickling():
+    # the forked power pass sends its outcomes back pickled
+    import pickle
+    error = pickle.loads(pickle.dumps(ConvergenceError("m", 1.0, 2, 3.0)))
+    assert (type(error), str(error), error.estimate, error.iterations, error.residual) == (
+        ConvergenceError, "m", 1.0, 2, 3.0)
+    result = SpectralResult(1.4142135623730945, 14, 3.8309577732320577e-11)
+    assert pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)) == result
+
+
+def test_power_alongside_forks_nothing_once_numpy_is_loaded():
+    # numpy is loaded here, so the block runs as it is, and so does the pass at the first read
+    graphs = [path(4), star(5)]
+    batch = Lambda1Batch(graphs)
+    with batch.power_alongside():
+        assert not batch._columns
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert batch.result(graphs[1]) == lambda1(star(5))
+
+
+def test_a_window_holds_its_iterates_products_and_one_scratch():
+    # one window of 167 graphs of order 40, none leaving the stack: its 17 iterates and
+    # 16 products, one scratch of 16 products for the residuals, and a few n-vectors
+    # more (the last iterate, the diagonal); the three temporaries of
+    # abs(ys - r xs) held 32 products more than that
+    stack = adjacency_stack([gnp(40, 0.05 + 0.005 * k, seed=k) for k in range(167)])
+    count, n, _ = stack.shape
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcomes = _power_batch(stack, 1e-300, _WINDOW)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(outcome, ConvergenceError) for outcome in outcomes)
+    assert peak <= 8 * count * n * (3 * _WINDOW + 8)
