@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 parse or domain errors or a missing numpy, 2 failed ver
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -170,16 +171,18 @@ def _reports(args):
     return batch, ((label, compute_all(g, batch=batch)) for label, g in graphs)
 
 
-def _fill(rows, reports, measures, columns, cell, decimals):
-    """Format the given columns' cells of each row, in row-major order, until a read
-    raises ValueError or ConvergenceError; return (row, column, error) of that read, or None."""
+def _fill(rows, reports, measures, columns, cell, decimals, stop=None):
+    """Format the given columns' cells, row-major, up to the first read that raises ValueError
+    or ConvergenceError or the cell of ``stop``; return that (row, column, error), or stop."""
     for r, (row, report) in enumerate(zip(rows, reports)):
         for c in columns:
+            if stop is not None and (r, c) >= stop[:2]:
+                return stop
             try:
                 row[c] = cell(report.value(measures[c]), decimals)
             except (ValueError, ConvergenceError) as error:
                 return r, c, error
-    return None
+    return stop
 
 
 def _cmd_compute(args) -> int:
@@ -193,14 +196,10 @@ def _cmd_compute(args) -> int:
     late = [c for c in read if measures[c] == "cs"]  # read after power iteration's child is reaped
     early = [c for c in read if c not in late]
     # every cell is read before the first line prints, so an error leaves stdout empty
-    if late:
-        with batch.power_alongside():
-            error = _fill(rows, reports, measures, early, cell, args.decimals)
-        # then the cs cells that precede the first error in row-major order, whose errors precede it
-        before = len(rows) if error is None else error[0] + (late[0] < error[1])
-        error = _fill(rows[:before], reports, measures, late, cell, args.decimals) or error
-    else:
+    with batch.power_alongside() if late else contextlib.nullcontext():
         error = _fill(rows, reports, measures, early, cell, args.decimals)
+    # then the cs cells that precede the first error in row-major order, whose errors precede it
+    error = _fill(rows, reports, measures, late, cell, args.decimals, error)
     if error is not None:
         raise error[2]
     if args.output == "csv":

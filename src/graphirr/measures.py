@@ -12,10 +12,11 @@ plain Python: the integer columns from _integer_row, and var and s from
 _deviation_row.
 
 A MeasureReport reads its graph's position in columns that its Lambda1Batch
-keeps over all of its graphs: the batch runs the Python degree pass once over
-all of them at the first read of an integer measure, the deviation pass at
-the first read of var or s, the edge pass at the first read of an edge
-measure, and power iteration at the first cs read.  The edge pass walks
+keeps over all of its graphs: each column pass is a function of the batch,
+which runs it once, the Python degree pass at the first read of an integer
+measure, the deviation pass at the first read of var or s, the edge pass at
+the first read of an edge measure and power iteration at the first cs read.
+The measure passes read the batch's degree rows, and the edge pass walks
 each graph's lower neighbour masks.  The passes add every float sum left to
 right in the order of the single-graph formulas, so each value has the bits
 they give, and every integer sum is a Python int, which cannot wrap.  Only
@@ -366,16 +367,16 @@ def _deviation_row(degrees) -> tuple[float, float]:
     return squares / n, absolute
 
 
-def _degree_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
+def _degree_columns(batch: Lambda1Batch) -> dict[str, list]:
     """The _INTEGER_COLUMNS of a batch's graphs, in plain Python, from their degree rows."""
-    ordered = (sorted(row, reverse=True) for row in degrees)
+    ordered = (sorted(row, reverse=True) for row in batch._degrees)
     rows = [_integer_row(row, Counter(row)) for row in ordered]
     return dict(zip(_INTEGER_COLUMNS, map(list, zip(*rows))))
 
 
-def _deviation_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
+def _deviation_columns(batch: Lambda1Batch) -> dict[str, list]:
     """var and s of a batch's graphs, from their sorted degree rows."""
-    ordered = (sorted(row, reverse=True) for row in degrees)
+    ordered = (sorted(row, reverse=True) for row in batch._degrees)
     return dict(zip(("var", "s"), map(list, zip(*map(_deviation_row, ordered)))))
 
 
@@ -384,7 +385,7 @@ def _degree_profile(source) -> _DegreeProfile:
     return _DegreeProfile(_degree_list(source))
 
 
-def _edge_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[str, list]:
+def _edge_columns(batch: Lambda1Batch) -> dict[str, list]:
     """albertson, sigma and the Randic index of a batch's graphs, from their
     degree rows and one walk per graph over its lower neighbour masks:
     the edges (i, j), i < j, come in pair order, and each Randic index is
@@ -392,10 +393,10 @@ def _edge_columns(graphs: list[Graph], degrees: list[tuple[int, ...]]) -> dict[s
     # 1/sqrt(a * b) for any two of the batch's nonzero degree values: k distinct
     # positive degrees need a degree sum of at least k(k+1)/2 <= 2M, so this
     # holds fewer than 4M entries for the batch's M edges (three on a path)
-    values = {d for row in degrees for d in row if d}
+    values = {d for row in batch._degrees for d in row if d}
     roots = {a * b: 1.0 / math.sqrt(a * b) for a in values for b in values}
     rows = []
-    for g, row in zip(graphs, degrees):
+    for g, row in zip(batch.graphs, batch._degrees):
         absolute = squares = 0
         total = 0.0
         for j, lower in enumerate(g._lower()):

@@ -7,14 +7,14 @@ irreducible with a positive diagonal, making lambda1 + 1 strictly dominant.
 Graphs of one order iterate together, in stacks that take at most _STACK_BYTES
 of float64 or hold one graph.  Each step only multiplies and normalises, and
 the convergence tests of a window of steps are computed together, after it.
-Power iteration is one of a batch's column passes, each run once over all of
-its graphs and their degrees, counted once for every pass; it alone cuts
-stacks and runs numpy.  Its stacks and a batch's lookups of graphs from
-outside (by hash) read lower neighbour masks, off a held pair mask, and its
-own graphs are found by identity, so neither decodes a graph.  ``compute``
-runs the power pass in a forked child, which alone imports numpy, while it
-runs the other passes (``Lambda1Batch.power_alongside``); the child sends the
-outcomes back pickled, so SpectralResult and ConvergenceError pickle.
+Power iteration is one of a batch's column passes, each a function of the
+batch, run once over all of its graphs; it alone cuts stacks and runs numpy.
+Its stacks and a batch's lookups of graphs from outside (by hash) read lower
+neighbour masks, off a held pair mask, and its own graphs are found by
+identity, so neither decodes a graph.  ``compute`` runs the power pass in a
+forked child, which alone imports numpy, while it runs the other passes
+(``Lambda1Batch.power_alongside``); the child sends its column back pickled,
+so SpectralResult and ConvergenceError pickle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .graphs import Graph, adjacency_stack, is_connected
@@ -133,28 +133,29 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     return outcomes
 
 
-def _lambda1_column(tolerance: float, max_iterations: int, graphs: list[Graph],
-                    degrees: list) -> dict[str, list]:
-    """The column pass of power iteration: each graph's outcome, from stacks of one vertex
+def _lambda1_column(batch: Lambda1Batch) -> dict[str, list]:
+    """Each graph's power-iteration outcome, under the batch's settings, from stacks of one vertex
     count in order of first appearance, each of at most _STACK_BYTES of float64 or one graph."""
+    tolerance, max_iterations = batch._settings
     by_order: dict[int, list[int]] = {}
-    for position, g in enumerate(graphs):
+    for position, g in enumerate(batch.graphs):
         by_order.setdefault(g.n, []).append(position)
     outcomes: dict[int, object] = {}
     for n, group in by_order.items():
         size = max(1, _STACK_BYTES // (8 * n * (n + 2 * _WINDOW + 1)))
         for start in range(0, len(group), size):
             positions = group[start:start + size]
-            stack = adjacency_stack([graphs[p] for p in positions])
-            outcomes.update(zip(positions, _power_batch(stack, tolerance, max_iterations)))
-    return {"outcome": [outcomes[p] for p in range(len(graphs))]}
+            # held by no local or argument tuple, so each stack that _power_batch cuts is freed
+            outcomes.update(zip(positions, _power_batch(
+                adjacency_stack([batch.graphs[p] for p in positions]), tolerance, max_iterations)))
+    return {"outcome": [outcomes[p] for p in range(len(batch.graphs))]}
 
 
 class Lambda1Batch:
     """lambda1 of each of a list of graphs, all run together at the first ``result`` read.
 
-    ``columns`` runs a column pass once over all of the batch's graphs and
-    their degrees and keeps the columns it gives.  Power iteration is one such
+    ``columns`` runs a column pass, a function of the batch, once over all of
+    its graphs and keeps the columns it gives.  Power iteration is one such
     pass, as are the measures' degree, deviation and edge passes: each graph
     keeps its SpectralResult or the ConvergenceError that every read of it
     raises.  A disconnected graph gets the largest lambda1 over its components.
@@ -165,20 +166,19 @@ class Lambda1Batch:
                  max_iterations: int = DEFAULT_MAX_ITERATIONS):
         self.graphs = graphs
         self._columns: dict = {}  # each column pass run so far -> its columns
-        # a partial, not a bound method, so that _columns holds no reference back to the batch
-        self._lambda1_column = partial(_lambda1_column, tolerance, max_iterations)
+        self._settings = (tolerance, max_iterations)  # read by power iteration alone
 
     @cached_property
     def _degrees(self) -> list[tuple[int, ...]]:
-        """Each graph's degrees in vertex order, counted once for every column pass."""
+        """Each graph's degrees in vertex order, counted once at first read; the power pass reads none."""
         return [g.degrees() for g in self.graphs]
 
     def columns(self, column_pass) -> dict[str, list]:
-        """The named columns, as lists, that ``column_pass`` gives for all of the batch's graphs
-        and their degrees: run at the first call, read later; power iteration ignores the degrees."""
+        """The named columns, as lists, that ``column_pass`` gives for all of the batch's
+        graphs: run at the first call, read later."""
         columns = self._columns.get(column_pass)
         if columns is None:
-            columns = column_pass(self.graphs, self._degrees)
+            columns = column_pass(self)
             self._columns[column_pass] = columns  # kept only once the pass has returned
         return columns
 
@@ -194,7 +194,7 @@ class Lambda1Batch:
         raises what it raises.  The child is reaped before the block is left, and killed
         first if the block raises.
         """
-        if (self._lambda1_column in self._columns or not hasattr(os, "fork")
+        if (_lambda1_column in self._columns or not hasattr(os, "fork")
                 or "numpy" in sys.modules):
             yield
             return
@@ -212,9 +212,8 @@ class Lambda1Batch:
                 os.close(read)
                 os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))  # read when numpy loads
                 import pickle
-                columns = self._lambda1_column(self.graphs, None)  # it ignores the degrees
                 with open(write, "wb") as pipe:
-                    pickle.dump(columns, pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(self.columns(_lambda1_column), pipe, pickle.HIGHEST_PROTOCOL)
                 code = 0
             finally:
                 os._exit(code)
@@ -232,7 +231,7 @@ class Lambda1Batch:
         if status == 0:
             import pickle
             try:
-                self._columns[self._lambda1_column] = pickle.loads(data)
+                self._columns[_lambda1_column] = pickle.loads(data)
             except Exception:  # anything the child sent that does not unpickle is not kept
                 pass
 
@@ -256,7 +255,7 @@ class Lambda1Batch:
 
     def result(self, g: Graph) -> SpectralResult:
         """The SpectralResult of g, one of the batch's graphs."""
-        outcome = self.columns(self._lambda1_column)["outcome"][self.position(g)]
+        outcome = self.columns(_lambda1_column)["outcome"][self.position(g)]
         if isinstance(outcome, ConvergenceError):
             raise outcome.with_traceback(None)  # a fresh traceback, not one grown on every read
         return outcome

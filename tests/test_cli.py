@@ -1,8 +1,10 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -16,6 +18,7 @@ from graphirr import cli, compute_all, emit_graph6, parse_graph6, round_half_awa
 from graphirr import enumeration
 from graphirr.enumeration import VerificationReport
 from graphirr.generators import antiregular, cycle, path, star
+from graphirr.spectral import ConvergenceError
 
 A6_G6 = "E@^w"
 TABLE_WITNESSES = ["E~q?", "E}a?", "E}q?", "E~a?"]  # n0 = 1..4, shared irr_t 26
@@ -604,13 +607,20 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
 # Runs in a fresh interpreter, where numpy is not yet loaded, so compute runs
 # power iteration in a forked child.  argv[1] is a mode: "fork", "numpy" (load
 # numpy first, so compute runs it here), "kill" (a forked child kills itself at
-# its first stack) or "pinned" (a forked child fails at its first stack unless
-# its BLAS thread counts are 1).  Then, per command: main's exit code, stdout
-# digest and stderr, whether numpy is loaded and whether no child is left to reap.
+# its first stack), "pinned" (a forked child fails at its first stack unless
+# its BLAS thread counts are 1) or "nofork" (os.fork raises EAGAIN).  Then, per
+# command: main's exit code, stdout digest and stderr, whether numpy is loaded
+# and whether no child is left to reap; under "nofork", last, the number of file
+# descriptors left open beyond those open before the first command.
 FORK_PROBE = """
-import contextlib, hashlib, io, os, shlex, signal, sys
+import contextlib, errno, hashlib, io, os, shlex, signal, sys
 if sys.argv[1] == "numpy":
     import numpy
+if sys.argv[1] == "nofork":
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    os.fork = no_fork
+    fds = len(os.listdir("/proc/self/fd"))
 from graphirr import cli, spectral
 parent, power_batch = os.getpid(), spectral._power_batch
 def patched(*args):
@@ -633,6 +643,8 @@ for argv in sys.argv[2:]:
         reaped = True
     print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), repr(err.getvalue()),
           "numpy" in sys.modules, reaped)
+if sys.argv[1] == "nofork":
+    print("fds left open", len(os.listdir("/proc/self/fd")) - fds)
 """
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 COMPUTE_GOLDENS = {
@@ -693,6 +705,15 @@ def test_a_killed_child_falls_back_and_a_pinned_one_sends_its_outcomes(mode):
         probe_line(0, golden, "", mode == "kill")]
 
 
+def test_a_failed_fork_runs_the_pass_here_and_closes_the_pipe():
+    # os.fork fails with EAGAIN: numpy loaded shows the pass ran in this process,
+    # with the same bytes, nothing is left to reap and no descriptor is left open
+    corpus = os.path.join(GOLDEN, "corpus.g6")
+    golden = open(os.path.join(GOLDEN, "compute.csv"), "rb").read()
+    assert fork_probe("nofork", ["compute", corpus, "--output", "csv"]) == [
+        probe_line(0, golden, "", True), "fds left open 0"]
+
+
 @pytest.mark.parametrize("mode", ["fork", "numpy"])
 def test_power_errors_through_the_child_are_todays(mode, seed7_corpus):
     # a ConvergenceError comes back from the child pickled, so numpy stays unloaded;
@@ -720,6 +741,54 @@ def test_first_error_in_row_major_order_wins_through_the_child(mode, tmp_path):
         probe_line(1, b"", not_converged, mode == "numpy"),
         probe_line(1, b"", "error: n0 needs n >= 2, got n=1\n", mode == "numpy"),
         probe_line(1, b"", "error: tolerance must be positive, got 0.0\n", True)]
+
+
+def test_the_first_error_in_row_major_order_is_raised_for_every_grid(monkeypatch):
+    # every 3 x 3 grid of cells that give a value, raise ValueError or raise
+    # ConvergenceError, with cs in each of three columns: the cs cells are read
+    # after the others, yet the error raised is the first of a plain row-major read,
+    # and no cs cell after it is read, where an error not a cell's could surface
+    args = cli.build_parser().parse_args(["compute", "-", "--output", "csv"])
+    kinds, reads, raised = (), [], {}
+
+    class Report:
+        def __init__(self, row):
+            self.row = row
+
+        def value(self, name):
+            cell = self.row, args.measures.split(",").index(name)
+            reads.append(cell)
+            kind = kinds[3 * cell[0] + cell[1]]
+            if kind is None:
+                return 1
+            message = f"cell {cell}"
+            raised[cell] = kind(message) if kind is ValueError else kind(message, 0.0, 1, 1.0)
+            raise raised[cell]
+
+    class Batch:
+        @contextlib.contextmanager
+        def power_alongside(self):
+            yield
+
+    monkeypatch.setattr(cli, "_reports",
+                        lambda args: (Batch(), [(str(r), Report(r)) for r in range(3)]))
+    cases = 0
+    for measures in (["cs", "irr_t", "n0"], ["irr_t", "cs", "n0"], ["irr_t", "n0", "cs"]):
+        args.measures, cs = ",".join(measures), measures.index("cs")
+        for kinds in itertools.product((None, ValueError, ConvergenceError), repeat=9):
+            reads.clear()
+            raised.clear()
+            first = next((divmod(k, 3) for k, kind in enumerate(kinds) if kind), None)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli._cmd_compute(args)
+            except (ValueError, ConvergenceError) as error:
+                assert first is not None and error is raised[first], (measures, kinds)
+                assert all(cell <= first for cell in reads if cell[1] == cs), (measures, kinds)
+            else:
+                assert (first, code, sorted(reads)) == (None, 0, [divmod(k, 3) for k in range(9)])
+            cases += 1
+    assert cases == 3 * 3 ** 9 == 59_049
 
 
 # Runs in a fresh interpreter: a block that raises while the child's power
