@@ -8,6 +8,8 @@ connected n-vertex graph with exactly one equal-degree vertex pair.
 
 from __future__ import annotations
 
+import operator
+
 from .graphs import Graph, pair_order
 
 
@@ -70,10 +72,10 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"gnp needs n >= 1, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"gnp needs 0 <= p <= 1, got p={p}")
-    if not 0 <= int(seed) < 2**64:
+    if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"gnp seed must fit in 64 bits, got {seed}")
     import numpy as np
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=operator.index(seed)))
     pairs = pair_order(n)
     draws = rng.random(len(pairs))
     return Graph(n, (pair for pair, u in zip(pairs, draws) if u < p))

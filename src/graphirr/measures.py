@@ -37,7 +37,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import combinations
 
 from .graphs import Graph, degree_sequence, is_connected
-from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch, lambda1
+from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, Lambda1Batch
 
 __all__ = [
     "CSV_COLUMNS",
@@ -81,6 +81,8 @@ _ROUNDING = Context(prec=325, rounding=ROUND_HALF_UP)
 
 
 def _quantize(x: float, decimals: int) -> Decimal:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot round {x}")
     return Decimal(repr(float(x))).quantize(_quantum(decimals), context=_ROUNDING)
 
 
@@ -327,7 +329,7 @@ def cs_index(
     """Spectral irregularity lambda1 - 2m/n of a connected graph; zero exactly on regular graphs."""
     if not is_connected(g):
         raise ValueError("cs_index requires a connected graph")
-    return lambda1(g, tolerance, max_iterations).lambda1 - 2 * g.m / g.n
+    return Lambda1Batch([g], tolerance, max_iterations).result(g).lambda1 - 2 * g.m / g.n
 
 
 def randic(g: Graph) -> float:

@@ -13,8 +13,7 @@ Its stacks and a batch's lookups of graphs from outside (by hash) read lower
 neighbour masks, off a held pair mask, and its own graphs are found by
 identity, so neither decodes a graph.  ``compute`` runs the power pass in a
 forked child, which alone imports numpy, while it runs the other passes
-(``Lambda1Batch.power_alongside``); the child sends its column back pickled,
-so SpectralResult and ConvergenceError pickle.
+(``Lambda1Batch.power_alongside``); the child sends its column back pickled.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ class SpectralResult:
     iterations: int
     residual: float
 
-    def __reduce__(self):  # half the bytes and time of the default for slots
-        return type(self), (self.lambda1, self.iterations, self.residual)
-
 
 class ConvergenceError(RuntimeError):
     """Power iteration failed to converge; carries the best estimate so far."""
@@ -85,7 +81,7 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
     Each graph stops at its first step that passes both, and the graphs that
     pass leave the stack together, so each iteration count and residual is
     the graph's own; one that reaches max_iterations keeps its last step's.
-    Returns per graph a SpectralResult or ConvergenceError.
+    Returns per graph (lambda1 or its last estimate, iterations, residual, converged).
     """
     import numpy as np
     if not tolerance > 0:
@@ -117,8 +113,8 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
         del xs, ys, scratch  # freed before the next window's are allocated
         done = passed.any(axis=0)
         for k, step in zip(np.flatnonzero(done).tolist(), passed.argmax(axis=0)[done].tolist()):
-            outcomes[active[k]] = SpectralResult(
-                float(rayleighs[step, k]) - 1.0, start + step + 1, float(residuals[step, k]))
+            outcomes[active[k]] = (
+                float(rayleighs[step, k]) - 1.0, start + step + 1, float(residuals[step, k]), True)
         if done.all():
             return outcomes
         if done.any():
@@ -126,10 +122,7 @@ def _power_batch(stack: np.ndarray, tolerance: float, max_iterations: int) -> li
             stack, x, rayleigh, residual, active = (
                 stack[keep], x[keep], rayleigh[keep], residual[keep], active[keep])
     for k, position in enumerate(active):
-        estimate, last = float(rayleigh[k]) - 1.0, float(residual[k])
-        outcomes[position] = ConvergenceError(
-            f"power iteration did not converge in {max_iterations} iterations "
-            f"(estimate {estimate}, residual {last})", estimate, max_iterations, last)
+        outcomes[position] = (float(rayleigh[k]) - 1.0, max_iterations, float(residual[k]), False)
     return outcomes
 
 
@@ -157,8 +150,8 @@ class Lambda1Batch:
     ``columns`` runs a column pass, a function of the batch, once over all of
     its graphs and keeps the columns it gives.  Power iteration is one such
     pass, as are the measures' degree, deviation and edge passes: each graph
-    keeps its SpectralResult or the ConvergenceError that every read of it
-    raises.  A disconnected graph gets the largest lambda1 over its components.
+    keeps its numbers, from which each read makes a new SpectralResult or
+    ConvergenceError.  A disconnected graph gets the largest lambda1 over its components.
     Within ``power_alongside``, power iteration may run in a forked child instead.
     """
 
@@ -254,11 +247,12 @@ class Lambda1Batch:
         return position
 
     def result(self, g: Graph) -> SpectralResult:
-        """The SpectralResult of g, one of the batch's graphs."""
-        outcome = self.columns(_lambda1_column)["outcome"][self.position(g)]
-        if isinstance(outcome, ConvergenceError):
-            raise outcome.with_traceback(None)  # a fresh traceback, not one grown on every read
-        return outcome
+        """The SpectralResult of g, one of the batch's graphs, or a new ConvergenceError."""
+        *numbers, converged = self.columns(_lambda1_column)["outcome"][self.position(g)]
+        if not converged:  # numbers: the last estimate, max_iterations and the last residual
+            raise ConvergenceError("power iteration did not converge in {1} iterations "
+                                   "(estimate {0}, residual {2})".format(*numbers), *numbers)
+        return SpectralResult(*numbers)
 
 
 def lambda1(

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from graphirr import FAMILIES, degree_sequence, family, is_connected, n0
@@ -90,6 +91,15 @@ def test_gnp_validation():
         gnp(5, 0.5, seed=1 << 64)
     with pytest.raises(ValueError):
         gnp(0, 0.5, seed=1)
+
+
+def test_gnp_seed_is_an_integer():
+    # neither truncated nor parsed; any integer type numpy or Python gives works
+    for seed in (1.5, 7.0, "7"):
+        with pytest.raises(TypeError):
+            gnp(5, 0.5, seed=seed)
+    assert gnp(9, 0.5, seed=np.int64(7)) == gnp(9, 0.5, seed=7)
+    assert gnp(9, 0.5, seed=np.uint64(2**64 - 1)) == gnp(9, 0.5, seed=2**64 - 1)
 
 
 def test_gnp_edge_rate_is_plausible():

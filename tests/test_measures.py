@@ -211,6 +211,14 @@ def test_large_values_keep_15_decimals():
     assert round_half_away(-sys.float_info.max, 15) == -sys.float_info.max
 
 
+def test_non_finite_values_are_refused_with_value_error():
+    # a ValueError, which the CLI reports on one line, not decimal's ArithmeticError
+    for fn, x in ((format_value, math.inf), (format_value, -math.inf), (format_value, math.nan),
+                  (round_half_away, math.inf)):
+        with pytest.raises(ValueError, match=f"^cannot round {x}$"):
+            fn(x, 3)
+
+
 def test_decimals_outside_0_to_15_rejected():
     for bad in (-1, 16, 400):
         with pytest.raises(ValueError, match="0..15"):

@@ -141,6 +141,18 @@ def test_cs_index_is_the_reports_cs_without_the_degree_pass(monkeypatch):
         compute_all(star(6)).cs
 
 
+def test_cs_index_walks_the_graph_once(monkeypatch):
+    # its own connectivity check is the only walk: lambda1's second one is not taken
+    graphs = [star(6), path(5), gnp(9, 0.5, seed=3)]
+    expected = [cs_index(g) for g in graphs]
+
+    def refuse(g):
+        raise AssertionError("a second connectivity walk")
+
+    monkeypatch.setattr("graphirr.spectral.is_connected", refuse)
+    assert [cs_index(g) for g in graphs] == expected
+
+
 def test_randic_values():
     assert randic(complete(4)) == pytest.approx(2.0, abs=1e-12)  # n/2 for K_n
     assert randic(path(4)) == pytest.approx(0.5 + math.sqrt(2), abs=1e-12)
@@ -194,18 +206,20 @@ def test_power_batch_matches_dense_solver_on_mixed_stacks():
         by_order.setdefault(g.n, []).append(g)
     for n, group in by_order.items():
         expected = [float(np.linalg.eigvalsh(g.adjacency_matrix())[-1]) for g in group]
-        for g, outcome, lam in zip(group, _power_batch(stack_of(group), 1e-10, 100_000), expected):
-            assert isinstance(outcome, SpectralResult), g
-            assert outcome.lambda1 == pytest.approx(lam, abs=1e-9), g
-            assert outcome.residual <= 1e-10
+        outcomes = _power_batch(stack_of(group), 1e-10, 100_000)
+        for g, (estimate, _, residual, converged), lam in zip(group, outcomes, expected):
+            assert converged, g
+            assert estimate == pytest.approx(lam, abs=1e-9), g
+            assert residual <= 1e-10
 
 
 def test_batched_iterations_and_residuals_are_each_graphs_own():
     graphs = list(mixed_graphs())
     batch = Lambda1Batch(graphs)
     for g in graphs:
-        alone = _power_batch(stack_of([g]), 1e-10, 100_000)[0]
-        assert batch.result(g) == alone, g  # lambda1, iterations and residual, exactly
+        *alone, converged = _power_batch(stack_of([g]), 1e-10, 100_000)[0]
+        assert converged, g
+        assert batch.result(g) == SpectralResult(*alone), g  # lambda1, iterations and residual, exactly
     counts = {batch.result(g).iterations for g in graphs}
     assert len(counts) > 5  # graphs leave the active set at different iterations
 
@@ -221,11 +235,12 @@ def test_failed_graph_carries_its_own_convergence_state():
     for g in (graphs[1], graphs[3]):
         with pytest.raises(ConvergenceError) as info:
             batch.result(g)
-        alone = _power_batch(stack_of([g]), 1e-10, 2)[0]
-        assert isinstance(alone, ConvergenceError)
+        estimate, iterations, residual, converged = _power_batch(stack_of([g]), 1e-10, 2)[0]
+        assert not converged and iterations == 2
         err = info.value
         assert (str(err), err.estimate, err.iterations, err.residual) == (
-            str(alone), alone.estimate, 2, alone.residual)
+            f"power iteration did not converge in 2 iterations "
+            f"(estimate {estimate}, residual {residual})", estimate, 2, residual)
         errors.append(err)
     assert errors[0].estimate != errors[1].estimate
     assert errors[0].residual != errors[1].residual
@@ -247,6 +262,50 @@ def test_stored_convergence_error_keeps_its_traceback_on_every_read():
     assert seen[0][1].startswith("power iteration did not converge in 1 iterations")
     assert seen[0][3] == 1
     assert seen == [seen[0]] * 3  # traceback length, message and state, read after read
+
+
+def unconverged_read(batch, g):
+    """The error that one read of g, whose power iteration stops short, raises."""
+    with pytest.raises(ConvergenceError) as info:
+        batch.result(g)
+    return info.value
+
+
+def test_each_read_of_an_unconverged_graph_raises_a_new_error():
+    g = star(6)
+    batch = Lambda1Batch([g], max_iterations=1)
+    first, second = unconverged_read(batch, g), unconverged_read(batch, g)
+    assert first is not second
+    assert (str(first), first.estimate, first.iterations, first.residual) == (
+        str(second), second.estimate, second.iterations, second.residual)
+
+
+def test_a_read_inside_a_handler_leaves_no_context_on_a_later_read():
+    g = star(6)
+    batch = Lambda1Batch([g], max_iterations=1)
+    try:
+        raise KeyError("unrelated")
+    except KeyError:
+        assert isinstance(unconverged_read(batch, g).__context__, KeyError)
+    assert unconverged_read(batch, g).__context__ is None
+
+
+def test_a_note_on_one_reads_error_is_absent_from_the_next():
+    g = star(6)
+    batch = Lambda1Batch([g], max_iterations=1)
+    unconverged_read(batch, g).__notes__ = ["seen by one caller"]  # what add_note does, from 3.11
+    assert not hasattr(unconverged_read(batch, g), "__notes__")
+
+
+def test_the_power_column_pickles_as_numbers():
+    # a mixed batch: complete(4) and cycle(6) converge at the cap of 2, the others do not
+    import pickle
+    graphs = [complete(4), star(6), cycle(6), antiregular(6)]
+    columns = Lambda1Batch(graphs, max_iterations=2).columns(_lambda1_column)
+    assert [converged for *_, converged in columns["outcome"]] == [True, False, True, False]
+    data = pickle.dumps(columns, pickle.HIGHEST_PROTOCOL)
+    assert b"graphirr" not in data
+    assert pickle.loads(data) == columns
 
 
 def test_batch_runs_once_and_only_when_read(monkeypatch):
@@ -278,7 +337,8 @@ def test_batch_stacks_hold_at_most_stack_bytes(monkeypatch):
     graphs += [path(5), cycle(5), star(5)]
     batch = Lambda1Batch(graphs)
     for g in graphs:
-        assert batch.result(g) == _power_batch(stack_of([g]), 1e-10, 100_000)[0], g
+        *alone, converged = _power_batch(stack_of([g]), 1e-10, 100_000)[0]
+        assert converged and batch.result(g) == SpectralResult(*alone), g
     assert calls == [(2, 4, 4), (2, 4, 4), (1, 4, 4), (1, 5, 5), (1, 5, 5), (1, 5, 5)]
 
 
@@ -325,7 +385,7 @@ def test_batch_matches_the_one_graph_reference_loop_exactly():
 
 
 def test_outcomes_survive_pickling():
-    # the forked power pass sends its outcomes back pickled
+    # results and errors are values a caller may pickle, as with any other
     import pickle
     error = pickle.loads(pickle.dumps(ConvergenceError("m", 1.0, 2, 3.0)))
     assert (type(error), str(error), error.estimate, error.iterations, error.residual) == (
@@ -359,7 +419,7 @@ def test_a_window_holds_its_iterates_products_and_one_scratch():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert all(isinstance(outcome, ConvergenceError) for outcome in outcomes)
+    assert not any(converged for *_, converged in outcomes)
     assert peak <= 8 * count * n * (3 * _WINDOW + 8)
 
 
@@ -382,8 +442,8 @@ def test_the_power_pass_holds_no_stack_that_power_iteration_cuts():
         adjacency_stack(graphs), DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS))
     peak, columns = traced_peak(lambda: Lambda1Batch(graphs).columns(_lambda1_column))
     assert columns == {"outcome": outcomes}
-    assert all(isinstance(outcome, SpectralResult) for outcome in outcomes)
-    assert len({outcome.iterations for outcome in outcomes}) > 1
+    assert all(converged for *_, converged in outcomes)
+    assert len({iterations for _, iterations, _, _ in outcomes}) > 1
     # up to Python 3.10 a caller holds each argument until the call returns, so there
     # even the inline call keeps its first stack to the end, and the peaks need not meet
     if sys.version_info >= (3, 11):
